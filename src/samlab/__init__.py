@@ -23,7 +23,7 @@ from .data import (
     Dataset, SplitSpec, gen_two_moons, gen_gaussian_blobs, load_idx,
     inject_label_noise, split, minibatches,
 )
-from .params import LayoutEntry, ParameterVector, flatten, validate_layout
+from .params import LayoutEntry, ParameterVector, validate_layout
 from .harness import (
     DatasetConfig, ModelConfig, ExperimentConfig, RunRecord, AggregateResult,
     parse_config, load_config, config_hash, build_dataset,

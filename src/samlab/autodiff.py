@@ -1,224 +1,39 @@
-"""Minimal reverse-mode automatic differentiation over dense float64 arrays.
+"""Hand-derived reverse pass of the dense MLP in `network`.
 
-Each operation appends a node to an implicit tape (the DAG of `Node` parents)
-and registers a closure that propagates the upstream gradient to its inputs.
-The graph is rebuilt on every evaluation, so a loss-and-gradient computation
-is a pure function of its inputs: no state survives between calls.
+The model has one shape: affine layers `x @ w + b` with relu or tanh between
+them, then a loss head. Its gradient is a single loop over the layers in
+reverse order, so no graph is built and nothing outlives the call.
 
-Every operation validates shapes and rejects non-finite values eagerly; a NaN
-that slips through would silently corrupt any gradient direction computed
-from the result.
+The pass consumes what the forward pass already computed: each layer's input
+and the (weight, bias) views into the flat parameter array. A layer's input
+is the previous layer's activation output `a`, and both derivatives are
+written in terms of it: relu'(z) = (a > 0) and tanh'(z) = 1 - a**2.
 """
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
 
+def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) -> np.ndarray:
+    """Flat gradient of the loss w.r.t. the MLP parameters.
 
-class Node:
-    """One value in the computation graph.
-
-    `value` is a float64 ndarray (scalars are 0-d arrays). `grad` is filled in
-    by `backward` and has the same shape as `value`.
+    `inputs[i]` is the input of affine layer i and `weights[i]` its (weight,
+    bias) pair; `d_logits` is the loss gradient w.r.t. the last layer's
+    output; `size` is the flat parameter count. Each layer stores its weight
+    then its bias, layer after layer, so the slices are filled from the end.
     """
-
-    __slots__ = ("value", "grad", "parents", "_backward", "name")
-
-    def __init__(self, value, parents=(), backward=None, name=""):
-        self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
-        self.parents = parents
-        self._backward = backward
-        self.name = name
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Node(name={self.name!r}, shape={self.value.shape})"
-
-
-def _check_finite(value: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(value)):
-        raise NumericError(where)
-    return value
-
-
-def leaf(value, name: str = "leaf") -> Node:
-    """Wrap an array as a graph input (no parents)."""
-    node = Node(value, name=name)
-    _check_finite(node.value, name)
-    return node
-
-
-def matmul(a: Node, b: Node, name: str = "matmul") -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(name, f"(n, k) @ ({a.value.shape[1] if a.value.ndim == 2 else '?'}, m)",
-                         f"{a.value.shape} @ {b.value.shape}")
-    out = Node(_check_finite(a.value @ b.value, name), (a, b), name=name)
-
-    def backward():
-        a.grad += out.grad @ b.value.T
-        b.grad += a.value.T @ out.grad
-
-    out._backward = backward
-    return out
-
-
-def add_bias(x: Node, b: Node, name: str = "add_bias") -> Node:
-    """Add a row vector b (shape (k,)) to every row of x (shape (n, k))."""
-    if x.value.ndim != 2 or b.value.ndim != 1 or x.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(name, f"(n, {b.value.shape[0] if b.value.ndim == 1 else '?'}) + bias",
-                         f"{x.value.shape} + {b.value.shape}")
-    out = Node(_check_finite(x.value + b.value, name), (x, b), name=name)
-
-    def backward():
-        x.grad += out.grad
-        b.grad += out.grad.sum(axis=0)
-
-    out._backward = backward
-    return out
-
-
-def relu(x: Node, name: str = "relu") -> Node:
-    out = Node(np.maximum(x.value, 0.0), (x,), name=name)
-
-    def backward():
-        x.grad += (x.value > 0.0) * out.grad
-
-    out._backward = backward
-    return out
-
-
-def tanh(x: Node, name: str = "tanh") -> Node:
-    out = Node(np.tanh(x.value), (x,), name=name)
-
-    def backward():
-        x.grad += (1.0 - out.value ** 2) * out.grad
-
-    out._backward = backward
-    return out
-
-
-def mul(a: Node, b: Node, name: str = "mul") -> Node:
-    """Elementwise product of two same-shape nodes."""
-    if a.value.shape != b.value.shape:
-        raise ShapeError(name, a.value.shape, b.value.shape)
-    out = Node(_check_finite(a.value * b.value, name), (a, b), name=name)
-
-    def backward():
-        a.grad += b.value * out.grad
-        b.grad += a.value * out.grad
-
-    out._backward = backward
-    return out
-
-
-def scale_const(x: Node, c, name: str = "scale") -> Node:
-    """Multiply by a constant scalar or broadcastable constant array."""
-    c = np.asarray(c, dtype=np.float64)
-    out = Node(_check_finite(x.value * c, name), (x,), name=name)
-
-    def backward():
-        x.grad += c * out.grad
-
-    out._backward = backward
-    return out
-
-
-def add_const(x: Node, c, name: str = "add_const") -> Node:
-    c = np.asarray(c, dtype=np.float64)
-    out = Node(_check_finite(x.value + c, name), (x,), name=name)
-
-    def backward():
-        x.grad += out.grad
-
-    out._backward = backward
-    return out
-
-
-def sum_all(x: Node, name: str = "sum") -> Node:
-    out = Node(_check_finite(np.sum(x.value), name), (x,), name=name)
-
-    def backward():
-        x.grad += np.ones_like(x.value) * out.grad
-
-    out._backward = backward
-    return out
-
-
-def softmax_cross_entropy(logits: Node, labels: np.ndarray, name: str = "softmax_ce") -> Node:
-    """Mean cross-entropy of integer class labels under softmax(logits).
-
-    Fused op: computes a numerically stable log-softmax and returns the batch
-    mean as a scalar node. Backward is (softmax - onehot) / n.
-    """
-    labels = np.asarray(labels)
-    if logits.value.ndim != 2 or labels.ndim != 1 or logits.value.shape[0] != labels.shape[0]:
-        raise ShapeError(name, f"logits (n, c) with n labels",
-                         f"{logits.value.shape} with {labels.shape} labels")
-    n, n_classes = logits.value.shape
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ShapeError(name, f"labels in [0, {n_classes})",
-                         f"labels in [{labels.min()}, {labels.max()}]")
-    z = logits.value
-    zmax = z.max(axis=1, keepdims=True)
-    shifted = z - zmax
-    log_norm = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    log_probs = shifted - log_norm
-    loss = -np.mean(log_probs[np.arange(n), labels])
-    out = Node(_check_finite(loss, name), (logits,), name=name)
-
-    def backward():
-        probs = np.exp(log_probs)
-        probs[np.arange(n), labels] -= 1.0
-        logits.grad += (probs / n) * out.grad
-
-    out._backward = backward
-    return out
-
-
-def mean_squared_error(pred: Node, targets: np.ndarray, name: str = "mse") -> Node:
-    """Mean over all elements of the squared difference (scalar node)."""
-    targets = np.asarray(targets, dtype=np.float64)
-    if pred.value.shape != targets.shape:
-        raise ShapeError(name, targets.shape, pred.value.shape)
-    diff = pred.value - targets
-    out = Node(_check_finite(np.mean(diff ** 2), name), (pred,), name=name)
-
-    def backward():
-        pred.grad += (2.0 / diff.size) * diff * out.grad
-
-    out._backward = backward
-    return out
-
-
-def backward(root: Node) -> None:
-    """Run reverse-mode accumulation from a scalar root node.
-
-    Fills in `.grad` on every node reachable from `root`.
-    """
-    if root.value.shape != ():
-        raise ShapeError("backward", "scalar root ()", root.value.shape)
-    topo = []
-    visited = set()
-    stack = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    for node in topo:
-        node.grad = np.zeros_like(node.value)
-    root.grad = np.asarray(1.0)
-    for node in reversed(topo):
-        if node._backward is not None:
-            node._backward()
+    grad = np.zeros(size)
+    end = size
+    d = d_logits
+    for i in range(len(weights) - 1, -1, -1):
+        w, b = weights[i]
+        x = inputs[i]
+        # += into zeros keeps every zero entry +0.0, whatever the sign of the
+        # zero products it came from.
+        grad[end - b.size:end] += d.sum(axis=0)
+        end -= b.size
+        grad[end - w.size:end] += (x.T @ d).reshape(-1)
+        end -= w.size
+        if i > 0:
+            d = d @ w.T
+            d = (x > 0.0) * d if activation == "relu" else (1.0 - x ** 2) * d
+    return grad

@@ -45,41 +45,48 @@ def save(path: Union[str, Path], vector: ParameterVector) -> None:
 
 def load(path: Union[str, Path]) -> ParameterVector:
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    with fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"not a checkpoint file: magic {magic!r} != {MAGIC!r}")
-        fixed = fh.read(8)
-        if len(fixed) != 8:
-            raise LengthError("truncated checkpoint header", expected=8, found=len(fixed))
-        version, header_len = struct.unpack("<II", fixed)
-        if version != VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version}, expected {VERSION}")
-        header_bytes = fh.read(header_len)
-        if len(header_bytes) != header_len:
-            raise LengthError("truncated checkpoint header",
-                              expected=header_len, found=len(header_bytes))
-        header = json.loads(header_bytes.decode("utf-8"))
+    magic = raw[:len(MAGIC)]
+    if magic != MAGIC:
+        raise CheckpointError(f"not a checkpoint file: magic {magic!r} != {MAGIC!r}")
+    fixed = raw[len(MAGIC):len(MAGIC) + 8]
+    if len(fixed) != 8:
+        raise LengthError("truncated checkpoint header", expected=8, found=len(fixed))
+    version, header_len = struct.unpack("<II", fixed)
+    if version != VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version}, expected {VERSION}")
+    # Lengths are checked against the bytes read, never used to size a read:
+    # a garbled header can declare any length.
+    rest = memoryview(raw)[len(MAGIC) + 8:]
+    header_bytes = rest[:header_len]
+    if len(header_bytes) != header_len:
+        raise LengthError("truncated checkpoint header",
+                          expected=header_len, found=len(header_bytes))
+    try:
+        header = json.loads(bytes(header_bytes).decode("utf-8"))
         total = int(header["total"])
         layout = tuple(
             LayoutEntry(name=item["name"], shape=tuple(int(s) for s in item["shape"]),
                         offset=int(item["offset"]))
             for item in header["layout"]
         )
-        if validate_layout(layout) != total:
-            raise CheckpointError(
-                f"checkpoint header declares {total} values but the layout "
-                f"describes {validate_layout(layout)}")
-        payload = fh.read(total * 8)
-        if len(payload) != total * 8:
-            raise LengthError("truncated checkpoint payload",
-                              expected=total * 8, found=len(payload))
-        extra = fh.read(1)
-        if extra:
-            raise CheckpointError("trailing bytes after checkpoint payload")
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+    if any(s < 0 for entry in layout for s in entry.shape):
+        raise CheckpointError("negative dimension in checkpoint layout")
+    if validate_layout(layout) != total:
+        raise CheckpointError(
+            f"checkpoint header declares {total} values but the layout "
+            f"describes {validate_layout(layout)}")
+    payload = rest[header_len:]
+    if len(payload) < total * 8:
+        raise LengthError("truncated checkpoint payload",
+                          expected=total * 8, found=len(payload))
+    if len(payload) > total * 8:
+        raise CheckpointError("trailing bytes after checkpoint payload")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if not np.all(np.isfinite(data)):
         raise NumericError("checkpoint payload")

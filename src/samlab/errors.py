@@ -22,7 +22,8 @@ class ShapeError(SamLabError):
 class NumericError(SamLabError):
     """A non-finite value (NaN/Inf) was produced or supplied.
 
-    Raised eagerly at operation boundaries; silent NaNs would corrupt every
+    Raised when parameters or features are supplied non-finite, and when a
+    layer's affine output or a loss overflows; silent NaNs would corrupt every
     gradient-derived perturbation direction downstream.
     """
 

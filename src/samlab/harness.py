@@ -96,6 +96,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("mlp", "quadratic"):
             raise ConfigError(f"unknown model kind {self.kind!r}")
+        if self.activation not in network.ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}, "
+                              f"expected one of {network.ACTIVATIONS}")
+        if self.head not in network.HEADS:
+            raise ConfigError(f"unknown head {self.head!r}, expected one of {network.HEADS}")
+        if any(h < 1 for h in self.hidden):
+            raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
 
     def resolve(self, train: datamod.Dataset) -> network.ModelSpec:
         if self.kind == "quadratic":
@@ -222,35 +229,34 @@ def parse_config(obj: dict, seeds_override=None, out_override=None) -> Experimen
     for key in ("dataset", "model", "epochs", "batch_size"):
         if key not in obj:
             raise ConfigError(f"config is missing required key {key!r}")
-    if "optimizer" not in obj and "optimizers" not in obj:
+    if "optimizer" not in obj and not obj.get("optimizers"):
         raise ConfigError("config needs 'optimizer' or an 'optimizers' sweep")
 
     seeds = seeds_override if seeds_override is not None else obj.get("seeds")
     if not seeds:
         raise ConfigError("no seeds given (config 'seeds' or --seeds)")
-    seeds = tuple(int(s) for s in seeds)
-
-    sweep = tuple(_parse_optimizer(o) for o in obj.get("optimizers", ()))
-    if "optimizer" in obj:
-        optimizer = _parse_optimizer(obj["optimizer"])
-    else:
-        optimizer = sweep[0]
 
     out_dir = out_override if out_override is not None else obj.get("out_dir")
 
-    return ExperimentConfig(
-        dataset=_parse_dataset(obj["dataset"]),
-        model=_parse_model(obj["model"]),
-        optimizer=optimizer,
-        epochs=int(obj["epochs"]),
-        batch_size=int(obj["batch_size"]),
-        seeds=seeds,
-        probe=_parse_probe(obj.get("probe", {})),
-        label_noise_fraction=float(obj.get("label_noise_fraction", 0.0)),
-        optimizer_sweep=sweep,
-        slice_plane=_parse_slice(obj["slice"]) if "slice" in obj else None,
-        out_dir=str(out_dir) if out_dir is not None else None,
-    )
+    # A value of the wrong type or form ("epochs": "ten") fails in a
+    # conversion or a comparison below; report it as a config error.
+    try:
+        sweep = tuple(_parse_optimizer(o) for o in obj.get("optimizers", ()))
+        return ExperimentConfig(
+            dataset=_parse_dataset(obj["dataset"]),
+            model=_parse_model(obj["model"]),
+            optimizer=_parse_optimizer(obj["optimizer"]) if "optimizer" in obj else sweep[0],
+            epochs=int(obj["epochs"]),
+            batch_size=int(obj["batch_size"]),
+            seeds=tuple(int(s) for s in seeds),
+            probe=_parse_probe(obj.get("probe", {})),
+            label_noise_fraction=float(obj.get("label_noise_fraction", 0.0)),
+            optimizer_sweep=sweep,
+            slice_plane=_parse_slice(obj["slice"]) if "slice" in obj else None,
+            out_dir=str(out_dir) if out_dir is not None else None,
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 def load_config(path: Union[str, Path]) -> dict:
@@ -662,13 +668,11 @@ def emit_slice(out_dir: Union[str, Path], name: str, alphas, betas, losses) -> P
 # ---------------------------------------------------------------------------
 # Checkpoint-centric entry points.
 
-def probe_checkpoint(checkpoint_path: Union[str, Path],
-                     config: ExperimentConfig) -> probes.SharpnessReport:
-    """Re-evaluate a saved parameter vector; no training state involved.
+def _load_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig):
+    """Load a checkpoint and check it fits the configured model.
 
-    The probe seed derives from the first config seed, so probing the same
-    file under the same config always reproduces the same report and carries
-    no trace of which optimizer produced the checkpoint.
+    Returns (flat params, spec, train, test); the dataset is rebuilt from the
+    config because the spec's widths derive from it.
     """
     vector = checkpoint_io.load(checkpoint_path)
     train, test = build_dataset(config.dataset, config.label_noise_fraction)
@@ -679,8 +683,19 @@ def probe_checkpoint(checkpoint_path: Union[str, Path],
             f"checkpoint holds {len(vector)} parameters but the configured "
             f"model needs {expected}",
             expected_count=expected, found_count=len(vector))
+    return vector.data, spec, train, test
+
+
+def probe_checkpoint(checkpoint_path: Union[str, Path],
+                     config: ExperimentConfig) -> probes.SharpnessReport:
+    """Re-evaluate a saved parameter vector; no training state involved.
+
+    The probe seed derives from the first config seed, so probing the same
+    file under the same config always reproduces the same report and carries
+    no trace of which optimizer produced the checkpoint.
+    """
+    flat, spec, train, test = _load_checkpoint(checkpoint_path, config)
     train_batch = train.as_batch()
-    flat = vector.data
     train_loss = network.forward(spec, flat, train_batch)
     test_loss = network.forward(spec, flat, test.as_batch())
     return probes.build_report(
@@ -697,26 +712,18 @@ def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
     Returns (slice_config, alphas, betas, losses).
     """
     slice_cfg = config.slice_plane if config.slice_plane is not None else SliceConfig()
-    vector = checkpoint_io.load(checkpoint_path)
-    train, _ = build_dataset(config.dataset, config.label_noise_fraction)
-    spec = config.model.resolve(train)
-    expected = network.param_count(spec)
-    if expected != len(vector):
-        raise LayoutError(
-            f"checkpoint holds {len(vector)} parameters but the configured "
-            f"model needs {expected}",
-            expected_count=expected, found_count=len(vector))
+    flat, spec, train, _ = _load_checkpoint(checkpoint_path, config)
     batch = train.as_batch()
-    result = network.loss_and_grad(spec, vector.data, batch)
+    result = network.loss_and_grad(spec, flat, batch)
     rng = np.random.default_rng(_subseed(config.seeds[0], ROLE_PROBE))
     grad_norm = float(np.linalg.norm(result.gradient))
     if grad_norm > 1e-12:
         dir_a = result.gradient / grad_norm
     else:
-        dir_a = np.zeros(len(vector))
+        dir_a = np.zeros(len(flat))
         dir_a[0] = 1.0
-    dir_b = rng.standard_normal(len(vector))
+    dir_b = rng.standard_normal(len(flat))
     alphas, betas, losses = probes.loss_plane_slice(
-        spec, vector.data, batch, dir_a, dir_b,
+        spec, flat, batch, dir_a, dir_b,
         slice_cfg.extent, slice_cfg.n_points)
     return slice_cfg, alphas, betas, losses

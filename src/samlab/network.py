@@ -8,10 +8,12 @@ Two model families are supported:
   parameters, used as an analytically tractable test surface for optimizers
   and sharpness probes.
 
-`loss_and_grad` is a pure function of (spec, flat params, batch): the autodiff
-graph is rebuilt on every call and no state leaks between evaluations.
+`loss_and_grad` is a pure function of (spec, flat params, batch): one forward
+loop over the layers, the head, and the hand-derived reverse pass in
+`autodiff`. Nothing but the returned arrays outlives a call.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -30,10 +32,14 @@ class Batch(NamedTuple):
 
 
 class LossGradient(NamedTuple):
-    """Scalar loss plus its exact reverse-mode gradient (flat, float64)."""
+    """Scalar loss plus its exact gradient (flat, float64)."""
 
     value: float
     gradient: np.ndarray
+
+
+ACTIVATIONS = ("relu", "tanh")
+HEADS = ("softmax_ce", "mse")
 
 
 @dataclass(frozen=True)
@@ -50,9 +56,9 @@ class MlpSpec:
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         if self.in_width < 1 or self.out_width < 1 or any(h < 1 for h in self.hidden):
             raise ValueError("all layer widths must be >= 1")
-        if self.activation not in ("relu", "tanh"):
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.head not in ("softmax_ce", "mse"):
+        if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}")
 
     @property
@@ -76,8 +82,10 @@ class QuadraticSpec:
 ModelSpec = Union[MlpSpec, QuadraticSpec]
 
 
+@functools.lru_cache
 def param_layout(spec: ModelSpec) -> tuple:
-    """Derive the flat parameter layout for a model spec."""
+    """Derive the flat parameter layout for a model spec (specs are frozen,
+    so the layout is computed once per spec)."""
     if isinstance(spec, QuadraticSpec):
         return (LayoutEntry("coords", (len(spec.diag),), 0),)
     entries = []
@@ -132,25 +140,34 @@ def _check_params(spec: ModelSpec, params) -> np.ndarray:
     return flat
 
 
-def _mlp_logits_node(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
+def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features):
+    """Forward pass to the head inputs.
+
+    Returns (inputs, weights, logits): the input of every affine layer, its
+    (weight, bias) views into `flat`, and the last layer's output. Each affine
+    output is checked for finiteness, because tanh maps an overflow to +-1.
+    """
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.in_width:
         raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
+    if not np.all(np.isfinite(features)):
+        raise NumericError("batch features")
     layout = param_layout(spec)
-    slots = {e.name: e for e in layout}
-    param_leaves = []
-    x = ad.leaf(features, name="input")
-    n_layers = len(spec.widths) - 1
+    n_layers = len(layout) // 2
+    inputs, weights = [], []
+    x = features
     for i in range(n_layers):
-        w_entry, b_entry = slots[f"dense{i}.weight"], slots[f"dense{i}.bias"]
-        w = ad.leaf(flat[w_entry.offset:w_entry.offset + w_entry.size].reshape(w_entry.shape),
-                    name=w_entry.name)
-        b = ad.leaf(flat[b_entry.offset:b_entry.offset + b_entry.size], name=b_entry.name)
-        param_leaves.extend([(w_entry, w), (b_entry, b)])
-        x = ad.add_bias(ad.matmul(x, w, name=f"dense{i}"), b, name=f"dense{i}.bias_add")
+        w_entry, b_entry = layout[2 * i], layout[2 * i + 1]
+        w = flat[w_entry.offset:w_entry.offset + w_entry.size].reshape(w_entry.shape)
+        b = flat[b_entry.offset:b_entry.offset + b_entry.size]
+        inputs.append(x)
+        weights.append((w, b))
+        x = x @ w + b
+        if not np.all(np.isfinite(x)):
+            raise NumericError(f"dense{i}")
         if i < n_layers - 1:
-            x = ad.relu(x, name=f"{spec.activation}{i}") if spec.activation == "relu" \
-                else ad.tanh(x, name=f"{spec.activation}{i}")
-    return x, param_leaves
+            x = np.maximum(x, 0.0) if spec.activation == "relu" else np.tanh(x)
+    return inputs, weights, x
 
 
 def _one_hot(labels: np.ndarray, width: int) -> np.ndarray:
@@ -159,72 +176,66 @@ def _one_hot(labels: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _build_loss(spec: ModelSpec, flat: np.ndarray, batch):
-    """Construct the scalar loss node; shared by forward and loss_and_grad.
-
-    Returns the loss node plus the (layout entry, leaf node) pairs needed to
-    reassemble a flat gradient after a backward pass.
-    """
-    if isinstance(spec, QuadraticSpec):
-        w = ad.leaf(flat, name="coords")
-        sq = ad.mul(w, w, name="square")
-        weighted = ad.scale_const(sq, 0.5 * np.asarray(spec.diag), name="halved")
-        loss = ad.sum_all(weighted, name="quadratic_loss")
-        if spec.offset != 0.0:
-            loss = ad.add_const(loss, spec.offset, name="offset")
-        return loss, [(param_layout(spec)[0], w)]
-    features = np.asarray(batch.features, dtype=np.float64)
-    labels = np.asarray(batch.labels)
-    if not np.all(np.isfinite(features)):
-        raise NumericError("batch features")
-    logits, param_leaves = _mlp_logits_node(spec, flat, features)
+def _head(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
+    """Mean loss of the head and its gradient w.r.t. the logits."""
+    labels = np.asarray(labels)
+    n, n_classes = logits.shape
+    if labels.shape != (n,):
+        raise ShapeError(spec.head, f"({n},) labels", labels.shape)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ShapeError(spec.head, f"labels in [0, {n_classes})",
+                         f"labels in [{labels.min()}, {labels.max()}]")
+    rows = np.arange(n)
     if spec.head == "softmax_ce":
-        loss = ad.softmax_cross_entropy(logits, labels)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        loss = -np.mean(log_probs[rows, labels])
+        probs = np.exp(log_probs)
+        probs[rows, labels] -= 1.0
+        d_logits = probs / n
     else:
-        loss = ad.mean_squared_error(logits, _one_hot(labels, spec.out_width))
-    return loss, param_leaves
+        diff = logits - _one_hot(labels, n_classes)
+        loss = np.mean(diff ** 2)
+        d_logits = (2.0 / diff.size) * diff
+    if not np.isfinite(loss):
+        raise NumericError(spec.head)
+    return float(loss), d_logits
+
+
+def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:
+    diag = np.asarray(spec.diag)
+    loss = np.sum(flat * flat * (0.5 * diag))
+    if spec.offset != 0.0:  # adding 0.0 would turn a -0.0 loss into 0.0
+        loss = loss + spec.offset
+    if not np.isfinite(loss):
+        raise NumericError("quadratic_loss")
+    return LossGradient(float(loss), diag * flat)
 
 
 def forward(spec: ModelSpec, params, batch) -> float:
     """Mean loss of the model on a batch (cross-entropy or MSE per spec)."""
     flat = _check_params(spec, params)
-    loss, _ = _build_loss(spec, flat, batch)
-    return float(loss.value)
+    if isinstance(spec, QuadraticSpec):
+        return _quadratic(spec, flat).value
+    _, _, logits = _mlp_pass(spec, flat, batch.features)
+    return _head(spec, logits, batch.labels)[0]
 
 
 def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
-    """Loss and its exact reverse-mode gradient w.r.t. the flat parameters."""
+    """Loss and its exact gradient w.r.t. the flat parameters."""
     flat = _check_params(spec, params)
-    loss, param_leaves = _build_loss(spec, flat, batch)
-    ad.backward(loss)
-    grad = np.zeros_like(flat)
-    for entry, node in param_leaves:
-        grad[entry.offset:entry.offset + entry.size] = node.grad.reshape(-1)
-    return LossGradient(float(loss.value), grad)
+    if isinstance(spec, QuadraticSpec):
+        return _quadratic(spec, flat)
+    inputs, weights, logits = _mlp_pass(spec, flat, batch.features)
+    loss, d_logits = _head(spec, logits, batch.labels)
+    return LossGradient(loss, ad.backward(spec.activation, inputs, weights, d_logits, flat.size))
 
 
 def predict_logits(spec: MlpSpec, params, features: np.ndarray) -> np.ndarray:
-    """Plain forward pass to the head inputs (no tape, no loss)."""
+    """Forward pass to the head inputs (no loss)."""
     if isinstance(spec, QuadraticSpec):
         raise ShapeError("predict_logits", "an MLP spec", "QuadraticSpec")
-    flat = _check_params(spec, params)
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != spec.in_width:
-        raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
-    x = features
-    layout = param_layout(spec)
-    slots = {e.name: e for e in layout}
-    n_layers = len(spec.widths) - 1
-    for i in range(n_layers):
-        w_entry, b_entry = slots[f"dense{i}.weight"], slots[f"dense{i}.bias"]
-        w = flat[w_entry.offset:w_entry.offset + w_entry.size].reshape(w_entry.shape)
-        b = flat[b_entry.offset:b_entry.offset + b_entry.size]
-        x = x @ w + b
-        if i < n_layers - 1:
-            x = np.maximum(x, 0.0) if spec.activation == "relu" else np.tanh(x)
-    if not np.all(np.isfinite(x)):
-        raise NumericError("predict_logits")
-    return x
+    return _mlp_pass(spec, _check_params(spec, params), features)[2]
 
 
 def accuracy(spec: MlpSpec, params, batch) -> float:

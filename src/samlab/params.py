@@ -1,10 +1,11 @@
 """Flat, ordered parameter storage with named layout descriptors."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthError, NumericError, ShapeError
+from .errors import LengthError, NumericError
 
 
 @dataclass(frozen=True)
@@ -17,7 +18,7 @@ class LayoutEntry:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
+        return math.prod(self.shape)
 
 
 def validate_layout(layout) -> int:
@@ -61,14 +62,6 @@ class ParameterVector:
     def __len__(self) -> int:
         return self.data.shape[0]
 
-    def unflatten(self) -> dict:
-        """Return {name: array} views reshaped per the layout."""
-        out = {}
-        for entry in self.layout:
-            chunk = self.data[entry.offset:entry.offset + entry.size]
-            out[entry.name] = chunk.reshape(entry.shape)
-        return out
-
     def replace(self, data: np.ndarray) -> "ParameterVector":
         """Same layout, new values."""
         return ParameterVector(np.array(data, dtype=np.float64), self.layout)
@@ -76,14 +69,3 @@ class ParameterVector:
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.data.copy(), self.layout)
 
-
-def flatten(named: dict, layout) -> np.ndarray:
-    """Inverse of `ParameterVector.unflatten`: pack named arrays back flat."""
-    total = validate_layout(layout)
-    flat = np.empty(total, dtype=np.float64)
-    for entry in layout:
-        arr = np.asarray(named[entry.name], dtype=np.float64)
-        if arr.shape != tuple(entry.shape):
-            raise ShapeError(entry.name, tuple(entry.shape), arr.shape)
-        flat[entry.offset:entry.offset + entry.size] = arr.reshape(-1)
-    return flat

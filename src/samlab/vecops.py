@@ -1,51 +1,8 @@
-"""Flat-vector linear algebra helpers and the unit-direction sampler.
-
-All functions operate on 1-D float64 arrays and never mutate their inputs.
-"""
+"""The unit-direction sampler shared by the optimizers and the probes."""
 
 import numpy as np
 
-from .errors import LengthError, SamLabError
-
-
-def _as_flat(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 1:
-        a = a.reshape(-1)
-    return a
-
-
-def _check_lengths(a: np.ndarray, b: np.ndarray, op: str) -> None:
-    if a.shape[0] != b.shape[0]:
-        raise LengthError(
-            f"{op}: length mismatch ({a.shape[0]} vs {b.shape[0]})",
-            expected=a.shape[0],
-            found=b.shape[0],
-        )
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length flat vectors."""
-    a, b = _as_flat(a), _as_flat(b)
-    _check_lengths(a, b, "dot")
-    return float(np.dot(a, b))
-
-
-def norm2(a) -> float:
-    """Euclidean norm of a flat vector."""
-    return float(np.linalg.norm(_as_flat(a)))
-
-
-def axpy(alpha: float, x, y) -> np.ndarray:
-    """Return alpha * x + y as a new array."""
-    x, y = _as_flat(x), _as_flat(y)
-    _check_lengths(x, y, "axpy")
-    return alpha * x + y
-
-
-def scale(alpha: float, x) -> np.ndarray:
-    """Return alpha * x as a new array."""
-    return alpha * _as_flat(x)
+from .errors import SamLabError
 
 
 def sample_unit_direction(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Gradient checks for every tape operation against central finite differences."""
+"""Checks of the MLP's hand-derived reverse pass (`autodiff.backward`) and its
+loss heads against central finite differences and hand-computed oracles, plus
+the input checks that guard them."""
 
 import numpy as np
 import pytest
 
-from samlab import autodiff
+from samlab import autodiff, network
 from samlab.errors import NumericError, ShapeError
+from samlab.network import Batch, MlpSpec
 
 
 def central_diff(f, x, i, h=1e-6):
@@ -13,176 +16,161 @@ def central_diff(f, x, i, h=1e-6):
     return (f(xp) - f(xm)) / (2 * h)
 
 
-def check_grads(f, x, tol_rel=1e-5, tol_abs=1e-8):
-    """f maps an ndarray to a scalar Node built fresh on every call."""
-    root = f(x)
-    autodiff.backward(root)
-    leaf_grad = f.__self__.grad if hasattr(f, "__self__") else None
-    return root
-
-
-def grad_of(build, x):
-    """build(leaf_node) -> scalar node; returns (value, grad wrt x)."""
-    leaf = autodiff.leaf(x)
-    root = build(leaf)
-    autodiff.backward(root)
-    return float(root.value), leaf.grad
-
-
-def assert_matches_fd(build, x, tol_rel=1e-5, tol_abs=1e-8):
-    _, grad = grad_of(build, x)
-
-    def scalar(xv):
-        return float(build(autodiff.leaf(xv)).value)
-
-    for i in range(x.size):
-        fd = central_diff(scalar, x, i)
-        got = grad.flat[i]
-        assert abs(got - fd) <= max(tol_abs, tol_rel * max(abs(got), abs(fd))), (
-            f"coord {i}: analytic {got} vs finite-diff {fd}")
+def assert_close(got, fd, tol_rel=1e-5, tol_abs=1e-8):
+    assert abs(got - fd) <= max(tol_abs, tol_rel * max(abs(got), abs(fd))), (
+        f"analytic {got} vs finite-diff {fd}")
 
 
 rng = np.random.default_rng(1234)
 
 
-def test_sum_all_gradient_is_ones():
-    x = rng.standard_normal((3, 4))
-    _, grad = grad_of(lambda l: autodiff.sum_all(l), x)
-    np.testing.assert_array_equal(grad, np.ones_like(x))
+def random_point(spec, n=6):
+    """Parameters with non-zero biases (no pre-activation sits on relu's
+    kink), features, and a fixed upstream gradient for the logits."""
+    flat = rng.standard_normal(network.param_count(spec))
+    features = rng.standard_normal((n, spec.in_width))
+    d_logits = rng.standard_normal((n, spec.out_width))
+    return flat, features, d_logits
+
+
+def assert_backward_matches_fd(spec, flat, features, d_logits):
+    """backward() against central differences of sum(logits * d_logits)."""
+    inputs, weights, _ = network._mlp_pass(spec, flat, features)
+    grad = autodiff.backward(spec.activation, inputs, weights, d_logits, flat.size)
+
+    def scalar(point):
+        return float(np.sum(network._mlp_pass(spec, point, features)[2] * d_logits))
+
+    for i in range(flat.size):
+        assert_close(grad[i], central_diff(scalar, flat, i))
+
+
+def head_grad(head, logits, labels):
+    spec = MlpSpec(in_width=1, out_width=logits.shape[1], head=head)
+    return network._head(spec, logits, labels)
+
+
+def assert_head_matches_fd(head, logits, labels):
+    _, grad = head_grad(head, logits, labels)
+    for i in range(logits.size):
+        assert_close(grad.flat[i],
+                     central_diff(lambda z: head_grad(head, z, labels)[0], logits, i))
 
 
 def test_relu_finite_diff():
-    # keep values away from the kink at 0 where the derivative jumps
-    x = rng.standard_normal((4, 3))
-    x[np.abs(x) < 0.05] += 0.1
-    assert_matches_fd(lambda l: autodiff.sum_all(autodiff.relu(l)), x)
+    spec = MlpSpec(in_width=3, hidden=(4, 3), out_width=2, activation="relu")
+    assert_backward_matches_fd(spec, *random_point(spec))
 
 
 def test_tanh_finite_diff():
-    x = rng.standard_normal((2, 5))
-    assert_matches_fd(lambda l: autodiff.sum_all(autodiff.tanh(l)), x)
+    spec = MlpSpec(in_width=3, hidden=(4, 3), out_width=2, activation="tanh")
+    assert_backward_matches_fd(spec, *random_point(spec))
 
 
 def test_matmul_finite_diff_left_and_right():
-    a = rng.standard_normal((3, 4))
-    b = rng.standard_normal((4, 2))
-    assert_matches_fd(lambda l: autodiff.sum_all(autodiff.matmul(l, autodiff.leaf(b))), a)
-    assert_matches_fd(lambda l: autodiff.sum_all(autodiff.matmul(autodiff.leaf(a), l)), b)
+    # one affine layer: the weight gradient is x.T @ d (the right operand)
+    linear = MlpSpec(in_width=4, hidden=(), out_width=2)
+    assert_backward_matches_fd(linear, *random_point(linear))
+    # two: the first layer's gradient passes back through d @ w.T (the left operand)
+    two = MlpSpec(in_width=4, hidden=(3,), out_width=2, activation="tanh")
+    assert_backward_matches_fd(two, *random_point(two))
 
 
 def test_add_bias_broadcast_backward_sums_rows():
-    x = rng.standard_normal((5, 3))
-    bias = rng.standard_normal(3)
-    _, grad = grad_of(
-        lambda l: autodiff.sum_all(autodiff.add_bias(autodiff.leaf(x), l)), bias)
-    np.testing.assert_allclose(grad, np.full(3, 5.0))
-    assert_matches_fd(
-        lambda l: autodiff.sum_all(autodiff.add_bias(autodiff.leaf(x), l)), bias)
-
-
-def test_mul_and_scale_and_add_const():
-    x = rng.standard_normal((3, 3))
-    y = rng.standard_normal((3, 3))
-
-    def build(l):
-        prod = autodiff.mul(l, autodiff.leaf(y))
-        return autodiff.sum_all(autodiff.add_const(autodiff.scale_const(prod, 2.5), -1.0))
-
-    _, grad = grad_of(build, x)
-    np.testing.assert_allclose(grad, 2.5 * y, rtol=1e-12)
+    spec = MlpSpec(in_width=3, hidden=(), out_width=2)
+    flat, features, d_logits = random_point(spec, n=5)
+    inputs, weights, _ = network._mlp_pass(spec, flat, features)
+    grad = autodiff.backward(spec.activation, inputs, weights, d_logits, flat.size)
+    np.testing.assert_array_equal(grad[6:], d_logits.sum(axis=0))
+    ones = autodiff.backward(spec.activation, inputs, weights, np.ones((5, 2)), flat.size)
+    np.testing.assert_array_equal(ones[6:], np.full(2, 5.0))
 
 
 def test_softmax_cross_entropy_finite_diff():
     logits = rng.standard_normal((6, 4))
     labels = rng.integers(0, 4, size=6)
-    assert_matches_fd(lambda l: autodiff.softmax_cross_entropy(l, labels), logits)
+    assert_head_matches_fd("softmax_ce", logits, labels)
 
 
 def test_softmax_cross_entropy_uniform_logits_value():
     # equal logits: loss = log(k) regardless of labels
-    logits = np.zeros((5, 3))
-    labels = np.array([0, 1, 2, 0, 1])
-    value, _ = grad_of(lambda l: autodiff.softmax_cross_entropy(l, labels), logits)
+    value, _ = head_grad("softmax_ce", np.zeros((5, 3)), np.array([0, 1, 2, 0, 1]))
     assert value == pytest.approx(np.log(3.0), rel=1e-12)
 
 
 def test_softmax_cross_entropy_stable_at_large_logits():
     logits = np.array([[1000.0, 0.0], [0.0, 1000.0]])
-    labels = np.array([0, 1])
-    value, grad = grad_of(lambda l: autodiff.softmax_cross_entropy(l, labels), logits)
+    value, grad = head_grad("softmax_ce", logits, np.array([0, 1]))
     assert value == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(grad))
 
 
 def test_mean_squared_error_finite_diff():
     pred = rng.standard_normal((4, 3))
-    target = rng.standard_normal((4, 3))
-    assert_matches_fd(lambda l: autodiff.mean_squared_error(l, target), pred)
+    labels = rng.integers(0, 3, size=4)
+    assert_head_matches_fd("mse", pred, labels)
 
 
 def test_mean_squared_error_closed_form_gradient():
     pred = rng.standard_normal((4, 3))
-    target = rng.standard_normal((4, 3))
-    _, grad = grad_of(lambda l: autodiff.mean_squared_error(l, target), pred)
+    labels = np.array([2, 0, 1, 1])
+    _, grad = head_grad("mse", pred, labels)
+    target = np.eye(3)[labels]
     np.testing.assert_allclose(grad, 2.0 * (pred - target) / pred.size, rtol=1e-12)
 
 
-def test_reused_node_accumulates_gradient():
-    # diamond graph: y = sum(x*x) uses the same leaf twice
-    x = rng.standard_normal(4).reshape(1, 4)
-    _, grad = grad_of(lambda l: autodiff.sum_all(autodiff.mul(l, l)), x)
-    np.testing.assert_allclose(grad, 2.0 * x, rtol=1e-12)
-
-
 def test_straight_line_oracle_two_layer():
-    """Hand-computed gradient for a 1x1 linear chain: loss = (w2*(w1*x+b1)+b2 - t)^2."""
-    x_val, w1_val, b1_val, w2_val, b2_val, t = 0.7, 1.3, -0.2, 0.5, 0.1, 2.0
-    x = autodiff.leaf(np.array([[x_val]]))
-    w1 = autodiff.leaf(np.array([[w1_val]]))
-    b1 = autodiff.leaf(np.array([b1_val]))
-    w2 = autodiff.leaf(np.array([[w2_val]]))
-    b2 = autodiff.leaf(np.array([b2_val]))
-    h = autodiff.add_bias(autodiff.matmul(x, w1), b1)
-    out = autodiff.add_bias(autodiff.matmul(h, w2), b2)
-    loss = autodiff.mean_squared_error(out, np.array([[t]]))
-    autodiff.backward(loss)
+    """Hand-computed gradient for a 1-1-1 tanh chain under the MSE head:
+    loss = (w2 * tanh(w1 * x + b1) + b2 - 1)^2, the target being label 0's
+    one-hot value."""
+    x_val, w1_val, b1_val, w2_val, b2_val = 0.7, 1.3, -0.2, 0.5, 0.1
+    spec = MlpSpec(in_width=1, hidden=(1,), out_width=1, activation="tanh", head="mse")
+    flat = np.array([w1_val, b1_val, w2_val, b2_val])
+    res = network.loss_and_grad(spec, flat, Batch(np.array([[x_val]]), np.array([0])))
 
-    h_val = w1_val * x_val + b1_val
+    h_val = np.tanh(w1_val * x_val + b1_val)
     out_val = w2_val * h_val + b2_val
-    resid = 2.0 * (out_val - t)
-    assert float(loss.value) == pytest.approx((out_val - t) ** 2, rel=1e-12)
-    assert w2.grad[0, 0] == pytest.approx(resid * h_val, rel=1e-12)
-    assert b2.grad[0] == pytest.approx(resid, rel=1e-12)
-    assert w1.grad[0, 0] == pytest.approx(resid * w2_val * x_val, rel=1e-12)
-    assert b1.grad[0] == pytest.approx(resid * w2_val, rel=1e-12)
-
-
-def test_backward_requires_scalar_root():
-    x = autodiff.leaf(rng.standard_normal((2, 2)))
-    y = autodiff.relu(x)
-    with pytest.raises(ShapeError):
-        autodiff.backward(y)
+    resid = 2.0 * (out_val - 1.0)
+    dh = resid * w2_val * (1.0 - h_val ** 2)
+    assert res.value == pytest.approx((out_val - 1.0) ** 2, rel=1e-12)
+    np.testing.assert_allclose(res.gradient, [dh * x_val, dh, resid * h_val, resid],
+                               rtol=1e-12)
 
 
 def test_matmul_shape_mismatch():
-    a = autodiff.leaf(rng.standard_normal((2, 3)))
-    b = autodiff.leaf(rng.standard_normal((2, 3)))
+    spec = MlpSpec(in_width=2, hidden=(3,), out_width=2)
+    flat = np.zeros(network.param_count(spec))
     with pytest.raises(ShapeError):
-        autodiff.matmul(a, b)
+        network.forward(spec, flat, Batch(np.zeros((4, 3)), np.zeros(4, dtype=int)))
 
 
 def test_non_finite_input_rejected():
-    with pytest.raises(NumericError):
-        autodiff.leaf(np.array([1.0, np.nan]))
+    spec = MlpSpec(in_width=2, hidden=(3,), out_width=2)
+    flat = np.zeros(network.param_count(spec))
+    features = np.zeros((2, 2))
+    features[1, 0] = np.nan
+    batch = Batch(features, np.array([0, 1]))
+    for evaluate in (network.forward, network.loss_and_grad, network.accuracy):
+        with pytest.raises(NumericError, match="batch features"):
+            evaluate(spec, flat, batch)
 
 
 def test_non_finite_intermediate_rejected():
-    big = autodiff.leaf(np.array([[1e308]]))
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
-        autodiff.matmul(big, autodiff.leaf(np.array([[1e308]])))
+    # tanh maps the overflowed pre-activation to 1, so the logits stay finite
+    spec = MlpSpec(in_width=1, hidden=(1,), out_width=2, activation="tanh")
+    flat = np.array([1e308, 0.0, 1.0, 1.0, 0.0, 0.0])
+    batch = Batch(np.array([[1e308]]), np.array([0]))
+    for evaluate in (network.forward, network.loss_and_grad, network.accuracy):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="dense0"):
+            evaluate(spec, flat, batch)
 
 
 def test_label_out_of_range_rejected():
-    logits = autodiff.leaf(np.zeros((2, 3)))
-    with pytest.raises(ShapeError):
-        autodiff.softmax_cross_entropy(logits, np.array([0, 3]))
+    for head in ("softmax_ce", "mse"):
+        spec = MlpSpec(in_width=2, hidden=(), out_width=3, head=head)
+        flat = np.zeros(network.param_count(spec))
+        for labels in ([0, 3], [-1, 0]):
+            batch = Batch(np.zeros((2, 2)), np.array(labels))
+            for evaluate in (network.forward, network.loss_and_grad):
+                with pytest.raises(ShapeError):
+                    evaluate(spec, flat, batch)

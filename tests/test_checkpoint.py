@@ -1,10 +1,12 @@
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samlab import checkpoint
-from samlab.errors import CheckpointError, LengthError, NumericError
+from samlab.errors import CheckpointError, LengthError, NumericError, SamLabError
 from samlab.params import LayoutEntry, ParameterVector
 
 
@@ -33,9 +35,10 @@ def test_file_is_self_describing(tmp_path):
     path = tmp_path / "model.ckpt"
     checkpoint.save(path, vector())
     loaded = checkpoint.load(path)
-    named = loaded.unflatten()
-    assert named["w"].shape == (2, 2)
-    assert named["b"].shape == (2,)
+    assert loaded.layout == vector().layout
+    w, b = (loaded.data[e.offset:e.offset + e.size].reshape(e.shape) for e in loaded.layout)
+    np.testing.assert_array_equal(w, [[1.0, -2.5], [3e-7, 4e12]])
+    np.testing.assert_array_equal(b, [0.1, -0.0])
 
 
 def test_bad_magic(tmp_path):
@@ -95,3 +98,45 @@ def test_header_total_layout_mismatch(tmp_path):
 def test_missing_file_is_structured_error(tmp_path):
     with pytest.raises(CheckpointError, match="cannot read"):
         checkpoint.load(tmp_path / "absent.ckpt")
+
+
+@pytest.mark.parametrize("header", [
+    b"\xff\xfe{}",         # not UTF-8
+    b"{not json",
+    b"{}",                   # no "total"
+    b'{"total":"x"}',
+])
+def test_garbled_header_is_checkpoint_error(tmp_path, header):
+    path = tmp_path / "garbled.ckpt"
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<II", 1, len(header)) + header)
+    with pytest.raises(CheckpointError):
+        checkpoint.load(path)
+
+
+_JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["total", "layout", "name", "shape", "offset"]), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _tails(draw):
+    """Bytes after a valid magic and version: raw bytes, or a header of
+    random JSON-like values with a consistent length field, then a payload."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    header = json.dumps(draw(_JSONISH)).encode("utf-8")
+    return struct.pack("<I", len(header)) + header + draw(st.binary(max_size=48))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tail=_tails())
+def test_fuzzed_checkpoint_loads_or_raises_samlab_error(tmp_path, tail):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<I", checkpoint.VERSION) + tail)
+    try:
+        checkpoint.load(path)
+    except SamLabError:
+        pass

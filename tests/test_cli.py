@@ -73,6 +73,22 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"model": {"kind": "mlp", "hidden": [6], "activation": "sigmoid"}},
+    {"model": {"kind": "mlp", "hidden": [6], "head": "hinge"}},
+    {"epochs": "ten"},
+    {"model": {"kind": "mlp", "hidden": "ab"}},
+    {"model": {"kind": "mlp", "hidden": [0]}},
+])
+def test_bad_config_value_exits_2_before_out_dir(tmp_path, capsys, overrides):
+    config = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     code = cli.main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])

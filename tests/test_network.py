@@ -1,3 +1,6 @@
+import gc
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,11 @@ from samlab.network import Batch, MlpSpec, QuadraticSpec
 def small_batch(n=12, seed=3):
     ds = gen_two_moons(n, 0.15, seed)
     return ds.as_batch()
+
+
+def views(vec):
+    """{name: array} views of a ParameterVector, sliced by its layout entries."""
+    return {e.name: vec.data[e.offset:e.offset + e.size].reshape(e.shape) for e in vec.layout}
 
 
 def test_param_layout_shapes_and_count():
@@ -25,7 +33,7 @@ def test_init_deterministic_and_biases_zero():
     p1 = network.init_params(spec, np.random.default_rng(5))
     p2 = network.init_params(spec, np.random.default_rng(5))
     np.testing.assert_array_equal(p1.data, p2.data)
-    named = p1.unflatten()
+    named = views(p1)
     np.testing.assert_array_equal(named["dense0.bias"], np.zeros(8))
     np.testing.assert_array_equal(named["dense1.bias"], np.zeros(2))
 
@@ -34,7 +42,7 @@ def test_forward_matches_manual_numpy():
     spec = MlpSpec(in_width=2, hidden=(4,), out_width=2, activation="relu")
     params = network.init_params(spec, np.random.default_rng(0))
     batch = small_batch()
-    named = params.unflatten()
+    named = views(params)
     h = np.maximum(batch.features @ named["dense0.weight"] + named["dense0.bias"], 0.0)
     logits = h @ named["dense1.weight"] + named["dense1.bias"]
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -98,11 +106,8 @@ def test_accuracy_perfect_and_chance():
     labels = np.array([1, 0, 1])
     w = np.zeros(network.param_count(spec))
     vec = network.init_params(spec, np.random.default_rng(0)).replace(w)
-    named = vec.unflatten()
-    named["dense0.weight"][0, 1] = 5.0  # positive x -> class 1
-    from samlab.params import flatten
-    flat = flatten(named, vec.layout)
-    assert network.accuracy(spec, flat, Batch(features, labels)) == 1.0
+    views(vec)["dense0.weight"][0, 1] = 5.0  # positive x -> class 1
+    assert network.accuracy(spec, vec.data, Batch(features, labels)) == 1.0
 
 
 def test_wrong_param_count_rejected():
@@ -129,14 +134,27 @@ def test_invalid_spec_rejected():
 
 
 def test_gradient_matches_finite_differences_small():
-    spec = MlpSpec(in_width=2, hidden=(5,), out_width=2)
-    params = network.init_params(spec, np.random.default_rng(8))
     batch = small_batch(n=10, seed=8)
-    res = network.loss_and_grad(spec, params.data, batch)
-    flat = params.data
-    h = 1e-6
-    for i in range(0, len(flat), 7):
-        fp = flat.copy(); fp[i] += h
-        fm = flat.copy(); fm[i] -= h
-        fd = (network.forward(spec, fp, batch) - network.forward(spec, fm, batch)) / (2 * h)
-        assert res.gradient[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    for activation, head in itertools.product(("relu", "tanh"), ("softmax_ce", "mse")):
+        spec = MlpSpec(in_width=2, hidden=(5,), out_width=2, activation=activation, head=head)
+        params = network.init_params(spec, np.random.default_rng(8))
+        res = network.loss_and_grad(spec, params.data, batch)
+        assert res.value == network.forward(spec, params.data, batch)
+        flat = params.data
+        h = 1e-6
+        for i in range(len(flat)):
+            fp = flat.copy(); fp[i] += h
+            fm = flat.copy(); fm[i] -= h
+            fd = (network.forward(spec, fp, batch) - network.forward(spec, fm, batch)) / (2 * h)
+            assert res.gradient[i] == pytest.approx(fd, rel=1e-5, abs=1e-8), (activation, head, i)
+
+
+def test_evaluation_leaves_no_garbage_cycles():
+    spec = MlpSpec(in_width=2, hidden=(8, 8), out_width=2, activation="tanh")
+    params = network.init_params(spec, np.random.default_rng(2))
+    batch = small_batch()
+    gc.collect()
+    network.forward(spec, params.data, batch)
+    network.loss_and_grad(spec, params.data, batch)
+    network.accuracy(spec, params.data, batch)
+    assert gc.collect() == 0

