@@ -4,6 +4,7 @@ Everything here is a pure function of its inputs and seeds; calling twice
 with the same arguments produces identical arrays.
 """
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -113,15 +114,32 @@ def gen_gaussian_blobs(n: int, centers, sd: float, seed: int) -> Dataset:
     return Dataset(np.vstack(chunks), np.concatenate(labels), n_classes=k)
 
 
-def _read_exact(f, count: int, path: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
-        raise LengthError(
-            f"{path}: truncated file, wanted {count} bytes, got {len(data)}",
-            expected=count,
-            found=len(data),
-        )
-    return data
+def _read_idx(path: str, magic: int, n_dims: int):
+    """Read one IDX file whole; return its dimension sizes and payload.
+
+    Declared sizes are checked against the bytes read, never used to size a
+    read: a garbled header can declare any size.
+    """
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise IdxFormatError(f"cannot read IDX file {path}: {exc}") from exc
+    header_len = 4 * (1 + n_dims)
+    if len(raw) < header_len:
+        raise LengthError(f"{path}: truncated header, wanted {header_len} bytes, got {len(raw)}",
+                          expected=header_len, found=len(raw))
+    found, *dims = struct.unpack(f">{1 + n_dims}I", raw[:header_len])
+    if found != magic:
+        raise IdxFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
+    payload = raw[header_len:]
+    size = math.prod(dims)
+    if len(payload) < size:
+        raise LengthError(f"{path}: truncated file, wanted {size} payload bytes, "
+                          f"got {len(payload)}", expected=size, found=len(payload))
+    if len(payload) > size:
+        raise IdxFormatError(f"{path}: trailing bytes after the declared {size}-byte payload")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def load_idx(images_path: str, labels_path: str) -> Dataset:
@@ -131,32 +149,19 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     0x00000801 for label files), big-endian 4-byte dimension sizes, then raw
     unsigned bytes. Pixels are scaled to [0, 1].
     """
-    with open(images_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, images_path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(
-                f"{images_path}: bad magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}"
-            )
-        n, rows, cols = struct.unpack(">III", _read_exact(f, 12, images_path))
-        raw = _read_exact(f, n * rows * cols, images_path)
-        pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-        features = pixels.reshape(n, rows * cols)
-    with open(labels_path, "rb") as f:
-        (magic,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(
-                f"{labels_path}: bad magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}"
-            )
-        (n_labels,) = struct.unpack(">I", _read_exact(f, 4, labels_path))
-        labels = np.frombuffer(_read_exact(f, n_labels, labels_path), dtype=np.uint8).astype(np.int64)
+    (n, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    if pixels.size == 0:
+        raise IdxFormatError(f"{images_path}: no pixels, sizes {n}x{rows}x{cols}")
+    (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if n_labels != n:
         raise LengthError(
             f"{n} images but {n_labels} labels",
             expected=n,
             found=n_labels,
         )
-    n_classes = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(features, labels, n_classes=n_classes)
+    features = (pixels.astype(np.float64) / 255.0).reshape(n, rows * cols)
+    labels = labels.astype(np.int64)
+    return Dataset(features, labels, n_classes=int(labels.max()) + 1)
 
 
 def inject_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:

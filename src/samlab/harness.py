@@ -11,9 +11,12 @@ the CSV/JSON files except the wall_seconds measurement column.
 """
 
 import concurrent.futures
+import dataclasses
 import hashlib
 import json
+import sys
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -65,7 +68,7 @@ class DatasetConfig:
     noise_sd: float = 0.2
     seed: int = 0
     train_fraction: float = 0.5
-    centers: Optional[tuple] = None
+    centers: Optional[tuple[tuple[float, ...], ...]] = None
     center_sd: float = 1.0
     images: Optional[str] = None
     labels: Optional[str] = None
@@ -80,17 +83,28 @@ class DatasetConfig:
                 raise ConfigError("idx dataset needs both 'images' and 'labels' paths")
             if (self.test_images is None) != (self.test_labels is None):
                 raise ConfigError("idx test set needs both 'test_images' and 'test_labels'")
-        if self.generator == "gaussian_blobs" and not self.centers:
-            raise ConfigError("gaussian_blobs dataset needs 'centers'")
+        if self.generator == "gaussian_blobs":
+            dims = {len(c) for c in self.centers or ()}
+            if len(self.centers or ()) < 2 or len(dims) != 1 or 0 in dims:
+                raise ConfigError("gaussian_blobs needs >= 2 'centers' of one dimension >= 1")
+        if self.n < 2:
+            raise ConfigError(f"n must be >= 2, got {self.n}")
+        if self.seed < 0:
+            raise ConfigError(f"dataset seed must be >= 0, got {self.seed}")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.noise_sd < 0 or self.center_sd < 0:
+            raise ConfigError(f"noise_sd and center_sd must be >= 0, "
+                              f"got {self.noise_sd} and {self.center_sd}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     kind: str = "mlp"
-    hidden: tuple = (32,)
+    hidden: tuple[int, ...] = (32,)
     activation: str = "relu"
     head: str = "softmax_ce"
-    diag: tuple = (1.0, 1.0)
+    diag: tuple[float, ...] = (1.0, 1.0)
     offset: float = 0.0
 
     def __post_init__(self):
@@ -103,6 +117,8 @@ class ModelConfig:
             raise ConfigError(f"unknown head {self.head!r}, expected one of {network.HEADS}")
         if any(h < 1 for h in self.hidden):
             raise ConfigError(f"hidden widths must be >= 1, got {list(self.hidden)}")
+        if self.kind == "quadratic" and not self.diag:
+            raise ConfigError("quadratic model needs at least one 'diag' coefficient")
 
     def resolve(self, train: datamod.Dataset) -> network.ModelSpec:
         if self.kind == "quadratic":
@@ -132,11 +148,12 @@ class ExperimentConfig:
     optimizer: optimizers.OptimizerConfig
     epochs: int
     batch_size: int
-    seeds: tuple
+    seeds: tuple[int, ...]
     probe: probes.ProbeConfig = probes.ProbeConfig()
     label_noise_fraction: float = 0.0
-    optimizer_sweep: tuple = ()
-    slice_plane: Optional[SliceConfig] = None
+    optimizer_sweep: tuple[optimizers.OptimizerConfig, ...] = field(
+        default=(), metadata={"key": "optimizers"})
+    slice_plane: Optional[SliceConfig] = field(default=None, metadata={"key": "slice"})
     out_dir: Optional[str] = None
 
     def __post_init__(self):
@@ -152,163 +169,99 @@ class ExperimentConfig:
             raise ConfigError(
                 f"label_noise_fraction must be in [0, 1), got {self.label_noise_fraction}")
 
-    def with_optimizer(self, optimizer: optimizers.OptimizerConfig) -> "ExperimentConfig":
-        return ExperimentConfig(
-            dataset=self.dataset, model=self.model, optimizer=optimizer,
-            epochs=self.epochs, batch_size=self.batch_size, seeds=self.seeds,
-            probe=self.probe, label_noise_fraction=self.label_noise_fraction,
-            optimizer_sweep=(), slice_plane=self.slice_plane, out_dir=self.out_dir)
-
 
 # ---------------------------------------------------------------------------
 # Config parsing. Unknown keys are a hard error at every nesting level:
 # a silently ignored typo ("momentun") costs hours.
 
-def _check_keys(obj: dict, allowed, where: str):
+_SCALAR_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _convert(tp, value, where: str):
+    """Check one JSON value against a field type and convert it."""
+    if dataclasses.is_dataclass(tp):
+        return from_dict(tp, value, where)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Union:
+        return None if value is None else _convert(args[0], value, where)
+    if origin is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return tuple(_convert(args[0], item, f"{where}[{i}]") for i, item in enumerate(value))
+    # abs() <= max compares exactly: it rejects NaN, infinities and integers
+    # too large for a float without converting them.
+    if (isinstance(value, bool) or not isinstance(value, (int, float) if tp is float else tp)
+            or tp is float and not abs(value) <= sys.float_info.max):
+        raise ConfigError(f"{where} must be {_SCALAR_KINDS[tp]}, got {value!r}")
+    return float(value) if tp is float else value
+
+
+def from_dict(cls, obj, where: str):
+    """Build the config dataclass `cls` from a parsed JSON object.
+
+    Each field reads the key named by its metadata "key", else its own name.
+    Values convert by the field's annotation: int takes an integer (not a
+    bool); float an integer or a finite float, stored as a float; str a
+    string; tuple[X, ...] a list; Optional[X] null or an X; a dataclass an
+    object, built recursively. Errors name the dotted path (`where`).
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    unknown = sorted(set(obj) - set(allowed))
+    by_key = {f.metadata.get("key", f.name): f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(obj) - set(by_key))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
-
-
-def _parse_dataset(obj: dict) -> DatasetConfig:
-    _check_keys(obj, ("generator", "n", "noise_sd", "seed", "train_fraction",
-                      "centers", "center_sd", "images", "labels",
-                      "test_images", "test_labels"), "dataset")
-    kwargs = dict(obj)
-    if "centers" in kwargs and kwargs["centers"] is not None:
-        kwargs["centers"] = tuple(tuple(float(x) for x in c) for c in kwargs["centers"])
+    hints = typing.get_type_hints(cls)
+    kwargs = {by_key[key].name: _convert(hints[by_key[key].name], value, f"{where}.{key}")
+              for key, value in obj.items()}
     try:
-        return DatasetConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-
-
-def _parse_model(obj: dict) -> ModelConfig:
-    _check_keys(obj, ("kind", "hidden", "activation", "head", "diag", "offset"), "model")
-    kwargs = dict(obj)
-    if "hidden" in kwargs:
-        kwargs["hidden"] = tuple(int(h) for h in kwargs["hidden"])
-    if "diag" in kwargs:
-        kwargs["diag"] = tuple(float(d) for d in kwargs["diag"])
-    return ModelConfig(**kwargs)
-
-
-def _parse_optimizer(obj: dict) -> optimizers.OptimizerConfig:
-    _check_keys(obj, ("kind", "learning_rate", "momentum", "weight_decay",
-                      "rho", "ga_steps"), "optimizer")
-    try:
-        return optimizers.OptimizerConfig(**obj)
-    except TypeError as exc:
-        raise ConfigError(f"optimizer: {exc}") from exc
-
-
-def _parse_probe(obj: dict) -> probes.ProbeConfig:
-    _check_keys(obj, ("rho", "restarts", "inner_steps", "n_samples"), "probe")
-    try:
-        return probes.ProbeConfig(**obj)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"probe: {exc}") from exc
-
-
-def _parse_slice(obj: dict) -> SliceConfig:
-    _check_keys(obj, ("name", "extent", "n_points"), "slice")
-    return SliceConfig(**obj)
+        return cls(**kwargs)
+    except (ConfigError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def parse_config(obj: dict, seeds_override=None, out_override=None) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON object.
 
-    `seeds_override` / `out_override` implement the --seeds / --out CLI flags;
-    they replace the corresponding config values when given.
+    `seeds_override` / `out_override` implement the --seeds / --out CLI flags.
+    Without an `optimizer`, the first entry of the `optimizers` sweep is used.
     """
-    _check_keys(obj, ("dataset", "model", "optimizer", "optimizers", "epochs",
-                      "batch_size", "seeds", "probe", "label_noise_fraction",
-                      "slice", "out_dir"), "config")
-    for key in ("dataset", "model", "epochs", "batch_size"):
-        if key not in obj:
-            raise ConfigError(f"config is missing required key {key!r}")
-    if "optimizer" not in obj and not obj.get("optimizers"):
-        raise ConfigError("config needs 'optimizer' or an 'optimizers' sweep")
-
-    seeds = seeds_override if seeds_override is not None else obj.get("seeds")
-    if not seeds:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config must be an object, got {type(obj).__name__}")
+    obj = dict(obj)
+    if seeds_override is not None:
+        obj["seeds"] = list(seeds_override)
+    if out_override is not None:
+        obj["out_dir"] = str(out_override)
+    if not obj.get("seeds"):
         raise ConfigError("no seeds given (config 'seeds' or --seeds)")
-
-    out_dir = out_override if out_override is not None else obj.get("out_dir")
-
-    # A value of the wrong type or form ("epochs": "ten") fails in a
-    # conversion or a comparison below; report it as a config error.
-    try:
-        sweep = tuple(_parse_optimizer(o) for o in obj.get("optimizers", ()))
-        return ExperimentConfig(
-            dataset=_parse_dataset(obj["dataset"]),
-            model=_parse_model(obj["model"]),
-            optimizer=_parse_optimizer(obj["optimizer"]) if "optimizer" in obj else sweep[0],
-            epochs=int(obj["epochs"]),
-            batch_size=int(obj["batch_size"]),
-            seeds=tuple(int(s) for s in seeds),
-            probe=_parse_probe(obj.get("probe", {})),
-            label_noise_fraction=float(obj.get("label_noise_fraction", 0.0)),
-            optimizer_sweep=sweep,
-            slice_plane=_parse_slice(obj["slice"]) if "slice" in obj else None,
-            out_dir=str(out_dir) if out_dir is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config: {exc}") from exc
+    if "optimizer" not in obj:
+        sweep = obj.get("optimizers")
+        if not sweep:
+            raise ConfigError("config needs 'optimizer' or an 'optimizers' sweep")
+        # from_dict reports a sweep that is not a list under its own key.
+        obj["optimizer"] = sweep[0] if isinstance(sweep, list) else sweep
+    return from_dict(ExperimentConfig, obj, "config")
 
 
 def load_config(path: Union[str, Path]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes or invalid JSON
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def _config_fingerprint(config: ExperimentConfig, optimizer=None) -> dict:
-    """Everything that determines a run trajectory given a seed.
-
-    out_dir and the seed list are excluded: neither changes any trajectory,
-    and the hash should survive re-running a subset of seeds elsewhere.
-    """
-    opt = optimizer if optimizer is not None else config.optimizer
-    ds = config.dataset
-    return {
-        "dataset": {
-            "generator": ds.generator, "n": ds.n, "noise_sd": ds.noise_sd,
-            "seed": ds.seed, "train_fraction": ds.train_fraction,
-            "centers": ds.centers, "center_sd": ds.center_sd,
-            "images": ds.images, "labels": ds.labels,
-            "test_images": ds.test_images, "test_labels": ds.test_labels,
-        },
-        "label_noise_fraction": config.label_noise_fraction,
-        "model": {
-            "kind": config.model.kind, "hidden": list(config.model.hidden),
-            "activation": config.model.activation, "head": config.model.head,
-            "diag": list(config.model.diag), "offset": config.model.offset,
-        },
-        "optimizer": {
-            "kind": opt.kind, "learning_rate": opt.learning_rate,
-            "momentum": opt.momentum, "weight_decay": opt.weight_decay,
-            "rho": opt.rho, "ga_steps": opt.ga_steps,
-        },
-        "epochs": config.epochs,
-        "batch_size": config.batch_size,
-        "probe": {
-            "rho": config.probe.rho, "restarts": config.probe.restarts,
-            "inner_steps": config.probe.inner_steps,
-            "n_samples": config.probe.n_samples,
-        },
-    }
-
-
-def config_hash(config: ExperimentConfig, optimizer=None) -> str:
-    canonical = json.dumps(_config_fingerprint(config, optimizer),
-                           sort_keys=True, separators=(",", ":"))
+def config_hash(config: ExperimentConfig) -> str:
+    """Hash of everything that determines a run trajectory given a seed. The
+    seeds, out_dir, sweep and slice change no trajectory and are left out, so
+    the hash survives re-running a subset of seeds elsewhere."""
+    fingerprint = dataclasses.asdict(config)
+    for name in ("seeds", "out_dir", "optimizer_sweep", "slice_plane"):
+        del fingerprint[name]
+    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -319,21 +272,17 @@ def build_dataset(cfg: DatasetConfig, label_noise_fraction: float):
     """Returns (train, test). Label noise corrupts the train split only;
     the test set stays clean so accuracy measures generalization, not noise.
     """
+    split = datamod.SplitSpec(cfg.train_fraction, _subseed(cfg.seed, ROLE_SPLIT))
     if cfg.generator == "two_moons":
-        full = datamod.gen_two_moons(cfg.n, cfg.noise_sd, cfg.seed)
-        train, test = datamod.split(full, datamod.SplitSpec(
-            cfg.train_fraction, _subseed(cfg.seed, ROLE_SPLIT)))
+        train, test = datamod.split(datamod.gen_two_moons(cfg.n, cfg.noise_sd, cfg.seed), split)
     elif cfg.generator == "gaussian_blobs":
-        full = datamod.gen_gaussian_blobs(cfg.n, cfg.centers, cfg.center_sd, cfg.seed)
-        train, test = datamod.split(full, datamod.SplitSpec(
-            cfg.train_fraction, _subseed(cfg.seed, ROLE_SPLIT)))
+        train, test = datamod.split(datamod.gen_gaussian_blobs(
+            cfg.n, cfg.centers, cfg.center_sd, cfg.seed), split)
+    elif cfg.test_images is None:
+        train, test = datamod.split(datamod.load_idx(cfg.images, cfg.labels), split)
     else:
         train = datamod.load_idx(cfg.images, cfg.labels)
-        if cfg.test_images is not None:
-            test = datamod.load_idx(cfg.test_images, cfg.test_labels)
-        else:
-            train, test = datamod.split(train, datamod.SplitSpec(
-                cfg.train_fraction, _subseed(cfg.seed, ROLE_SPLIT)))
+        test = datamod.load_idx(cfg.test_images, cfg.test_labels)
     if label_noise_fraction > 0:
         train = datamod.inject_label_noise(
             train, label_noise_fraction, _subseed(cfg.seed, ROLE_NOISE))
@@ -497,7 +446,8 @@ def compare_optimizers(config: ExperimentConfig, optimizer_list, jobs: int = 1):
     """Run the same data/model/seeds under each optimizer in turn."""
     if not optimizer_list:
         raise ConfigError("optimizer list is empty")
-    return [run_suite(config.with_optimizer(opt), jobs=jobs)
+    return [run_suite(dataclasses.replace(config, optimizer=opt, optimizer_sweep=()),
+                      jobs=jobs)
             for opt in optimizer_list]
 
 

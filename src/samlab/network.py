@@ -176,8 +176,9 @@ def _one_hot(labels: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _head(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
-    """Mean loss of the head and its gradient w.r.t. the logits."""
+def _head_loss(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
+    """Mean loss of the head, and the array its logits gradient is built from
+    (log-probabilities for softmax_ce, residuals for mse)."""
     labels = np.asarray(labels)
     n, n_classes = logits.shape
     if labels.shape != (n,):
@@ -185,21 +186,27 @@ def _head(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ShapeError(spec.head, f"labels in [0, {n_classes})",
                          f"labels in [{labels.min()}, {labels.max()}]")
-    rows = np.arange(n)
     if spec.head == "softmax_ce":
         shifted = logits - logits.max(axis=1, keepdims=True)
-        log_probs = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-        loss = -np.mean(log_probs[rows, labels])
-        probs = np.exp(log_probs)
-        probs[rows, labels] -= 1.0
-        d_logits = probs / n
+        basis = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        loss = -np.mean(basis[np.arange(n), labels])
     else:
-        diff = logits - _one_hot(labels, n_classes)
-        loss = np.mean(diff ** 2)
-        d_logits = (2.0 / diff.size) * diff
+        basis = logits - _one_hot(labels, n_classes)
+        loss = np.mean(basis ** 2)
     if not np.isfinite(loss):
         raise NumericError(spec.head)
-    return float(loss), d_logits
+    return float(loss), basis
+
+
+def _head(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
+    """Mean loss of the head and its gradient w.r.t. the logits."""
+    loss, basis = _head_loss(spec, logits, labels)
+    n = logits.shape[0]
+    if spec.head == "softmax_ce":
+        probs = np.exp(basis)
+        probs[np.arange(n), np.asarray(labels)] -= 1.0
+        return loss, probs / n
+    return loss, (2.0 / basis.size) * basis
 
 
 def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:
@@ -218,7 +225,7 @@ def forward(spec: ModelSpec, params, batch) -> float:
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat).value
     _, _, logits = _mlp_pass(spec, flat, batch.features)
-    return _head(spec, logits, batch.labels)[0]
+    return _head_loss(spec, logits, batch.labels)[0]
 
 
 def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:

@@ -1,8 +1,14 @@
-"""Shared pytest plumbing: collects acceptance verdict lines and replays
-them in the terminal summary so `pytest -v` always shows one line per
-acceptance check, pass or fail."""
+"""Shared pytest plumbing: a derandomized hypothesis profile, and the
+acceptance verdict lines, replayed in the terminal summary so `pytest -v`
+always shows one line per acceptance check, pass or fail."""
 
 import pytest
+from hypothesis import settings
+
+# Property tests draw the same examples on every run and every machine, so a
+# failure reproduces; each test's own max_examples still applies.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 ACCEPTANCE_LINES = []
 

@@ -79,6 +79,24 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     {"epochs": "ten"},
     {"model": {"kind": "mlp", "hidden": "ab"}},
     {"model": {"kind": "mlp", "hidden": [0]}},
+    {"model": {"kind": "mlp", "hidden": "32"}},
+    {"seeds": "12"},
+    {"epochs": 2.7},
+    {"optimizer": {"kind": "sgd", "learning_rate": True}},
+    {"optimizer": {"kind": "sam", "learning_rate": 0.1, "rho": float("nan")}},
+    {"optimizer": {"kind": "sam_ga", "learning_rate": 0.1, "ga_steps": 2.5}},
+    {"optimizers": {"kind": "sgd", "learning_rate": 0.1}},
+    {"dataset": {"generator": "two_moons", "n": "60"}},
+    {"dataset": {"generator": "two_moons", "n": 1}},
+    {"dataset": {"generator": "two_moons", "seed": -1}},
+    {"dataset": {"generator": "two_moons", "train_fraction": 1.5}},
+    {"dataset": {"generator": "two_moons", "noise_sd": -1}},
+    {"dataset": {"generator": "gaussian_blobs", "centers": [[0.0, 1.0]]}},
+    {"dataset": {"generator": "gaussian_blobs", "centers": [[0.0, 1.0], [1.0]]}},
+    {"dataset": {"generator": "gaussian_blobs", "centers": [[], []]}},
+    {"dataset": {"generator": "gaussian_blobs", "centers": [[0.0], [1.0]],
+                 "center_sd": -1}},
+    {"model": {"kind": "quadratic", "diag": []}},
 ])
 def test_bad_config_value_exits_2_before_out_dir(tmp_path, capsys, overrides):
     config = write_config(tmp_path, **overrides)
@@ -93,6 +111,18 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     code = cli.main(["train", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff{}"),  # not UTF-8
+])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, make):
+    path = tmp_path / "config.json"
+    make(path)
+    code = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_train_without_out_dir_exits_2(tmp_path, capsys):

@@ -2,10 +2,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samlab import data
-from samlab.errors import IdxFormatError, LengthError
+from samlab.errors import IdxFormatError, LengthError, SamLabError
 
 
 def test_two_moons_shapes_and_balance():
@@ -97,6 +97,48 @@ def test_idx_count_mismatch(tmp_path):
     img_path, lbl_path = write_idx(tmp_path, images, labels)
     with pytest.raises(LengthError):
         data.load_idx(img_path, lbl_path)
+
+
+def test_idx_missing_file(tmp_path):
+    _, lbl_path = write_idx(tmp_path, np.zeros((1, 2, 2)), np.zeros(1))
+    with pytest.raises(IdxFormatError, match="cannot read"):
+        data.load_idx(tmp_path / "absent.idx", lbl_path)
+
+
+@pytest.mark.parametrize("header, payload, error", [
+    ((1, 0xFFFFFFFF, 0xFFFFFFFF), b"\x00" * 4, LengthError),   # sizes no file can hold
+    ((1, 2, 2), b"\x00" * 5, IdxFormatError),                  # trailing byte
+    ((0, 2, 2), b"", IdxFormatError),                          # no images
+    ((2, 0, 3), b"", IdxFormatError),                          # no pixels
+], ids=["huge_sizes", "trailing_byte", "no_images", "no_pixels"])
+def test_idx_declared_sizes_checked_against_bytes(tmp_path, header, payload, error):
+    img_path, lbl_path = write_idx(tmp_path, np.zeros((1, 2, 2)), np.zeros(1))
+    img_path.write_bytes(struct.pack(">IIII", data.IDX_IMAGE_MAGIC, *header) + payload)
+    with pytest.raises(error):
+        data.load_idx(img_path, lbl_path)
+
+
+@st.composite
+def _idx_files(draw, magic, n_dims):
+    """Raw bytes, or a valid magic with small or huge sizes and a short payload."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    dims = draw(st.lists(st.sampled_from([0, 1, 2, 3, 0xFFFFFFFF]),
+                         min_size=n_dims, max_size=n_dims))
+    return struct.pack(f">{1 + n_dims}I", magic, *dims) + draw(st.binary(max_size=24))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(images=_idx_files(data.IDX_IMAGE_MAGIC, 3), labels=_idx_files(data.IDX_LABEL_MAGIC, 1))
+def test_fuzzed_idx_loads_or_raises_samlab_error(tmp_path, images, labels):
+    img_path, lbl_path = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+    img_path.write_bytes(images)
+    lbl_path.write_bytes(labels)
+    try:
+        data.load_idx(img_path, lbl_path)
+    except SamLabError:
+        pass
 
 
 def test_label_noise_exact_count():

@@ -87,6 +87,32 @@ def test_duplicate_seeds_rejected():
         parse_config(dict(RAW, seeds=[1, 1]))
 
 
+@pytest.mark.parametrize("raw, path", [
+    (dict(RAW, optimizer=dict(RAW["optimizer"], kind="sam_ga", ga_steps=2.5)),
+     r"config\.optimizer\.ga_steps must be an integer"),
+    (dict(RAW, optimizers=[RAW["optimizer"], dict(RAW["optimizer"], rho=float("inf"))]),
+     r"config\.optimizers\[1\]\.rho must be a finite number"),
+    (dict(RAW, label_noise_fraction=10 ** 400), "config.label_noise_fraction must be"),
+    (dict(RAW, dataset=dict(RAW["dataset"], centers=[[0, 0], "ab"])),
+     r"config\.dataset\.centers\[1\] must be a list"),
+    (dict(RAW, probe=dict(RAW["probe"], rho=0.0)), "config.probe: rho must be > 0"),
+    (dict(RAW, model=[6]), "config.model must be an object"),
+], ids=["int_field", "sweep_entry", "huge_int", "tuple_item", "post_init", "object"])
+def test_bad_value_error_names_its_path(raw, path):
+    with pytest.raises(ConfigError, match=path):
+        parse_config(raw)
+
+
+def test_sweep_alone_sets_the_optimizer():
+    sweep = [dict(RAW["optimizer"], momentum=0.5), RAW["optimizer"]]
+    raw = {k: v for k, v in RAW.items() if k != "optimizer"}
+    cfg = parse_config(dict(raw, optimizers=sweep))
+    assert cfg.optimizer.momentum == 0.5
+    assert [o.momentum for o in cfg.optimizer_sweep] == [0.5, 0.9]
+    with pytest.raises(ConfigError, match="optimizers must be a list"):
+        parse_config(dict(raw, optimizers=RAW["optimizer"]))
+
+
 # --- hashing ----------------------------------------------------------------
 
 def test_config_hash_stable_and_ignores_out_dir_and_seeds():
@@ -94,6 +120,19 @@ def test_config_hash_stable_and_ignores_out_dir_and_seeds():
     b = small_config(seeds=(9,), out_dir="/somewhere/else")
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) == config_hash(a)
+
+
+def test_config_hash_pinned():
+    # Changing this value re-keys every runs.csv row written so far.
+    assert config_hash(parse_config(RAW)) == "5c78d379fa44c711"
+
+
+def test_integer_literal_in_float_field_hashes_like_the_float():
+    as_int = parse_config(dict(RAW, optimizer=dict(RAW["optimizer"], momentum=0)))
+    as_float = parse_config(dict(RAW, optimizer=dict(RAW["optimizer"], momentum=0.0)))
+    assert as_int == as_float
+    assert type(as_int.optimizer.momentum) is float
+    assert config_hash(as_int) == config_hash(as_float)
 
 
 def test_config_hash_sensitive_to_optimizer():
