@@ -83,6 +83,10 @@ class DatasetConfig:
                 raise ConfigError("idx dataset needs both 'images' and 'labels' paths")
             if (self.test_images is None) != (self.test_labels is None):
                 raise ConfigError("idx test set needs both 'test_images' and 'test_labels'")
+            for key in ("images", "labels", "test_images", "test_labels"):
+                path = getattr(self, key)
+                if path is not None and not Path(path).is_file():
+                    raise ConfigError(f"idx dataset {key!r} is not a file: {path!r}")
         if self.generator == "gaussian_blobs":
             dims = {len(c) for c in self.centers or ()}
             if len(self.centers or ()) < 2 or len(dims) != 1 or 0 in dims:

@@ -11,9 +11,17 @@ Two model families are supported:
 `loss_and_grad` is a pure function of (spec, flat params, batch): one forward
 loop over the layers, the head, and the hand-derived reverse pass in
 `autodiff`. Nothing but the returned arrays outlives a call.
+
+Outputs are byte-stable, and the kernel keeps two rules so that a faster form
+of a step cannot move a byte. A reduction keeps numpy's own summation order
+(`_fold` replaces a short-axis reduce only where the order is the same). An
+in-place op writes only to an array the call itself allocated and whose old
+values nothing reads again (an affine output before its activation, the
+head's shifted logits), never to the caller's params, features or labels.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -135,7 +143,7 @@ def _check_params(spec: ModelSpec, params) -> np.ndarray:
             expected_count=expected,
             found_count=flat.shape[0],
         )
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise NumericError("params")
     return flat
 
@@ -150,7 +158,7 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features):
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.in_width:
         raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
-    if not np.all(np.isfinite(features)):
+    if not np.isfinite(features).all():
         raise NumericError("batch features")
     layout = param_layout(spec)
     n_layers = len(layout) // 2
@@ -162,17 +170,41 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features):
         b = flat[b_entry.offset:b_entry.offset + b_entry.size]
         inputs.append(x)
         weights.append((w, b))
-        x = x @ w + b
-        if not np.all(np.isfinite(x)):
+        x = x @ w
+        x += b
+        if not np.isfinite(x).all():
             raise NumericError(f"dense{i}")
         if i < n_layers - 1:
-            x = np.maximum(x, 0.0) if spec.activation == "relu" else np.tanh(x)
+            if spec.activation == "relu":
+                np.maximum(x, 0.0, out=x)
+            else:
+                np.tanh(x, out=x)
     return inputs, weights, x
 
 
 def _one_hot(labels: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], width), dtype=np.float64)
     out[np.arange(labels.shape[0]), labels] = 1.0
+    return out
+
+
+def _fold(ufunc, a: np.ndarray) -> np.ndarray:
+    """`ufunc.reduce(a, axis=1, keepdims=True)` of a 2-D array, byte for byte.
+
+    numpy reduces a short last axis with one inner-loop call per row; a few
+    whole-column ufunc calls do the same work at a fraction of the cost. The
+    fold combines the columns left to right, which is numpy's own order for
+    fewer than 8 elements; from 8 on numpy adds pairwise, so wide arrays keep
+    `ufunc.reduce`. Like numpy, the fold starts from the ufunc's identity if
+    it has one (add: 0.0, so a row of -0.0 sums to +0.0).
+    """
+    if a.shape[1] >= 8:
+        return ufunc.reduce(a, axis=1, keepdims=True)
+    out = a[:, :1].copy()
+    if ufunc.identity is not None:
+        ufunc(ufunc.identity, out, out=out)
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j:j + 1], out=out)
     return out
 
 
@@ -186,14 +218,15 @@ def _head_loss(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ShapeError(spec.head, f"labels in [0, {n_classes})",
                          f"labels in [{labels.min()}, {labels.max()}]")
+    # np.add.reduce(v) / v.size is np.mean's own arithmetic, without its overhead.
     if spec.head == "softmax_ce":
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        basis = shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-        loss = -np.mean(basis[np.arange(n), labels])
+        basis = logits - _fold(np.maximum, logits)
+        basis -= np.log(_fold(np.add, np.exp(basis)))
+        loss = -(np.add.reduce(basis[np.arange(n), labels]) / n)
     else:
         basis = logits - _one_hot(labels, n_classes)
-        loss = np.mean(basis ** 2)
-    if not np.isfinite(loss):
+        loss = np.add.reduce(basis ** 2, axis=None) / basis.size
+    if not math.isfinite(loss):
         raise NumericError(spec.head)
     return float(loss), basis
 
@@ -205,7 +238,8 @@ def _head(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
     if spec.head == "softmax_ce":
         probs = np.exp(basis)
         probs[np.arange(n), np.asarray(labels)] -= 1.0
-        return loss, probs / n
+        probs /= n
+        return loss, probs
     return loss, (2.0 / basis.size) * basis
 
 

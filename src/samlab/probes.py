@@ -14,6 +14,7 @@ Comparing optimizers by their own training perturbation would conflate the
 measurement instrument with the thing measured.
 """
 
+import math
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -105,27 +106,27 @@ def _ascend(model_spec, params, batch, rho, inner_steps, start_epsilon):
 
     Normalized ascent steps of length 2*rho/inner_steps, projecting back onto
     the ball whenever an iterate leaves it. Returns the best loss seen at any
-    visited point, including the start.
+    visited point, including the start. Each point is evaluated once: the
+    loss of a point the ascent steps from comes with its gradient, and only
+    the last point, which it does not step from, needs `forward`.
     """
     epsilon = np.asarray(start_epsilon, dtype=np.float64).copy()
     start_norm = float(np.linalg.norm(epsilon))
     if start_norm > rho:
         epsilon *= rho / start_norm
-    best = network.forward(model_spec, params + epsilon, batch)
+    best = -math.inf
     step_len = 2.0 * rho / inner_steps
     for _ in range(inner_steps):
         result = network.loss_and_grad(model_spec, params + epsilon, batch)
+        best = max(best, result.value)
         norm = float(np.linalg.norm(result.gradient))
         if norm < ZERO_GRAD_EPS:
-            break
+            return best
         epsilon = epsilon + step_len * (result.gradient / norm)
         eps_norm = float(np.linalg.norm(epsilon))
         if eps_norm > rho:
             epsilon *= rho / eps_norm
-        value = network.forward(model_spec, params + epsilon, batch)
-        if value > best:
-            best = value
-    return best
+    return max(best, network.forward(model_spec, params + epsilon, batch))
 
 
 def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: float,

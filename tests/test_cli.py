@@ -1,9 +1,10 @@
 import csv
 import json
+import struct
 
 import pytest
 
-from samlab import cli
+from samlab import cli, data
 
 
 def write_config(tmp_path, **overrides):
@@ -104,6 +105,29 @@ def test_bad_config_value_exits_2_before_out_dir(tmp_path, capsys, overrides):
     code = cli.main(["train", "--config", str(config), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["images", "labels", "test_images", "test_labels", "dir"])
+def test_missing_idx_file_exits_2_before_out_dir(tmp_path, capsys, key):
+    files = {"images": struct.pack(">IIII", data.IDX_IMAGE_MAGIC, 2, 1, 2) + bytes(4),
+             "labels": struct.pack(">II", data.IDX_LABEL_MAGIC, 2) + bytes(2)}
+    paths = {}
+    for prefix in ("", "test_"):
+        for name, content in files.items():
+            path = tmp_path / f"{prefix}{name}.idx"
+            path.write_bytes(content)
+            paths[prefix + name] = str(path)
+    if key == "dir":
+        key = "images"
+        paths[key] = str(tmp_path)
+    else:
+        paths[key] = str(tmp_path / "absent.idx")
+    config = write_config(tmp_path, dataset={"generator": "idx", **paths})
+    out = tmp_path / "o"
+    code = cli.main(["train", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert f"{key!r} is not a file" in capsys.readouterr().err
     assert not out.exists()
 
 

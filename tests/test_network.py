@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 
 import numpy as np
@@ -158,3 +159,88 @@ def test_evaluation_leaves_no_garbage_cycles():
     network.loss_and_grad(spec, params.data, batch)
     network.accuracy(spec, params.data, batch)
     assert gc.collect() == 0
+
+
+def pin_case(activation, head, n_classes, depth):
+    """A fixed 3-input model and 40-row batch, with some -0.0 weights and features."""
+    rng = np.random.default_rng([n_classes, depth])
+    spec = MlpSpec(3, (5, 4)[:depth], n_classes, activation, head)
+    params = network.init_params(spec, rng).data
+    params[::7] = -0.0
+    features = rng.standard_normal((40, 3))
+    features[::5, 0] = -0.0
+    return spec, params, Batch(features, rng.integers(0, n_classes, 40))
+
+
+# (activation, head, classes, depth): (float.hex of the loss, sha256[:16] of the
+# gradient bytes, float.hex of the accuracy). Any rewrite of the kernel that
+# moves a single output byte fails here. Taken with numpy 2.4 and its bundled
+# OpenBLAS on x86-64; another BLAS build may round a matmul differently.
+PINNED_KERNEL_BYTES = {
+    ("relu", "softmax_ce", 2, 0): ("0x1.bd218f71634cep-1", "e9f39f75c5fb46c8", "0x1.0000000000000p-1"),
+    ("relu", "softmax_ce", 2, 2): ("0x1.8e7dcc1a0f016p-1", "e7438e11d52ba305", "0x1.0000000000000p-1"),
+    ("relu", "softmax_ce", 3, 0): ("0x1.8ce0fc72b7e43p+0", "221eb37a5630a4a0", "0x1.999999999999ap-2"),
+    ("relu", "softmax_ce", 3, 2): ("0x1.3e0ec59610795p+0", "0f67906b414e9078", "0x1.b333333333333p-2"),
+    ("relu", "softmax_ce", 10, 0): ("0x1.5a68053ac101ap+1", "d81bddd54c981e63", "0x1.999999999999ap-6"),
+    ("relu", "softmax_ce", 10, 2): ("0x1.2b8deda2b1076p+1", "dd05eb378999d2e8", "0x1.999999999999ap-4"),
+    ("relu", "mse", 2, 0): ("0x1.c7f2f9f69be7ep+1", "24755ba94e0f1ede", "0x1.0000000000000p-1"),
+    ("relu", "mse", 2, 2): ("0x1.7bda8d8674c8ap+0", "60b7c34ab0eaa34a", "0x1.0000000000000p-1"),
+    ("relu", "mse", 3, 0): ("0x1.5e1a5e6c6f737p+1", "1f21d900b3fb0084", "0x1.999999999999ap-2"),
+    ("relu", "mse", 3, 2): ("0x1.a15517a40e01cp-1", "e160b8cc8342a814", "0x1.b333333333333p-2"),
+    ("relu", "mse", 10, 0): ("0x1.03520f69de8cdp+0", "01fd866da12fab91", "0x1.999999999999ap-6"),
+    ("relu", "mse", 10, 2): ("0x1.1705ff711ad60p-1", "a35ad0dadb4fdcde", "0x1.999999999999ap-4"),
+    ("tanh", "softmax_ce", 2, 0): ("0x1.8d69165ea716ap-1", "f2425273ffd6d126", "0x1.0000000000000p-1"),
+    ("tanh", "softmax_ce", 2, 2): ("0x1.55e468d216a86p-1", "cc6491688dab8c22", "0x1.2666666666666p-1"),
+    ("tanh", "softmax_ce", 3, 0): ("0x1.56927b5c1bc96p+0", "402d795f3076777c", "0x1.999999999999ap-2"),
+    ("tanh", "softmax_ce", 3, 2): ("0x1.0f9d77f539952p+0", "03812b99e0f55549", "0x1.ccccccccccccdp-2"),
+    ("tanh", "softmax_ce", 10, 0): ("0x1.40d9575113cccp+1", "efee5b4731730140", "0x1.999999999999ap-6"),
+    ("tanh", "softmax_ce", 10, 2): ("0x1.2bb80728cc941p+1", "e7548fb580376a03", "0x1.999999999999ap-5"),
+    ("tanh", "mse", 2, 0): ("0x1.003d23a680f4dp+1", "056fd36a0a4e7d5c", "0x1.0000000000000p-1"),
+    ("tanh", "mse", 2, 2): ("0x1.16e314b2e1e35p-1", "9b8d222ec99ac401", "0x1.2666666666666p-1"),
+    ("tanh", "mse", 3, 0): ("0x1.85141825e011ap+0", "b52bfed5f3b5b14d", "0x1.999999999999ap-2"),
+    ("tanh", "mse", 3, 2): ("0x1.756b892c48726p-2", "600b33ba9b1da111", "0x1.ccccccccccccdp-2"),
+    ("tanh", "mse", 10, 0): ("0x1.1a1798a4cef0fp-1", "3db9794c43b58e03", "0x1.999999999999ap-6"),
+    ("tanh", "mse", 10, 2): ("0x1.212e71bce0443p-2", "3c6e6db53cbeac54", "0x1.999999999999ap-5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_KERNEL_BYTES),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_kernel_bytes_pinned(case):
+    spec, params, batch = pin_case(*case)
+    loss_hex, grad_sha, accuracy_hex = PINNED_KERNEL_BYTES[case]
+    result = network.loss_and_grad(spec, params, batch)
+    assert network.forward(spec, params, batch).hex() == loss_hex
+    assert result.value.hex() == loss_hex
+    assert hashlib.sha256(result.gradient.tobytes()).hexdigest()[:16] == grad_sha
+    assert network.accuracy(spec, params, batch).hex() == accuracy_hex
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_column_fold_matches_numpy_reductions(width):
+    rng = np.random.default_rng(width)
+    a = rng.standard_normal((300, width)) * 10.0 ** rng.integers(-8, 9, (300, width))
+    a[rng.random(a.shape) < 0.2] = 0.0
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[:4] = [[0.0], [-0.0], [0.0], [-0.0]]
+    a[2:4, ::2] = -a[2:4, ::2]
+    for ufunc, reference in ((np.maximum, np.max), (np.add, np.sum)):
+        folded = network._fold(ufunc, a)
+        assert folded.shape == (300, 1)
+        assert folded.tobytes() == reference(a, axis=1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("activation, head, depth",
+                         itertools.product(("relu", "tanh"), ("softmax_ce", "mse"), (0, 2)))
+def test_evaluation_leaves_caller_arrays_unchanged(activation, head, depth):
+    spec, params, batch = pin_case(activation, head, 3, depth)
+    vector = network.init_params(spec, np.random.default_rng(1))
+    before = [a.copy() for a in (params, vector.data, batch.features, batch.labels)]
+    for p in (params, vector):
+        network.forward(spec, p, batch)
+        network.loss_and_grad(spec, p, batch)
+        network.accuracy(spec, p, batch)
+        network.predict_logits(spec, p, batch.features)
+    after = (params, vector.data, batch.features, batch.labels)
+    for old, new in zip(before, after):
+        assert old.tobytes() == new.tobytes()

@@ -102,6 +102,38 @@ def test_worst_direction_constant_loss():
     assert est == 0.75
 
 
+def count_calls(monkeypatch, *names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _f=getattr(network, name)):
+            counts[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(network, name, counted)
+    return counts
+
+
+def test_worst_direction_evaluates_each_point_once(monkeypatch):
+    counts = count_calls(monkeypatch, "forward", "loss_and_grad")
+    spec = MlpSpec(in_width=2, hidden=(6,), out_width=2)
+    params = network.init_params(spec, np.random.default_rng(4)).data
+    restarts, steps = 3, 5
+    loss_worst_direction_estimate(spec, params, gen_two_moons(32, 0.2, 2).as_batch(),
+                                  0.05, restarts=restarts, inner_steps=steps, seed=11)
+    # the base point, then every step of the first-order ascent and of each restart
+    assert counts["loss_and_grad"] == 1 + (restarts + 1) * steps
+    # only the last point of each ascent is not stepped from
+    assert counts["forward"] == restarts + 1
+
+
+def test_worst_direction_flat_ascent_stops_at_its_start(monkeypatch):
+    counts = count_calls(monkeypatch, "forward", "loss_and_grad")
+    spec = QuadraticSpec(diag=(0.0, 0.0), offset=0.75)
+    loss_worst_direction_estimate(spec, np.ones(2), BATCH, 0.1,
+                                  restarts=2, inner_steps=5, seed=0)
+    # zero gradient: no first-order ascent, and each restart stops at its start
+    assert counts == {"forward": 0, "loss_and_grad": 1 + 2}
+
+
 def test_worst_direction_matches_brute_force_grid():
     diag = np.array([1.0, 3.0])
     spec = QuadraticSpec(diag=tuple(diag))
