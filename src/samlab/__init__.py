@@ -8,6 +8,7 @@ from .errors import (
 from .network import (
     Batch, MlpSpec, QuadraticSpec, LossGradient,
     forward, loss_and_grad, init_params, param_layout, param_count, accuracy,
+    loss_and_accuracy,
 )
 from .optimizers import (
     OptimizerConfig, OptimizerState, Perturbation, StepReport,

@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from . import fileio
 from .errors import CheckpointError, LengthError, NumericError
 from .params import LayoutEntry, ParameterVector, validate_layout
 
@@ -36,7 +37,7 @@ def save(path: Union[str, Path], vector: ParameterVector) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = np.ascontiguousarray(vector.data, dtype="<f8").tobytes()
-    with open(path, "wb") as fh:
+    with fileio.replacing(path) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header_bytes)))
         fh.write(header_bytes)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import harness
+from . import fileio, harness
 from .errors import SamLabError
 
 
@@ -86,8 +86,7 @@ def cmd_probe(args) -> int:
     if config.out_dir is not None:
         out = harness.prepare_out_dir(config.out_dir)
         path = out / "probe_report.json"
-        path.write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        fileio.write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

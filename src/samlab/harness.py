@@ -25,6 +25,7 @@ import numpy as np
 
 from . import checkpoint as checkpoint_io
 from . import data as datamod
+from . import fileio
 from . import network, optimizers, probes
 from .errors import ConfigError, LayoutError, SamLabError
 from .params import ParameterVector
@@ -377,16 +378,16 @@ def run_training(config: ExperimentConfig, seed: int) -> RunRecord:
         for batch in datamod.minibatches(train, config.batch_size, shuffle_seed, epoch):
             flat, _ = optimizers.step(spec, flat, batch, opt, state)
         train_losses.append(network.forward(spec, flat, train_batch))
-        test_losses.append(network.forward(spec, flat, test_batch))
-        test_accuracies.append(network.accuracy(spec, flat, test_batch))
+        test_loss, test_accuracy = network.loss_and_accuracy(spec, flat, test_batch)
+        test_losses.append(test_loss)
+        test_accuracies.append(test_accuracy)
 
     if config.epochs > 0:
         final_train, final_test = train_losses[-1], test_losses[-1]
         final_accuracy = test_accuracies[-1]
     else:
         final_train = network.forward(spec, flat, train_batch)
-        final_test = network.forward(spec, flat, test_batch)
-        final_accuracy = network.accuracy(spec, flat, test_batch)
+        final_test, final_accuracy = network.loss_and_accuracy(spec, flat, test_batch)
 
     report = probes.build_report(
         spec, flat, train_batch, config.probe,
@@ -418,7 +419,7 @@ def _run_one(args):
     config, seed = args
     try:
         return run_training(config, seed)
-    except (SamLabError, FloatingPointError, OverflowError) as exc:
+    except Exception as exc:  # one seed's failure must not lose the others' results
         return FailedRun(seed=seed, optimizer_label=config.optimizer.label,
                          error=f"{type(exc).__name__}: {exc}")
 
@@ -536,7 +537,7 @@ def _write_csv(path: Path, columns, rows) -> None:
     lines = [",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fileio.write_text(path, "\n".join(lines) + "\n")
 
 
 def summary_columns():
@@ -591,8 +592,7 @@ def emit_outputs(out_dir: Union[str, Path], suites, save_checkpoints: bool = Tru
         ],
     }
     json_path = out / "summary.json"
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                         encoding="utf-8")
+    fileio.write_text(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written["summary.json"] = json_path
 
     if save_checkpoints:

@@ -10,14 +10,23 @@ Two model families are supported:
 
 `loss_and_grad` is a pure function of (spec, flat params, batch): one forward
 loop over the layers, the head, and the hand-derived reverse pass in
-`autodiff`. Nothing but the returned arrays outlives a call.
+`autodiff`.
+
+Large intermediates live in per-process buffers (`autodiff.scratch`): each
+hidden layer's output and the reverse pass's layer gradients, once they reach
+`autodiff.REUSE_MIN_ELEMENTS`, go into a buffer that is reused across calls
+and kept at the largest size seen. So the kernel is not safe to call from two
+threads at once; samlab's only parallelism is its process pool. Returned
+arrays (logits, gradients) are always freshly allocated and never alias a
+buffer.
 
 Outputs are byte-stable, and the kernel keeps two rules so that a faster form
 of a step cannot move a byte. A reduction keeps numpy's own summation order
 (`_fold` replaces a short-axis reduce only where the order is the same). An
-in-place op writes only to an array the call itself allocated and whose old
-values nothing reads again (an affine output before its activation, the
-head's shifted logits), never to the caller's params, features or labels.
+in-place op writes only to an array the call itself allocated or a buffer
+it owns, and whose old values nothing reads again (an affine output before
+its activation, the head's shifted logits), never to the caller's params,
+features or labels.
 """
 
 import functools
@@ -154,6 +163,8 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features):
     Returns (inputs, weights, logits): the input of every affine layer, its
     (weight, bias) views into `flat`, and the last layer's output. Each affine
     output is checked for finiteness, because tanh maps an overflow to +-1.
+    A large hidden layer's output is written into its buffer, which the next
+    call overwrites; the logits are always a new array.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.in_width:
@@ -170,7 +181,8 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features):
         b = flat[b_entry.offset:b_entry.offset + b_entry.size]
         inputs.append(x)
         weights.append((w, b))
-        x = x @ w
+        out = ad.scratch(("act", i), x.shape[0], w.shape[1]) if i < n_layers - 1 else None
+        x = x @ w if out is None else np.matmul(x, w, out=out)
         x += b
         if not np.isfinite(x).all():
             raise NumericError(f"dense{i}")
@@ -279,7 +291,18 @@ def predict_logits(spec: MlpSpec, params, features: np.ndarray) -> np.ndarray:
     return _mlp_pass(spec, _check_params(spec, params), features)[2]
 
 
+def _accuracy(logits: np.ndarray, labels) -> float:
+    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(labels)))
+
+
 def accuracy(spec: MlpSpec, params, batch) -> float:
     """Fraction of batch examples whose argmax output matches the label."""
-    logits = predict_logits(spec, params, batch.features)
-    return float(np.mean(np.argmax(logits, axis=1) == np.asarray(batch.labels)))
+    return _accuracy(predict_logits(spec, params, batch.features), batch.labels)
+
+
+def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:
+    """(`forward`, `accuracy`) of one batch from a single forward pass."""
+    if isinstance(spec, QuadraticSpec):
+        raise ShapeError("loss_and_accuracy", "an MLP spec", "QuadraticSpec")
+    _, _, logits = _mlp_pass(spec, _check_params(spec, params), batch.features)
+    return _head_loss(spec, logits, batch.labels)[0], _accuracy(logits, batch.labels)

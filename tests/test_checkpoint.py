@@ -31,6 +31,22 @@ def test_save_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(path, vector())
+    before = path.read_bytes()
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    # struct.pack runs after the magic bytes are written: a failure mid-write.
+    monkeypatch.setattr(checkpoint.struct, "pack", fail)
+    with pytest.raises(OSError):
+        checkpoint.save(path, ParameterVector(np.zeros(6), vector().layout))
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_file_is_self_describing(tmp_path):
     path = tmp_path / "model.ckpt"
     checkpoint.save(path, vector())

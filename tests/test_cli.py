@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from samlab import cli, data
+from samlab import cli, data, fileio
 
 
 def write_config(tmp_path, **overrides):
@@ -177,6 +177,25 @@ def test_probe_prints_report_json(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert "l_max_estimate" in report
     assert report["data_scope"] == "train"
+
+
+def test_probe_report_is_written_by_replacing(tmp_path, capsys, monkeypatch):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    cli.main(["train", "--config", str(config), "--out", str(out), "--seeds", "1"])
+    capsys.readouterr()
+    real, targets = fileio.replacing, []
+
+    def spy(path):
+        targets.append(path)
+        return real(path)
+
+    monkeypatch.setattr(fileio, "replacing", spy)
+    code = cli.main(["probe", "--config", str(config), "--out", str(out),
+                     "--checkpoint", str(out / "checkpoints" / "sgd_seed1.ckpt")])
+    assert code == 0
+    assert targets == [out / "probe_report.json"]
+    assert json.loads(targets[0].read_text()) == json.loads(capsys.readouterr().out)
 
 
 def test_slice_writes_grid(tmp_path):

@@ -1,10 +1,11 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from samlab import checkpoint, harness, network, probes
+from samlab import checkpoint, fileio, harness, network, probes
 from samlab.errors import ConfigError, LayoutError, SamLabError
 from samlab.harness import (
     AggregateResult, DatasetConfig, ExperimentConfig, ModelConfig, RunRecord,
@@ -187,6 +188,17 @@ def test_run_training_zero_epochs_probes_init():
     assert np.isfinite(record.final_test_accuracy)
 
 
+def test_test_split_curves_match_forward_and_accuracy():
+    cfg = small_config(epochs=2)
+    record = run_training(cfg, 1)
+    train, test = build_dataset(cfg.dataset, cfg.label_noise_fraction)
+    spec = cfg.model.resolve(train)
+    batch = test.as_batch()
+    flat = record.final_params.data
+    assert record.test_losses[-1].hex() == network.forward(spec, flat, batch).hex()
+    assert record.test_accuracies[-1].hex() == network.accuracy(spec, flat, batch).hex()
+
+
 def test_series_lengths_equal_epochs():
     cfg = small_config(epochs=3)
     record = run_training(cfg, 2)
@@ -227,20 +239,24 @@ def test_reference_accuracy_floor_two_moons_sgd():
 
 
 def test_run_suite_collects_failures(monkeypatch):
-    cfg = small_config(seeds=(1, 2, 3))
+    cfg = small_config(seeds=(1, 2, 3, 4))
     real = harness.run_training
 
     def flaky(config, seed):
         if seed == 2:
             raise SamLabError("synthetic blowup")
+        if seed == 3:
+            raise RuntimeError("synthetic bug")
         return real(config, seed)
 
     monkeypatch.setattr(harness, "run_training", flaky)
-    suite = run_suite(cfg)
-    assert [r.seed for r in suite.records] == [1, 3]
-    assert [f.seed for f in suite.failures] == [2]
-    assert suite.aggregate.seed_count == 2
-    assert suite.aggregate.failed_count == 1
+    for jobs in (1, 2):  # pool workers are forked, so they see the patch too
+        suite = run_suite(cfg, jobs=jobs)
+        assert [r.seed for r in suite.records] == [1, 4]
+        assert [(f.seed, f.error) for f in suite.failures] == [
+            (2, "SamLabError: synthetic blowup"), (3, "RuntimeError: synthetic bug")]
+        assert suite.aggregate.seed_count == 2
+        assert suite.aggregate.failed_count == 2
 
 
 def test_compare_single_optimizer_equals_run_suite():
@@ -316,6 +332,21 @@ def test_emit_outputs_files_and_schema(tmp_path):
     assert float(srow["test_accuracy_std"]) == np.std(accs, ddof=1)
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["aggregates"][0]["seed_count"] == 2
+
+
+def test_every_output_file_is_written_by_replacing(tmp_path, monkeypatch):
+    real = fileio.replacing
+    targets = []
+
+    def spy(path):
+        targets.append(Path(path).relative_to(tmp_path).as_posix())
+        return real(path)
+
+    monkeypatch.setattr(fileio, "replacing", spy)
+    written = emit_outputs(tmp_path, [run_suite(small_config())])
+    slice_path = emit_slice(tmp_path, "plane", [0.0], [0.0, 1.0], np.zeros((1, 2)))
+    assert sorted(targets) == sorted(list(written) + [slice_path.name])
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_emit_outputs_empty_records_headers_only(tmp_path):

@@ -161,15 +161,23 @@ def test_evaluation_leaves_no_garbage_cycles():
     assert gc.collect() == 0
 
 
-def pin_case(activation, head, n_classes, depth):
-    """A fixed 3-input model and 40-row batch, with some -0.0 weights and features."""
+# (hidden widths, rows) per pin case size. The "wide" hidden layers and their
+# reverse-pass gradients (200 x 128 and 200 x 96) are at least
+# autodiff.REUSE_MIN_ELEMENTS, so they go through the reused buffers; every
+# "small" array stays below it.
+PIN_SIZES = {"small": ((5, 4), 40), "wide": ((128, 96), 200)}
+
+
+def pin_case(activation, head, n_classes, depth, size="small"):
+    """A fixed 3-input model and batch, with some -0.0 weights and features."""
+    hidden, rows = PIN_SIZES[size]
     rng = np.random.default_rng([n_classes, depth])
-    spec = MlpSpec(3, (5, 4)[:depth], n_classes, activation, head)
+    spec = MlpSpec(3, hidden[:depth], n_classes, activation, head)
     params = network.init_params(spec, rng).data
     params[::7] = -0.0
-    features = rng.standard_normal((40, 3))
+    features = rng.standard_normal((rows, 3))
     features[::5, 0] = -0.0
-    return spec, params, Batch(features, rng.integers(0, n_classes, 40))
+    return spec, params, Batch(features, rng.integers(0, n_classes, rows))
 
 
 # (activation, head, classes, depth): (float.hex of the loss, sha256[:16] of the
@@ -201,6 +209,10 @@ PINNED_KERNEL_BYTES = {
     ("tanh", "mse", 3, 2): ("0x1.756b892c48726p-2", "600b33ba9b1da111", "0x1.ccccccccccccdp-2"),
     ("tanh", "mse", 10, 0): ("0x1.1a1798a4cef0fp-1", "3db9794c43b58e03", "0x1.999999999999ap-6"),
     ("tanh", "mse", 10, 2): ("0x1.212e71bce0443p-2", "3c6e6db53cbeac54", "0x1.999999999999ap-5"),
+    ("relu", "softmax_ce", 3, 2, "wide"): ("0x1.666f6233c4f52p+0", "95262a919a41b8bf", "0x1.3333333333333p-2"),
+    ("relu", "mse", 3, 2, "wide"): ("0x1.4c721daaaf843p+0", "ad66c708e07be3b7", "0x1.3333333333333p-2"),
+    ("tanh", "softmax_ce", 3, 2, "wide"): ("0x1.30c9bd36e6dbep+0", "489363e75652d0b5", "0x1.3d70a3d70a3d7p-2"),
+    ("tanh", "mse", 3, 2, "wide"): ("0x1.13287523f58cdp-1", "fe614878d12478ea", "0x1.3d70a3d70a3d7p-2"),
 }
 
 
@@ -214,6 +226,8 @@ def test_kernel_bytes_pinned(case):
     assert result.value.hex() == loss_hex
     assert hashlib.sha256(result.gradient.tobytes()).hexdigest()[:16] == grad_sha
     assert network.accuracy(spec, params, batch).hex() == accuracy_hex
+    loss, accuracy = network.loss_and_accuracy(spec, params, batch)
+    assert (loss.hex(), accuracy.hex()) == (loss_hex, accuracy_hex)
 
 
 @pytest.mark.parametrize("width", range(1, 13))
@@ -230,10 +244,13 @@ def test_column_fold_matches_numpy_reductions(width):
         assert folded.tobytes() == reference(a, axis=1, keepdims=True).tobytes()
 
 
-@pytest.mark.parametrize("activation, head, depth",
-                         itertools.product(("relu", "tanh"), ("softmax_ce", "mse"), (0, 2)))
-def test_evaluation_leaves_caller_arrays_unchanged(activation, head, depth):
-    spec, params, batch = pin_case(activation, head, 3, depth)
+@pytest.mark.parametrize(
+    "case", [*itertools.product(("relu", "tanh"), ("softmax_ce", "mse"), (0, 2)),
+             ("tanh", "mse", 2, "wide")],
+    ids=lambda case: "-".join(map(str, case)))
+def test_evaluation_leaves_caller_arrays_unchanged(case):
+    activation, head, *shape = case
+    spec, params, batch = pin_case(activation, head, 3, *shape)
     vector = network.init_params(spec, np.random.default_rng(1))
     before = [a.copy() for a in (params, vector.data, batch.features, batch.labels)]
     for p in (params, vector):
@@ -244,3 +261,32 @@ def test_evaluation_leaves_caller_arrays_unchanged(activation, head, depth):
     after = (params, vector.data, batch.features, batch.labels)
     for old, new in zip(before, after):
         assert old.tobytes() == new.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_large_results_survive_later_calls(activation):
+    """Returned arrays never alias a reused buffer, and a buffer grown or
+    shrunk between calls gives every call its own bytes."""
+    # 3,000 rows x 10 classes is above the reuse limit, so logits that were
+    # written into a buffer would change under the second call.
+    spec, params, _ = pin_case(activation, "mse", 10, 2, "wide")
+    other = network.init_params(spec, np.random.default_rng(9)).data
+    rng = np.random.default_rng(4)
+    batches = {n: Batch(rng.standard_normal((n, 3)), rng.integers(0, 10, n)) for n in (200, 3000)}
+    big = batches[3000]
+    result = network.loss_and_grad(spec, params, big)
+    logits = network.predict_logits(spec, params, big.features)
+    kept = result.gradient.tobytes(), logits.tobytes()
+    network.loss_and_grad(spec, other, big)
+    network.predict_logits(spec, other, big.features)
+    assert (result.gradient.tobytes(), logits.tobytes()) == kept
+
+    def outputs(b):
+        result = network.loss_and_grad(spec, params, b)
+        return (network.forward(spec, params, b), result.value, result.gradient.tobytes(),
+                network.predict_logits(spec, params, b.features).tobytes(),
+                network.loss_and_accuracy(spec, params, b))
+
+    first = {}
+    for n in (3000, 200, 3000, 200):
+        assert first.setdefault(n, outputs(batches[n])) == outputs(batches[n])
