@@ -2,7 +2,8 @@
 
 Subcommands:
     train    run one optimizer config over all seeds, write outputs
-    compare  run every optimizer in the config's sweep over the same seeds
+    compare  run every optimizer in the config's sweep over the same seeds,
+             each seed's runs in lockstep
     probe    sharpness report for a saved checkpoint (JSON to stdout)
     slice    loss-plane grid around a saved checkpoint
 """
@@ -57,6 +58,7 @@ def _print_suite(suite) -> None:
 def cmd_train(args) -> int:
     config = _load(args)
     out_dir = _require_out(config)
+    harness.require_trainable(config)
     harness.prepare_out_dir(out_dir)
     suite = harness.run_suite(config, jobs=args.jobs)
     harness.emit_outputs(out_dir, [suite])
@@ -70,6 +72,7 @@ def cmd_compare(args) -> int:
     out_dir = _require_out(config)
     if not config.optimizer_sweep:
         raise SamLabError("compare needs an 'optimizers' list in the config")
+    harness.require_trainable(config)
     harness.prepare_out_dir(out_dir)
     suites = harness.compare_optimizers(config, config.optimizer_sweep, jobs=args.jobs)
     harness.emit_outputs(out_dir, suites)
@@ -112,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="comma-separated seeds, overrides the config")
         p.add_argument("--out", help="output directory, overrides the config")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for per-seed parallelism")
+                       help="worker processes: seeds (train) or seed groups "
+                            "(compare) spread over a pool")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
                            help="path to a saved checkpoint")

@@ -5,6 +5,14 @@ own stream from the run seed XORed with a fixed role constant, so changing,
 say, the probe sample count never perturbs training. Dataset construction
 derives from the dataset seed instead: the data is shared across run seeds.
 
+Runs of one seed share their init and minibatch order, so `compare_optimizers`
+trains a sweep's runs of each seed as one group in lockstep (`train_group`):
+the dataset and spec are built once per group, every step advances all runs
+together through `optimizers.step_rows`, and each epoch evaluates all of them
+with one stacked pass per split. `run_training` is the group of one, stepped
+by `optimizers.step`. A group's runs get the bytes they get alone; each run's
+wall_seconds is the group's elapsed time divided by its run count.
+
 Outputs are byte-stable: rows are ordered by seed (never completion time),
 floats are written with repr (shortest round-trip), and no timestamps enter
 the CSV/JSON files except the wall_seconds measurement column.
@@ -170,6 +178,12 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds")
+        labels = [opt.label for opt in self.optimizer_sweep]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ConfigError(
+                    f"optimizer label {label!r} appears more than once in the sweep; runs "
+                    "and checkpoints are named by label (sweep rho with one compare per value)")
         if not 0.0 <= self.label_noise_fraction < 1.0:
             raise ConfigError(
                 f"label_noise_fraction must be in [0, 1), got {self.label_noise_fraction}")
@@ -350,12 +364,43 @@ def _ga_steps_used(opt: optimizers.OptimizerConfig) -> int:
     return 0
 
 
-def run_training(config: ExperimentConfig, seed: int) -> RunRecord:
-    """Train one model end to end and probe the final point.
+def require_trainable(config: ExperimentConfig) -> None:
+    """Training needs an MLP: every epoch reports the test accuracy, which a
+    quadratic model has not. A quadratic checkpoint can still be probed and
+    sliced."""
+    if config.model.kind != "mlp":
+        raise ConfigError(f"training needs model kind 'mlp', got {config.model.kind!r} "
+                          "(a quadratic model can be probed and sliced, not trained)")
 
-    Deterministic given (config, seed): the four random consumers draw from
-    streams derived by XORing the seed with fixed role constants, so they
-    cannot interfere with one another.
+
+def _step(spec, rows, batch, sweep, states):
+    """Step every row once: one run by `optimizers.step`, several in lockstep."""
+    if len(rows) == 1:
+        return optimizers.step(spec, rows[0], batch, sweep[0], states[0])[0][None, :]
+    return optimizers.step_rows(spec, rows, batch, sweep, states)[0]
+
+
+def _evaluate(spec, rows, train_batch, test_batch) -> tuple:
+    """(train losses, test losses, test accuracies) of every row, as lists:
+    one pass per split, stacked for several rows."""
+    if len(rows) == 1:
+        train_loss = network.forward(spec, rows[0], train_batch)
+        test_loss, test_accuracy = network.loss_and_accuracy(spec, rows[0], test_batch)
+        return [train_loss], [test_loss], [test_accuracy]
+    test_losses, test_accuracies = network.loss_and_accuracy_rows(spec, rows, test_batch)
+    return (network.forward_rows(spec, rows, train_batch).tolist(),
+            test_losses.tolist(), test_accuracies.tolist())
+
+
+def _train(config: ExperimentConfig, sweep, seed: int) -> list:
+    """Train one run per optimizer of `sweep` on `seed` and probe each final
+    point; raises if anything fails.
+
+    The runs share the dataset, the spec, the init and the minibatch order
+    (all derive from the config and the seed), so they step together on K
+    parameter rows. Each run keeps its own optimizer state and direction
+    stream, and its bytes are those of the same run trained alone. Each
+    run's wall_seconds is the group's elapsed time divided by K.
     """
     started = time.perf_counter()
     train, test = build_dataset(config.dataset, config.label_noise_fraction)
@@ -363,56 +408,60 @@ def run_training(config: ExperimentConfig, seed: int) -> RunRecord:
 
     init_rng = np.random.default_rng(_subseed(seed, ROLE_INIT))
     params = network.init_params(spec, init_rng)
-
-    opt = config.optimizer
-    state = optimizers.init_state(opt, len(params),
-                                  direction_seed=_subseed(seed, ROLE_EPSILON))
+    states = [optimizers.init_state(opt, len(params), direction_seed=_subseed(seed, ROLE_EPSILON))
+              for opt in sweep]
 
     train_batch = train.as_batch()
     test_batch = test.as_batch()
     shuffle_seed = _subseed(seed, ROLE_SHUFFLE)
 
-    flat = params.data
-    train_losses, test_losses, test_accuracies = [], [], []
+    rows = np.tile(params.data, (len(sweep), 1))
+    curves = []
     for epoch in range(config.epochs):
         for batch in datamod.minibatches(train, config.batch_size, shuffle_seed, epoch):
-            flat, _ = optimizers.step(spec, flat, batch, opt, state)
-        train_losses.append(network.forward(spec, flat, train_batch))
-        test_loss, test_accuracy = network.loss_and_accuracy(spec, flat, test_batch)
-        test_losses.append(test_loss)
-        test_accuracies.append(test_accuracy)
+            rows = _step(spec, rows, batch, sweep, states)
+        curves.append(_evaluate(spec, rows, train_batch, test_batch))
+    final_train, final_test, final_accuracy = (
+        curves[-1] if curves else _evaluate(spec, rows, train_batch, test_batch))
 
-    if config.epochs > 0:
-        final_train, final_test = train_losses[-1], test_losses[-1]
-        final_accuracy = test_accuracies[-1]
-    else:
-        final_train = network.forward(spec, flat, train_batch)
-        final_test, final_accuracy = network.loss_and_accuracy(spec, flat, test_batch)
+    records = []
+    for k, (opt, state) in enumerate(zip(sweep, states)):
+        report = probes.build_report(
+            spec, rows[k], train_batch, config.probe,
+            seed=_subseed(seed, ROLE_PROBE), data_scope="train",
+            train_loss=final_train[k], test_loss=final_test[k])
+        records.append(RunRecord(
+            config_hash=config_hash(dataclasses.replace(config, optimizer=opt)),
+            seed=seed,
+            optimizer_label=opt.label,
+            rho=opt.rho if opt.kind != optimizers.SGD else 0.0,
+            ga_steps=_ga_steps_used(opt),
+            epochs=config.epochs,
+            train_losses=[curve[0][k] for curve in curves],
+            test_losses=[curve[1][k] for curve in curves],
+            test_accuracies=[curve[2][k] for curve in curves],
+            final_train_loss=final_train[k],
+            final_test_loss=final_test[k],
+            final_test_accuracy=final_accuracy[k],
+            report=report,
+            grad_evals=state.grad_evals,
+            wall_seconds=0.0,
+            final_params=params.replace(rows[k]),
+        ))
+    wall_seconds = (time.perf_counter() - started) / len(records)
+    for record in records:
+        record.wall_seconds = wall_seconds
+    return records
 
-    report = probes.build_report(
-        spec, flat, train_batch, config.probe,
-        seed=_subseed(seed, ROLE_PROBE), data_scope="train",
-        train_loss=final_train, test_loss=final_test)
 
-    final_params = params.replace(flat)
-    return RunRecord(
-        config_hash=config_hash(config),
-        seed=seed,
-        optimizer_label=opt.label,
-        rho=opt.rho if opt.kind != optimizers.SGD else 0.0,
-        ga_steps=_ga_steps_used(opt),
-        epochs=config.epochs,
-        train_losses=train_losses,
-        test_losses=test_losses,
-        test_accuracies=test_accuracies,
-        final_train_loss=final_train,
-        final_test_loss=final_test,
-        final_test_accuracy=final_accuracy,
-        report=report,
-        grad_evals=state.grad_evals,
-        wall_seconds=time.perf_counter() - started,
-        final_params=final_params,
-    )
+def run_training(config: ExperimentConfig, seed: int) -> RunRecord:
+    """Train one model end to end and probe the final point (a group of one).
+
+    Deterministic given (config, seed): the four random consumers draw from
+    streams derived by XORing the seed with fixed role constants, so they
+    cannot interfere with one another.
+    """
+    return _train(config, (config.optimizer,), seed)[0]
 
 
 def _run_one(args):
@@ -424,36 +473,75 @@ def _run_one(args):
                          error=f"{type(exc).__name__}: {exc}")
 
 
-def run_suite(config: ExperimentConfig, jobs: int = 1) -> SuiteResult:
-    """One RunRecord per seed; failures are collected, not fatal.
+def _single(config: ExperimentConfig, opt) -> ExperimentConfig:
+    return dataclasses.replace(config, optimizer=opt, optimizer_sweep=())
 
-    With jobs > 1 seeds run in separate processes; results are reassembled in
-    seed order either way, so parallelism cannot change any output byte.
+
+def train_group(config: ExperimentConfig, sweep, seed: int) -> list:
+    """One RunRecord or FailedRun per optimizer of `sweep` on `seed`, in
+    sweep order, trained in lockstep.
+
+    If anything in the group raises, its runs are re-run one at a time by
+    `run_training`: a failing run becomes its own FailedRun, with the error
+    it gives alone, and every other run keeps its bytes.
     """
-    work = [(config, seed) for seed in config.seeds]
+    if len(sweep) > 1:
+        try:
+            return _train(config, sweep, seed)
+        except Exception:  # run alone, each run tells its own error
+            pass
+    return [_run_one((_single(config, opt), seed)) for opt in sweep]
+
+
+def _run_group(args):
+    config, seed = args
+    return train_group(config, config.optimizer_sweep, seed)
+
+
+def _map(fn, work, jobs: int) -> list:
+    """`fn` over `work` in order, in a pool of `jobs` processes if jobs > 1."""
     if jobs > 1 and len(work) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_one, work))
-    else:
-        outcomes = [_run_one(item) for item in work]
+            return list(pool.map(fn, work))
+    return [fn(item) for item in work]
 
-    records = [o for o in outcomes if isinstance(o, RunRecord)]
-    failures = [o for o in outcomes if isinstance(o, FailedRun)]
-    records.sort(key=lambda r: r.seed)
-    failures.sort(key=lambda f: f.seed)
+
+def _suite(config: ExperimentConfig, outcomes) -> SuiteResult:
+    records = sorted((o for o in outcomes if isinstance(o, RunRecord)), key=lambda r: r.seed)
+    failures = sorted((o for o in outcomes if isinstance(o, FailedRun)), key=lambda f: f.seed)
     aggregate = aggregate_records(config_hash(config), config.optimizer.label,
                                   records, len(failures))
     return SuiteResult(config=config, optimizer_label=config.optimizer.label,
                        records=records, failures=failures, aggregate=aggregate)
 
 
+def run_suite(config: ExperimentConfig, jobs: int = 1) -> SuiteResult:
+    """One RunRecord per seed; failures are collected, not fatal.
+
+    With jobs > 1 seeds run in separate processes; results are reassembled in
+    seed order either way, so parallelism cannot change any output byte.
+    """
+    require_trainable(config)
+    return _suite(config, _map(_run_one, [(config, seed) for seed in config.seeds], jobs))
+
+
 def compare_optimizers(config: ExperimentConfig, optimizer_list, jobs: int = 1):
-    """Run the same data/model/seeds under each optimizer in turn."""
+    """One SuiteResult per optimizer of `optimizer_list`, in list order, on
+    the same data, model and seeds.
+
+    Each seed's runs train as one lockstep group (`train_group`); with
+    jobs > 1 the seed groups spread over one process pool. The outputs are
+    byte for byte those of one `run_suite` per optimizer, except the
+    measured wall_seconds.
+    """
     if not optimizer_list:
         raise ConfigError("optimizer list is empty")
-    return [run_suite(dataclasses.replace(config, optimizer=opt, optimizer_sweep=()),
-                      jobs=jobs)
-            for opt in optimizer_list]
+    require_trainable(config)
+    # Re-validating with the list as the sweep rejects repeated labels.
+    config = dataclasses.replace(config, optimizer_sweep=tuple(optimizer_list))
+    groups = _map(_run_group, [(config, seed) for seed in config.seeds], jobs)
+    return [_suite(_single(config, opt), [group[j] for group in groups])
+            for j, opt in enumerate(config.optimizer_sweep)]
 
 
 # ---------------------------------------------------------------------------

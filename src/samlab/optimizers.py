@@ -15,6 +15,16 @@ would change the estimator being optimized.
 
 Weight decay is decoupled from the perturbation: epsilon is computed from the
 pure loss gradient, and decay enters only the outer update.
+
+Each kind's step is one generator (`step_points`): it yields every point whose
+loss and gradient the step needs and receives them, so the evaluation is up
+to its caller. `step` answers each point with `network.loss_and_grad`;
+`step_rows` advances K runs' generators together and answers all their
+pending points with one stacked `network.loss_and_grad_rows` call per round.
+A run leaves the rounds when its step ends (sgd after one point, a flat
+batch's sam_ga ascent early), and each run keeps its own state, momentum
+buffer and direction stream, so a lockstep step is byte for byte the runs'
+single steps.
 """
 
 from dataclasses import dataclass, field
@@ -147,6 +157,12 @@ def epsilon_gradient_ascent(loss_and_grad_fn: Callable, w: np.ndarray,
     sub-steps need not be collinear, so ||epsilon|| can end up below rho.
     Stops early (flagged) if a flat iterate is hit.
     """
+    return _run_points(_ascent_points(w, rho, n_steps), loss_and_grad_fn)[0]
+
+
+def _ascent_points(w: np.ndarray, rho: float, n_steps: int):
+    """`epsilon_gradient_ascent` as a point generator (see `step_points`);
+    returns (perturbation, loss at w)."""
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     if n_steps < 1:
@@ -155,13 +171,15 @@ def epsilon_gradient_ascent(loss_and_grad_fn: Callable, w: np.ndarray,
     current = w.copy()
     step_len = rho / n_steps
     for step in range(n_steps):
-        _, grad = loss_and_grad_fn(current)
+        value, grad = yield current
+        if step == 0:
+            base_value = value
         norm = float(np.linalg.norm(grad))
         if norm < ZERO_GRAD_EPS:
             return Perturbation(current - w, rho, GRADIENT_ASCENT,
-                                steps_used=step, zero_gradient=True)
+                                steps_used=step, zero_gradient=True), base_value
         current = current + step_len * (grad / norm)
-    return Perturbation(current - w, rho, GRADIENT_ASCENT, steps_used=n_steps)
+    return Perturbation(current - w, rho, GRADIENT_ASCENT, steps_used=n_steps), base_value
 
 
 def epsilon_random(param_len: int, rho: float, rng: np.random.Generator) -> Perturbation:
@@ -181,21 +199,19 @@ def _apply_update(params: np.ndarray, grad: np.ndarray, config: OptimizerConfig,
     return new_params
 
 
-def sgd_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
-             state: OptimizerState):
-    """One SGD-with-momentum step; the baseline every SAM variant reduces to."""
+def _sgd_points(params: np.ndarray, config: OptimizerConfig, state: OptimizerState):
+    """One SGD-with-momentum step as a point generator (see `step_points`);
+    the baseline every SAM variant reduces to."""
     params = np.asarray(params, dtype=np.float64)
     evals_before = state.grad_evals
-    value, grad = _counted_loss_and_grad(model_spec, params, batch, state)
+    value, grad = yield params
     new_params = _apply_update(params, grad, config, state)
-    report = StepReport(loss=value, perturbed_loss=None, epsilon_norm=0.0,
-                        grad_evals=state.grad_evals - evals_before)
-    return new_params, report
+    return new_params, StepReport(loss=value, perturbed_loss=None, epsilon_norm=0.0,
+                                  grad_evals=state.grad_evals - evals_before)
 
 
-def sam_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
-             state: OptimizerState):
-    """One sharpness-aware step with the configured perturbation strategy.
+def _sam_points(params: np.ndarray, config: OptimizerConfig, state: OptimizerState):
+    """One sharpness-aware step as a point generator (see `step_points`).
 
     (1) compute epsilon on this batch, (2) evaluate the gradient at
     w + epsilon on the same batch, (3) descend from the original w using that
@@ -208,28 +224,18 @@ def sam_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
     evals_before = state.grad_evals
 
     if config.kind == SAM:
-        base_value, base_grad = _counted_loss_and_grad(model_spec, params, batch, state)
+        base_value, base_grad = yield params
         perturbation = epsilon_first_order(base_grad, config.rho)
     elif config.kind == RAND_SAM:
         # The base evaluation's gradient is unused (the direction is random),
         # but the loss at w is still wanted for reporting and the evaluation
         # keeps the 2x-per-batch gradient budget uniform across variants.
-        base_value, _ = _counted_loss_and_grad(model_spec, params, batch, state)
+        base_value, _ = yield params
         perturbation = epsilon_random(params.shape[0], config.rho, state.rng)
     else:
-        first_value = []
+        perturbation, base_value = yield from _ascent_points(params, config.rho, config.ga_steps)
 
-        def fn(p):
-            value, grad = _counted_loss_and_grad(model_spec, p, batch, state)
-            if not first_value:
-                first_value.append(value)
-            return value, grad
-
-        perturbation = epsilon_gradient_ascent(fn, params, config.rho, config.ga_steps)
-        base_value = first_value[0]
-
-    perturbed_value, perturbed_grad = _counted_loss_and_grad(
-        model_spec, params + perturbation.epsilon, batch, state)
+    perturbed_value, perturbed_grad = yield params + perturbation.epsilon
     new_params = _apply_update(params, perturbed_grad, config, state)
     report = StepReport(loss=base_value, perturbed_loss=perturbed_value,
                         epsilon_norm=perturbation.norm,
@@ -238,15 +244,80 @@ def sam_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
     return new_params, report
 
 
+def step_points(params: np.ndarray, config: OptimizerConfig, state: OptimizerState):
+    """One optimizer step as a generator that leaves the evaluation to its
+    caller: it yields each point whose loss and gradient the step needs, on
+    the step's one minibatch, receives them as (value, gradient), and returns
+    (new params, StepReport). The caller adds 1 to `state.grad_evals` per
+    point before it answers."""
+    if config.kind == SGD:
+        return _sgd_points(params, config, state)
+    return _sam_points(params, config, state)
+
+
+def _run_points(points, evaluate):
+    """Run a point generator to its end, answering each point with
+    `evaluate(point)`; returns what the generator returns."""
+    try:
+        point = next(points)
+        while True:
+            point = points.send(evaluate(point))
+    except StopIteration as done:
+        return done.value
+
+
+def _evaluator(model_spec, batch, state: OptimizerState):
+    def evaluate(point):
+        state.grad_evals += 1
+        return network.loss_and_grad(model_spec, point, batch)
+    return evaluate
+
+
+def sgd_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
+             state: OptimizerState):
+    """One SGD-with-momentum step, its point evaluated by `network.loss_and_grad`."""
+    return _run_points(_sgd_points(params, config, state), _evaluator(model_spec, batch, state))
+
+
+def sam_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
+             state: OptimizerState):
+    """One sharpness-aware step, each point evaluated by `network.loss_and_grad`."""
+    return _run_points(_sam_points(params, config, state), _evaluator(model_spec, batch, state))
+
+
 def step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
          state: OptimizerState):
-    """Dispatch to sgd_step or sam_step based on the configured kind."""
-    if config.kind == SGD:
-        return sgd_step(model_spec, params, batch, config, state)
-    return sam_step(model_spec, params, batch, config, state)
+    """One step of the configured kind, evaluated by `network.loss_and_grad`."""
+    return _run_points(step_points(params, config, state), _evaluator(model_spec, batch, state))
 
 
-def _counted_loss_and_grad(model_spec, params, batch, state: OptimizerState):
-    state.grad_evals += 1
-    result = network.loss_and_grad(model_spec, params, batch)
-    return result.value, result.gradient
+def step_rows(model_spec, rows: np.ndarray, batch, configs, states):
+    """One step of K runs in lockstep on one minibatch.
+
+    Row k of `rows` (K, P) is run k's params, stepped by `configs[k]` with
+    `states[k]`. Every run's step generator advances together: each round
+    evaluates all pending points with one `network.loss_and_grad_rows` call,
+    and a run leaves the rounds when its step returns, so a flat-batch
+    fallback or an early-stopped ascent changes only its own row. Returns
+    (new rows (K, P), one StepReport per run), each row byte for byte what
+    `step` gives that run alone.
+    """
+    gens = [step_points(row, config, state) for row, config, state in zip(rows, configs, states)]
+    points = [next(gen) for gen in gens]
+    new_rows = np.empty_like(rows)
+    reports = [None] * len(gens)
+    pending = list(range(len(gens)))
+    while pending:
+        stacked = (points[pending[0]][None, :] if len(pending) == 1
+                   else np.stack([points[k] for k in pending]))
+        values, grads = network.loss_and_grad_rows(model_spec, stacked, batch)
+        still = []
+        for i, k in enumerate(pending):
+            states[k].grad_evals += 1
+            try:
+                points[k] = gens[k].send((float(values[i]), grads[i]))
+                still.append(k)
+            except StopIteration as done:
+                new_rows[k], reports[k] = done.value
+        pending = still
+    return new_rows, reports

@@ -4,7 +4,9 @@ Each test prints one PASS/FAIL verdict line (replayed in the terminal
 summary by conftest). The training workload shared by the trend,
 ordering, accounting, and determinism checks runs five optimizer suites
 on the same noisy two-moons task; it executes once per session and is
-reused, except for the determinism check which repeats it verbatim.
+reused, except for the determinism check which repeats it verbatim. The
+suites come from one `compare_optimizers` call, so each seed's five runs
+train in lockstep.
 """
 
 import math
@@ -18,9 +20,9 @@ from samlab.harness import (
     ExperimentConfig,
     ModelConfig,
     build_dataset,
+    compare_optimizers,
     emit_outputs,
     run_row,
-    run_suite,
 )
 from samlab.network import (
     Batch,
@@ -74,7 +76,7 @@ def _experiment(optimizer: OptimizerConfig) -> ExperimentConfig:
 
 
 def _run_workload(out_dir):
-    suites = [run_suite(_experiment(opt)) for opt in _OPTIMIZERS]
+    suites = compare_optimizers(_experiment(_OPTIMIZERS[0]), _OPTIMIZERS)
     emit_outputs(out_dir, suites)
     return suites
 

@@ -98,6 +98,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     {"dataset": {"generator": "gaussian_blobs", "centers": [[0.0], [1.0]],
                  "center_sd": -1}},
     {"model": {"kind": "quadratic", "diag": []}},
+    {"optimizers": [{"kind": "sam", "learning_rate": 0.1, "rho": 0.05},
+                    {"kind": "sam", "learning_rate": 0.1, "rho": 0.5}]},
 ])
 def test_bad_config_value_exits_2_before_out_dir(tmp_path, capsys, overrides):
     config = write_config(tmp_path, **overrides)
@@ -105,6 +107,29 @@ def test_bad_config_value_exits_2_before_out_dir(tmp_path, capsys, overrides):
     code = cli.main(["train", "--config", str(config), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_repeated_sweep_label_exits_2_naming_it(tmp_path, capsys, command):
+    # Two runs labelled "sam" would write one checkpoint and two
+    # indistinguishable summary rows.
+    config = write_config(tmp_path, optimizers=[
+        {"kind": "sgd", "learning_rate": 0.1},
+        {"kind": "sam_ga", "learning_rate": 0.1, "ga_steps": 2, "rho": 0.05},
+        {"kind": "sam_ga", "learning_rate": 0.1, "ga_steps": 2, "rho": 0.5}])
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert "'sam_ga2' appears more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_training_a_quadratic_model_exits_2_before_out_dir(tmp_path, capsys, command):
+    config = write_config(tmp_path, model={"kind": "quadratic", "diag": [1.0, 2.0]})
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert "training needs model kind 'mlp'" in capsys.readouterr().err
     assert not out.exists()
 
 

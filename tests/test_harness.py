@@ -105,7 +105,7 @@ def test_bad_value_error_names_its_path(raw, path):
 
 
 def test_sweep_alone_sets_the_optimizer():
-    sweep = [dict(RAW["optimizer"], momentum=0.5), RAW["optimizer"]]
+    sweep = [dict(RAW["optimizer"], momentum=0.5), dict(RAW["optimizer"], kind="sam")]
     raw = {k: v for k, v in RAW.items() if k != "optimizer"}
     cfg = parse_config(dict(raw, optimizers=sweep))
     assert cfg.optimizer.momentum == 0.5
@@ -273,6 +273,96 @@ def test_compare_single_optimizer_equals_run_suite():
 def test_compare_rejects_empty_list():
     with pytest.raises(ConfigError):
         compare_optimizers(small_config(), [])
+
+
+def test_compare_rejects_repeated_labels():
+    sam = OptimizerConfig(kind="sam", learning_rate=0.1, rho=0.05)
+    with pytest.raises(ConfigError, match="'sam' appears more than once"):
+        compare_optimizers(small_config(), [sam, OptimizerConfig(kind="sam", learning_rate=0.1, rho=0.5)])
+    with pytest.raises(ConfigError, match="'sam' appears more than once"):
+        parse_config(dict(RAW, optimizers=[dict(RAW["optimizer"], kind="sam")] * 2))
+
+
+def test_training_a_quadratic_model_raises_before_any_run(monkeypatch):
+    def no_run(config, seed):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_training", no_run)
+    monkeypatch.setattr(harness, "_train", no_run)
+    cfg = small_config(model=ModelConfig(kind="quadratic", diag=(1.0, 1.0)))
+    with pytest.raises(ConfigError, match="training needs model kind 'mlp'"):
+        run_suite(cfg)
+    with pytest.raises(ConfigError, match="training needs model kind 'mlp'"):
+        compare_optimizers(cfg, [cfg.optimizer, OptimizerConfig(kind="sam", learning_rate=0.1)])
+
+
+# --- lockstep groups ------------------------------------------------------------
+
+def _sweep(**overrides):
+    common = dict(learning_rate=0.1, momentum=0.9, weight_decay=0.001, rho=0.05)
+    common.update(overrides)
+    return [OptimizerConfig(kind="sgd", **common), OptimizerConfig(kind="sam", **common),
+            OptimizerConfig(kind="rand_sam", **common),
+            OptimizerConfig(kind="sam_ga", ga_steps=1, **common),
+            OptimizerConfig(kind="sam_ga", ga_steps=3, **common)]
+
+
+def _output_bytes(out_dir):
+    """Every output file's bytes, runs.csv without its wall_seconds column."""
+    files = {p.relative_to(out_dir).as_posix(): p.read_bytes()
+             for p in sorted(out_dir.rglob("*")) if p.is_file()}
+    lines = files.pop("runs.csv").decode().splitlines()
+    assert lines[0].endswith(",wall_seconds")
+    files["runs.csv"] = [line.rsplit(",", 1)[0] for line in lines]
+    return files
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("activation, head", [("relu", "softmax_ce"), ("tanh", "mse")])
+def test_lockstep_compare_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
+                                                        activation, head, jobs):
+    cfg = small_config(model=ModelConfig(kind="mlp", hidden=(6, 5), activation=activation,
+                                         head=head), epochs=3)
+    sweep = _sweep()
+    alone = [run_suite(harness._single(cfg, opt)) for opt in sweep]
+    emit_outputs(tmp_path / "alone", alone)
+
+    def no_single_run(config, seed):
+        raise AssertionError("a lockstep group fell back to single runs")
+
+    monkeypatch.setattr(harness, "run_training", no_single_run)  # forked workers too
+    lockstep = compare_optimizers(cfg, sweep, jobs=jobs)
+    emit_outputs(tmp_path / "lockstep", lockstep)
+    assert [s.optimizer_label for s in lockstep] == [opt.label for opt in sweep]
+    assert [s.config for s in lockstep] == [s.config for s in alone]
+    assert _output_bytes(tmp_path / "lockstep") == _output_bytes(tmp_path / "alone")
+    for a, b in zip(alone, lockstep):
+        for x, y in zip(a.records, b.records):
+            assert (x.train_losses, x.test_losses, x.test_accuracies) == \
+                (y.train_losses, y.test_losses, y.test_accuracies)
+            assert x.report == y.report
+
+
+def test_lockstep_group_shares_its_wall_time():
+    records = harness.train_group(small_config(), _sweep()[:3], 1)
+    assert len({r.wall_seconds for r in records}) == 1
+    assert records[0].wall_seconds > 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_lockstep_failing_run_fails_alone(tmp_path):
+    sweep = _sweep()
+    sweep[2] = OptimizerConfig(kind="rand_sam", learning_rate=1e300, rho=0.05)
+    cfg = small_config()
+    alone = [run_suite(harness._single(cfg, opt)) for opt in sweep]
+    assert [len(s.failures) for s in alone] == [0, 0, 2, 0, 0]
+    lockstep = compare_optimizers(cfg, sweep)
+    assert [(f.seed, f.optimizer_label, f.error) for f in lockstep[2].failures] == \
+        [(f.seed, f.optimizer_label, f.error) for f in alone[2].failures]
+    assert lockstep[2].failures[0].error.startswith("NumericError")
+    emit_outputs(tmp_path / "alone", alone)
+    emit_outputs(tmp_path / "lockstep", lockstep)
+    assert _output_bytes(tmp_path / "lockstep") == _output_bytes(tmp_path / "alone")
 
 
 # --- aggregation --------------------------------------------------------------

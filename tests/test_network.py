@@ -5,9 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from samlab import autodiff as ad
 from samlab import network
 from samlab.data import gen_two_moons
-from samlab.errors import LayoutError, NumericError
+from samlab.errors import LayoutError, NumericError, ShapeError
 from samlab.network import Batch, MlpSpec, QuadraticSpec
 
 
@@ -164,8 +165,9 @@ def test_evaluation_leaves_no_garbage_cycles():
 # (hidden widths, rows) per pin case size. The "wide" hidden layers and their
 # reverse-pass gradients (200 x 128 and 200 x 96) are at least
 # autodiff.REUSE_MIN_ELEMENTS, so they go through the reused buffers; every
-# "small" array stays below it.
-PIN_SIZES = {"small": ((5, 4), 40), "wide": ((128, 96), 200)}
+# "small" array stays below it. A "mid" array (120 x 64, 120 x 48) is below
+# it alone and above it in a stack of 3.
+PIN_SIZES = {"small": ((5, 4), 40), "mid": ((64, 48), 120), "wide": ((128, 96), 200)}
 
 
 def pin_case(activation, head, n_classes, depth, size="small"):
@@ -213,6 +215,10 @@ PINNED_KERNEL_BYTES = {
     ("relu", "mse", 3, 2, "wide"): ("0x1.4c721daaaf843p+0", "ad66c708e07be3b7", "0x1.3333333333333p-2"),
     ("tanh", "softmax_ce", 3, 2, "wide"): ("0x1.30c9bd36e6dbep+0", "489363e75652d0b5", "0x1.3d70a3d70a3d7p-2"),
     ("tanh", "mse", 3, 2, "wide"): ("0x1.13287523f58cdp-1", "fe614878d12478ea", "0x1.3d70a3d70a3d7p-2"),
+    ("relu", "softmax_ce", 3, 2, "mid"): ("0x1.854c3b9e81605p+0", "3dba9334315a8fdc", "0x1.3333333333333p-2"),
+    ("relu", "mse", 3, 2, "mid"): ("0x1.45c8aae4cbc48p+0", "65714949ab88a198", "0x1.3333333333333p-2"),
+    ("tanh", "softmax_ce", 3, 2, "mid"): ("0x1.234d384d0d311p+0", "10afb534da33e04b", "0x1.9111111111111p-2"),
+    ("tanh", "mse", 3, 2, "mid"): ("0x1.e15b76cea764ep-2", "f21f3892af480746", "0x1.9111111111111p-2"),
 }
 
 
@@ -230,6 +236,85 @@ def test_kernel_bytes_pinned(case):
     assert (loss.hex(), accuracy.hex()) == (loss_hex, accuracy_hex)
 
 
+def _digest(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def _single_bytes(spec, params, batch) -> tuple:
+    result = network.loss_and_grad(spec, params, batch)
+    return (result.value.hex(), _digest(result.gradient),
+            network.accuracy(spec, params, batch).hex())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_KERNEL_BYTES),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_stacked_rows_match_their_2d_pins(case):
+    """Each row of a K=3 stacked call is byte for byte its 2-D call: the
+    pinned row at each position, and two other rows beside it."""
+    spec, params, batch = pin_case(*case)
+    rng = np.random.default_rng(7)
+    others = [network.init_params(spec, rng).data for _ in range(2)]
+    expected = [_single_bytes(spec, row, batch) for row in others]
+    for position in range(3):
+        rows = others[:position] + [params] + others[position:]
+        want = expected[:position] + [PINNED_KERNEL_BYTES[case]] + expected[position:]
+        result = network.loss_and_grad_rows(spec, np.stack(rows), batch)
+        losses = network.forward_rows(spec, np.stack(rows), batch)
+        test_losses, accuracies = network.loss_and_accuracy_rows(spec, np.stack(rows), batch)
+        got = [(float(result.value[k]).hex(), _digest(result.gradient[k]),
+                float(accuracies[k]).hex()) for k in range(3)]
+        assert got == want
+        assert [float(v).hex() for v in losses] == [w[0] for w in want]
+        assert [float(v).hex() for v in test_losses] == [w[0] for w in want]
+
+
+def test_one_row_stack_is_the_2d_call():
+    spec, params, batch = pin_case("tanh", "softmax_ce", 3, 2)
+    result = network.loss_and_grad_rows(spec, params[None, :], batch)
+    assert result.value.shape == (1,) and result.gradient.shape == (1, params.size)
+    assert (float(result.value[0]).hex(), _digest(result.gradient[0])) == \
+        PINNED_KERNEL_BYTES[("tanh", "softmax_ce", 3, 2)][:2]
+
+
+@pytest.mark.parametrize("size", ["mid", "wide"])
+def test_single_and_stacked_calls_keep_their_bytes_interleaved(size, monkeypatch):
+    """Single and stacked calls use separate buffer slots, and neither moves
+    a byte of the other, in any order."""
+    spec, params, batch = pin_case("tanh", "mse", 3, 2, size)
+    rows = np.stack([params, 0.5 * params, -params])
+    rows_sizes = [rows.shape[0] * batch.features.shape[0] * h for h in spec.hidden]
+    assert min(rows_sizes) >= ad.REUSE_MIN_ELEMENTS
+    singles = [_single_bytes(spec, row, batch) for row in rows]
+    stacked = network.loss_and_grad_rows(spec, rows, batch)
+    stacked_bytes = (stacked.value.tobytes(), stacked.gradient.tobytes())
+
+    slots = {}
+    for name, call in (("single", lambda: network.loss_and_grad(spec, params, batch)),
+                       ("stacked", lambda: network.loss_and_grad_rows(spec, rows, batch))):
+        monkeypatch.setattr(ad, "_buffers", {})
+        call()
+        slots[name] = set(ad._buffers)
+    assert slots["stacked"] and not slots["single"] & slots["stacked"]
+    monkeypatch.undo()
+
+    for k in (0, 1, 2, 1, 0):
+        again = network.loss_and_grad_rows(spec, rows, batch)
+        assert (again.value.tobytes(), again.gradient.tobytes()) == stacked_bytes
+        assert _single_bytes(spec, rows[k], batch) == singles[k]
+
+
+def test_stacked_rows_reject_a_quadratic_spec_and_bad_shapes():
+    spec, params, batch = pin_case("relu", "mse", 2, 0)
+    with pytest.raises(ShapeError):
+        network.loss_and_grad_rows(QuadraticSpec((1.0, 1.0)), np.zeros((2, 2)), batch)
+    with pytest.raises(ShapeError):
+        network.loss_and_grad_rows(spec, params, batch)
+    bad = np.stack([params, params])
+    bad[1, 0] = np.inf
+    with pytest.raises(NumericError):
+        network.forward_rows(spec, bad, batch)
+
+
 @pytest.mark.parametrize("width", range(1, 13))
 def test_column_fold_matches_numpy_reductions(width):
     rng = np.random.default_rng(width)
@@ -242,6 +327,16 @@ def test_column_fold_matches_numpy_reductions(width):
         folded = network._fold(ufunc, a)
         assert folded.shape == (300, 1)
         assert folded.tobytes() == reference(a, axis=1, keepdims=True).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 12])
+def test_column_fold_of_a_stack_folds_its_last_axis(width):
+    a = np.random.default_rng(width).standard_normal((3, 50, width))
+    a[:, ::3] = -0.0
+    for ufunc, reference in ((np.maximum, np.max), (np.add, np.sum)):
+        folded = network._fold(ufunc, a)
+        assert folded.shape == (3, 50, 1)
+        assert folded.tobytes() == reference(a, axis=-1, keepdims=True).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -313,6 +313,80 @@ def test_rand_sam_fresh_direction_each_step():
     assert reports[0].perturbed_loss != reports[1].perturbed_loss
 
 
+# --- lockstep steps ----------------------------------------------------------
+
+def _lockstep_case():
+    """Six runs on one balanced batch; rows 1 and 3 are all-zero params, whose
+    gradient there is (numerically) zero: every hidden unit outputs 0 and the
+    two classes' bias gradients cancel."""
+    spec = MlpSpec(in_width=2, hidden=(6,), out_width=2)
+    rng = np.random.default_rng(4)
+    features = rng.standard_normal((8, 2))
+    batch = network.Batch(features, np.array([0, 1] * 4))
+    common = dict(learning_rate=0.1, momentum=0.9, rho=0.05)
+    configs = [OptimizerConfig(kind="sam", **common), OptimizerConfig(kind="sam", **common),
+               OptimizerConfig(kind="sam_ga", ga_steps=3, **common),
+               OptimizerConfig(kind="sam_ga", ga_steps=3, **common),
+               OptimizerConfig(kind="sgd", **common), OptimizerConfig(kind="rand_sam", **common)]
+    rows = np.stack([network.init_params(spec, rng).data for _ in configs])
+    rows[[1, 3]] = 0.0
+    return spec, batch, configs, rows
+
+
+def _states(configs, size):
+    return [init_state(cfg, size, direction_seed=11 + k) for k, cfg in enumerate(configs)]
+
+
+def test_step_rows_flat_row_masks_only_that_row():
+    spec, batch, configs, rows = _lockstep_case()
+    alone_states = _states(configs, rows.shape[1])
+    lock_states = _states(configs, rows.shape[1])
+    alone, lock = rows.copy(), rows.copy()
+    for _ in range(3):
+        results = [optimizers.step(spec, row, batch, cfg, state)
+                   for row, cfg, state in zip(alone, configs, alone_states)]
+        alone = np.stack([new for new, _ in results])
+        lock, reports = optimizers.step_rows(spec, lock, batch, configs, lock_states)
+        assert lock.tobytes() == alone.tobytes()
+        assert reports == [report for _, report in results]
+        assert [r.zero_gradient for r in reports] == [False, True, False, True, False, False]
+        # The flat sam_ga row stops its ascent at its first iterate.
+        assert [r.grad_evals for r in reports] == [2, 2, 4, 2, 1, 2]
+    assert [s.grad_evals for s in lock_states] == [s.grad_evals for s in alone_states]
+    assert [s.momentum_buffer.tobytes() for s in lock_states] == \
+        [s.momentum_buffer.tobytes() for s in alone_states]
+
+
+def test_step_rows_keeps_each_direction_stream():
+    spec, batch, _, rows = _lockstep_case()
+    configs = [OptimizerConfig(kind="rand_sam", learning_rate=0.1, rho=0.05)] * 2
+    states = _states(configs, rows.shape[1])
+    stepped, reports = optimizers.step_rows(spec, rows[[0, 0]], batch, configs, states)
+    alone = optimizers.step(spec, rows[0], batch, configs[1], _states(configs, rows.shape[1])[1])
+    # Same params, own seeds: the second row is the second stream's step.
+    assert stepped[1].tobytes() == alone[0].tobytes()
+    assert stepped[0].tobytes() != stepped[1].tobytes()
+
+
+def test_step_points_yields_each_evaluated_point():
+    spec, batch, configs, rows = _lockstep_case()
+    state = init_state(configs[2], rows.shape[1])
+    points = optimizers.step_points(rows[2], configs[2], state)
+    seen = []
+    point = next(points)
+    try:
+        while True:
+            seen.append(point.copy())
+            state.grad_evals += 1
+            point = points.send(network.loss_and_grad(spec, point, batch))
+    except StopIteration as done:
+        new, report = done.value
+    assert len(seen) == report.grad_evals == 4
+    assert seen[0].tobytes() == rows[2].tobytes()
+    alone = optimizers.step(spec, rows[2], batch, configs[2], init_state(configs[2], rows.shape[1]))
+    assert new.tobytes() == alone[0].tobytes()
+
+
 # --- config validation -------------------------------------------------------
 
 def test_config_validation():
