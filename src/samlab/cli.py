@@ -26,6 +26,8 @@ def _parse_seeds(text):
 
 
 def _load(args) -> harness.ExperimentConfig:
+    if args.jobs < 1:
+        raise SamLabError(f"--jobs must be >= 1, got {args.jobs}")
     raw = harness.load_config(args.config)
     return harness.parse_config(raw, seeds_override=_parse_seeds(args.seeds),
                                 out_override=args.out)
@@ -84,10 +86,10 @@ def cmd_compare(args) -> int:
 
 def cmd_probe(args) -> int:
     config = _load(args)
+    out = None if config.out_dir is None else harness.prepare_out_dir(config.out_dir)
     report = harness.probe_checkpoint(args.checkpoint, config)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if config.out_dir is not None:
-        out = harness.prepare_out_dir(config.out_dir)
+    if out is not None:
         path = out / "probe_report.json"
         fileio.write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}", file=sys.stderr)
@@ -97,6 +99,7 @@ def cmd_probe(args) -> int:
 def cmd_slice(args) -> int:
     config = _load(args)
     out_dir = _require_out(config)
+    harness.prepare_out_dir(out_dir)
     slice_cfg, alphas, betas, losses = harness.slice_checkpoint(args.checkpoint, config)
     path = harness.emit_slice(out_dir, slice_cfg.name, alphas, betas, losses)
     print(f"wrote {path}")

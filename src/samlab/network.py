@@ -14,13 +14,16 @@ loop over the layers, the head, and the hand-derived reverse pass in
 
 The same body also evaluates a stack of K parameter rows (K, P) of one MLP
 on one batch (`loss_and_grad_rows`, `forward_rows`, `loss_and_accuracy_rows`),
-which is how a sweep's runs step in lockstep. Every array then has a leading
-row axis: weights (K, fan_in, fan_out), activations (K, n, width), and the
-shared features broadcast against them. Matmuls and sums run over the
-trailing axes, and numpy computes each row of a stacked matmul with the BLAS
-call of the 2-D one, so row k of every result is byte for byte the 2-D call
-on row k. A single row keeps the 2-D arrays, which cost less than a stack of
-one.
+which is how a sweep's runs step in lockstep and how the probes evaluate
+their independent points. Every array then has a leading row axis: weights
+(K, fan_in, fan_out), activations (K, n, width), and the shared features
+broadcast against them. Matmuls and sums run over the trailing axes, and
+numpy computes each row of a stacked matmul with the BLAS call of the 2-D
+one, so row k of every result is byte for byte the 2-D call on row k. A
+single row keeps the 2-D arrays, which cost less than a stack of one. A
+quadratic's rows go through `_quadratic` one by one (not
+`loss_and_accuracy_rows`, which needs an MLP), so the probes' closed-form
+tests run their stacked path.
 
 Large intermediates live in per-process buffers (`autodiff.scratch`): each
 hidden layer's output and the reverse pass's layer gradients, once they reach
@@ -347,40 +350,57 @@ def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Stacked rows: K parameter vectors of one MLP, evaluated on one batch by a
-# single pass. Row k of every result is byte for byte the 2-D call on row k.
+# Stacked rows: K parameter vectors of one model, evaluated on one batch, an
+# MLP's by a single pass. Row k of every result is byte for byte the 2-D call
+# on row k.
 
-def _rows_pass(spec: MlpSpec, rows, features):
-    """(rows, forward pass) for parameter rows (K, P); one row goes through
-    the 2-D arrays, which cost less than a stack of one."""
-    if isinstance(spec, QuadraticSpec):
-        raise ShapeError("stacked rows", "an MLP spec", "QuadraticSpec")
+def _check_rows(spec: ModelSpec, rows) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     expected = param_count(spec)
     if rows.ndim != 2 or rows.shape[1] != expected:
         raise ShapeError("stacked rows", f"(K, {expected})", rows.shape)
     if not np.isfinite(rows).all():
         raise NumericError("params")
-    return rows, _mlp_pass(spec, rows[0] if len(rows) == 1 else rows, features)
+    return rows
 
 
-def loss_and_grad_rows(spec: MlpSpec, rows, batch) -> LossGradient:
+def _rows_pass(spec: MlpSpec, rows: np.ndarray, features):
+    """Forward pass of checked rows (K, P); one row goes through the 2-D
+    arrays, which cost less than a stack of one."""
+    return _mlp_pass(spec, rows[0] if len(rows) == 1 else rows, features)
+
+
+def _quadratic_rows(spec: QuadraticSpec, rows: np.ndarray) -> LossGradient:
+    results = [_quadratic(spec, row) for row in rows]
+    return LossGradient(np.array([r.value for r in results]),
+                        np.stack([r.gradient for r in results]))
+
+
+def loss_and_grad_rows(spec: ModelSpec, rows, batch) -> LossGradient:
     """`loss_and_grad` of each row of `rows` (K, P): (K,) losses and (K, P)
-    gradients."""
-    rows, (inputs, weights, logits) = _rows_pass(spec, rows, batch.features)
+    gradients. A quadratic's rows are evaluated one by one."""
+    rows = _check_rows(spec, rows)
+    if isinstance(spec, QuadraticSpec):
+        return _quadratic_rows(spec, rows)
+    inputs, weights, logits = _rows_pass(spec, rows, batch.features)
     loss, d_logits = _head(spec, logits, batch.labels)
     grad = ad.backward(spec.activation, inputs, weights, d_logits, rows.shape[1])
     return LossGradient(np.reshape(loss, -1), grad.reshape(rows.shape))
 
 
-def forward_rows(spec: MlpSpec, rows, batch) -> np.ndarray:
+def forward_rows(spec: ModelSpec, rows, batch) -> np.ndarray:
     """`forward` of each row of `rows` (K, P), as a (K,) array."""
-    _, (_, _, logits) = _rows_pass(spec, rows, batch.features)
+    rows = _check_rows(spec, rows)
+    if isinstance(spec, QuadraticSpec):
+        return _quadratic_rows(spec, rows).value
+    logits = _rows_pass(spec, rows, batch.features)[2]
     return np.reshape(_head_loss(spec, logits, batch.labels)[0], -1)
 
 
 def loss_and_accuracy_rows(spec: MlpSpec, rows, batch) -> tuple:
     """`loss_and_accuracy` of each row of `rows` (K, P), as two (K,) arrays."""
-    _, (_, _, logits) = _rows_pass(spec, rows, batch.features)
+    if isinstance(spec, QuadraticSpec):
+        raise ShapeError("loss_and_accuracy_rows", "an MLP spec", "QuadraticSpec")
+    logits = _rows_pass(spec, _check_rows(spec, rows), batch.features)[2]
     loss = _head_loss(spec, logits, batch.labels)[0]
     return np.reshape(loss, -1), np.reshape(_accuracy(logits, batch.labels), -1)

@@ -20,15 +20,15 @@ Each kind's step is one generator (`step_points`): it yields every point whose
 loss and gradient the step needs and receives them, so the evaluation is up
 to its caller. `step` answers each point with `network.loss_and_grad`;
 `step_rows` advances K runs' generators together and answers all their
-pending points with one stacked `network.loss_and_grad_rows` call per round.
-A run leaves the rounds when its step ends (sgd after one point, a flat
-batch's sam_ga ascent early), and each run keeps its own state, momentum
-buffer and direction stream, so a lockstep step is byte for byte the runs'
-single steps.
+pending points with one stacked `network.loss_and_grad_rows` call per round
+(`lockstep`, the driver the probes' ascents share). A run leaves the rounds
+when its step ends (sgd after one point, a flat batch's sam_ga ascent early),
+and each run keeps its own state, momentum buffer and direction stream, so a
+lockstep step is byte for byte the runs' single steps.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -291,33 +291,85 @@ def step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
     return _run_points(step_points(params, config, state), _evaluator(model_spec, batch, state))
 
 
+class LossOnly(NamedTuple):
+    """A point a generator yields when it wants only the loss there; it
+    receives the value alone."""
+
+    point: np.ndarray
+
+
+def _stack(points) -> np.ndarray:
+    # np.array copies a list of rows as np.stack does, at a fraction of its
+    # overhead; a single row is passed as a view.
+    return points[0][None, :] if len(points) == 1 else np.array(points)
+
+
+def lockstep(model_spec, batch, generators, width: Optional[int] = None,
+             on_eval: Optional[Callable] = None) -> list:
+    """Run point generators together on one batch; returns what each returns,
+    in the order given.
+
+    A generator yields a point whose loss and gradient it wants and receives
+    (value, gradient), or a `LossOnly` point and receives the value. Each
+    round answers every live generator's pending point with one stacked call
+    per kind: `network.loss_and_grad_rows` and `network.forward_rows`. A
+    generator leaves the rounds when it returns; at most `width` are live at
+    once (all if None), and the next one is started, and so builds its
+    points, only when a place is free. `on_eval(k)` runs before generator k
+    is answered. Rows are evaluated independently, so every answer is byte
+    for byte the 2-D call on its point.
+    """
+    queue = enumerate(generators)
+    results = {}
+    live = []  # [index, generator, pending point]
+    while True:
+        while width is None or len(live) < width:
+            entry = next(queue, None)
+            if entry is None:
+                break
+            k, gen = entry
+            try:
+                live.append([k, gen, next(gen)])
+            except StopIteration as done:
+                results[k] = done.value
+        if not live:
+            return [results[k] for k in range(len(results))]
+        grad_entries = [entry for entry in live if type(entry[2]) is not LossOnly]
+        loss_entries = [entry for entry in live if type(entry[2]) is LossOnly]
+        answered = []
+        if grad_entries:
+            values, grads = network.loss_and_grad_rows(
+                model_spec, _stack([entry[2] for entry in grad_entries]), batch)
+            answered += zip(grad_entries, zip(values.tolist(), grads))
+        if loss_entries:
+            values = network.forward_rows(
+                model_spec, _stack([entry[2].point for entry in loss_entries]), batch)
+            answered += zip(loss_entries, values.tolist())
+        live = []
+        for entry, answer in answered:
+            if on_eval is not None:
+                on_eval(entry[0])
+            try:
+                entry[2] = entry[1].send(answer)
+                live.append(entry)
+            except StopIteration as done:
+                results[entry[0]] = done.value
+
+
 def step_rows(model_spec, rows: np.ndarray, batch, configs, states):
     """One step of K runs in lockstep on one minibatch.
 
     Row k of `rows` (K, P) is run k's params, stepped by `configs[k]` with
-    `states[k]`. Every run's step generator advances together: each round
-    evaluates all pending points with one `network.loss_and_grad_rows` call,
-    and a run leaves the rounds when its step returns, so a flat-batch
-    fallback or an early-stopped ascent changes only its own row. Returns
-    (new rows (K, P), one StepReport per run), each row byte for byte what
-    `step` gives that run alone.
+    `states[k]`. Every run's step generator advances in one `lockstep`, so a
+    flat-batch fallback or an early-stopped ascent changes only its own row.
+    Returns (new rows (K, P), one StepReport per run), each row byte for
+    byte what `step` gives that run alone.
     """
-    gens = [step_points(row, config, state) for row, config, state in zip(rows, configs, states)]
-    points = [next(gen) for gen in gens]
-    new_rows = np.empty_like(rows)
-    reports = [None] * len(gens)
-    pending = list(range(len(gens)))
-    while pending:
-        stacked = (points[pending[0]][None, :] if len(pending) == 1
-                   else np.stack([points[k] for k in pending]))
-        values, grads = network.loss_and_grad_rows(model_spec, stacked, batch)
-        still = []
-        for i, k in enumerate(pending):
-            states[k].grad_evals += 1
-            try:
-                points[k] = gens[k].send((float(values[i]), grads[i]))
-                still.append(k)
-            except StopIteration as done:
-                new_rows[k], reports[k] = done.value
-        pending = still
-    return new_rows, reports
+    def count(k):
+        states[k].grad_evals += 1
+
+    results = lockstep(model_spec, batch,
+                       [step_points(row, config, state)
+                        for row, config, state in zip(rows, configs, states)],
+                       on_eval=count)
+    return _stack([new for new, _ in results]), [report for _, report in results]

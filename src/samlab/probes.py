@@ -12,6 +12,17 @@ Standardized sharpness is the ascent-direction rise L(w + e1) - L(w) with e1
 always the FIRST-ORDER perturbation, regardless of how the model was trained.
 Comparing optimizers by their own training perturbation would conflate the
 measurement instrument with the thing measured.
+
+The probes evaluate the loss at many independent points (a slice's grid, the
+average direction's samples, the worst-direction ascents), and they evaluate
+them as stacked rows: up to K points per `network.forward_rows` or
+`network.loss_and_grad_rows` call, each row byte for byte the 2-D call on its
+point. K = STACK_ELEMENTS // (batch rows x widest layer), at least 1, so one
+stacked activation stays within 1 MiB: 8 points for a 500-row batch through
+32 units, 1 (the 2-D calls) for a 1000-row batch through 128. Points are
+built one chunk at a time in the order the one-point loops drew them, never
+all at once, and the worst direction's ascents advance in `lockstep` with at
+most K live, so the extra memory is about K points and their activations.
 """
 
 import math
@@ -21,13 +32,27 @@ from typing import Optional
 import numpy as np
 
 from . import network
-from .optimizers import epsilon_first_order, ZERO_GRAD_EPS
+from .network import QuadraticSpec
+from .optimizers import epsilon_first_order, lockstep, LossOnly, ZERO_GRAD_EPS
 from .vecops import sample_unit_direction
 from .errors import SamLabError
 
 DEFAULT_RESTARTS = 8
 DEFAULT_INNER_STEPS = 20
 DEFAULT_SAMPLES = 64
+
+# Elements of one stacked activation (rows x batch rows x layer width) the
+# probes allow: 2**17 float64 values, 1 MiB.
+STACK_ELEMENTS = 2 ** 17
+
+
+def rows_per_call(model_spec, batch) -> int:
+    """How many parameter points one stacked probe call evaluates: K =
+    STACK_ELEMENTS // (batch rows x widest layer), at least 1. A quadratic
+    has no activations, so its rows themselves are counted."""
+    if isinstance(model_spec, QuadraticSpec):
+        return max(1, STACK_ELEMENTS // len(model_spec.diag))
+    return max(1, STACK_ELEMENTS // (batch.features.shape[0] * max(model_spec.widths)))
 
 
 @dataclass(frozen=True)
@@ -93,22 +118,26 @@ def loss_average_direction(model_spec, params: np.ndarray, batch, rho: float,
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     params = np.asarray(params, dtype=np.float64)
     losses = np.empty(n_samples, dtype=np.float64)
-    for i in range(n_samples):
-        direction = sample_unit_direction(params.shape[0], rng)
-        losses[i] = network.forward(model_spec, params + rho * direction, batch)
+    chunk = rows_per_call(model_spec, batch)
+    for start in range(0, n_samples, chunk):
+        rows = np.empty((min(chunk, n_samples - start), params.shape[0]))
+        for row in rows:
+            np.add(params, rho * sample_unit_direction(params.shape[0], rng), out=row)
+        losses[start:start + len(rows)] = network.forward_rows(model_spec, rows, batch)
     mean = float(np.mean(losses))
     stderr = float(np.std(losses, ddof=1) / np.sqrt(n_samples))
     return mean, stderr, n_samples
 
 
-def _ascend(model_spec, params, batch, rho, inner_steps, start_epsilon):
-    """Projected gradient ascent inside the rho-ball from w + start_epsilon.
+def _ascent(params, rho, inner_steps, start_epsilon):
+    """Projected gradient ascent inside the rho-ball from w + start_epsilon,
+    as a point generator (see `optimizers.lockstep`).
 
     Normalized ascent steps of length 2*rho/inner_steps, projecting back onto
     the ball whenever an iterate leaves it. Returns the best loss seen at any
     visited point, including the start. Each point is evaluated once: the
     loss of a point the ascent steps from comes with its gradient, and only
-    the last point, which it does not step from, needs `forward`.
+    the last point, which it does not step from, is a `LossOnly` point.
     """
     epsilon = np.asarray(start_epsilon, dtype=np.float64).copy()
     start_norm = float(np.linalg.norm(epsilon))
@@ -117,16 +146,16 @@ def _ascend(model_spec, params, batch, rho, inner_steps, start_epsilon):
     best = -math.inf
     step_len = 2.0 * rho / inner_steps
     for _ in range(inner_steps):
-        result = network.loss_and_grad(model_spec, params + epsilon, batch)
-        best = max(best, result.value)
-        norm = float(np.linalg.norm(result.gradient))
+        value, gradient = yield params + epsilon
+        best = max(best, value)
+        norm = float(np.linalg.norm(gradient))
         if norm < ZERO_GRAD_EPS:
             return best
-        epsilon = epsilon + step_len * (result.gradient / norm)
+        epsilon = epsilon + step_len * (gradient / norm)
         eps_norm = float(np.linalg.norm(epsilon))
         if eps_norm > rho:
             epsilon *= rho / eps_norm
-    return max(best, network.forward(model_spec, params + epsilon, batch))
+    return max(best, (yield LossOnly(params + epsilon)))
 
 
 def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: float,
@@ -139,7 +168,9 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     always uses the stream seeded by (seed, i). Never below L(w): the center
     is a visited point of the first ascent whenever the gradient vanishes,
     and otherwise the first-order start dominates it in practice; we still
-    clamp against the center explicitly to make the lower bound exact.
+    clamp against the center explicitly to make the lower bound exact. The
+    ascents run in `lockstep`, at most `rows_per_call` at once, each starting
+    point drawn only when its ascent starts.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
@@ -148,18 +179,21 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     best = base_result.value
 
     first_order = epsilon_first_order(base_result.gradient, rho)
-    if not first_order.zero_gradient:
-        best = max(best, _ascend(model_spec, params, batch, rho,
-                                 inner_steps, first_order.epsilon))
-
     dim = params.shape[0]
-    for restart in range(restarts):
-        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, restart])
-        # Uniform in the ball: unit direction times rho * U^(1/d).
-        radius = rho * float(rng.uniform()) ** (1.0 / dim)
-        start = radius * sample_unit_direction(dim, rng)
-        best = max(best, _ascend(model_spec, params, batch, rho,
-                                 inner_steps, start))
+
+    def starts():
+        if not first_order.zero_gradient:
+            yield first_order.epsilon
+        for restart in range(restarts):
+            rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, restart])
+            # Uniform in the ball: unit direction times rho * U^(1/d).
+            radius = rho * float(rng.uniform()) ** (1.0 / dim)
+            yield radius * sample_unit_direction(dim, rng)
+
+    ascents = (_ascent(params, rho, inner_steps, start) for start in starts())
+    width = rows_per_call(model_spec, batch)
+    for ascent_best in lockstep(model_spec, batch, ascents, width=width):
+        best = max(best, ascent_best)
     return best
 
 
@@ -210,11 +244,17 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
     if n_points % 2 == 1:
         alphas[n_points // 2] = 0.0
         betas[n_points // 2] = 0.0
-    losses = np.empty((n_points, n_points), dtype=np.float64)
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            losses[i, j] = network.forward(model_spec, params + alpha * a + beta * b, batch)
-    return alphas, betas, losses
+    # Grid point (i, j) is row i * n_points + j; each is built as
+    # (w + alphas[i] * a) + betas[j] * b, the 2-D expression's order.
+    grid_alphas = np.repeat(alphas, n_points)[:, None]
+    grid_betas = np.tile(betas, n_points)[:, None]
+    losses = np.empty(n_points * n_points, dtype=np.float64)
+    chunk = rows_per_call(model_spec, batch)
+    for start in range(0, losses.size, chunk):
+        cells = slice(start, start + chunk)
+        rows = (params + grid_alphas[cells] * a) + grid_betas[cells] * b
+        losses[cells] = network.forward_rows(model_spec, rows, batch)
+    return alphas, betas, losses.reshape(n_points, n_points)
 
 
 def build_report(model_spec, params: np.ndarray, batch, config: ProbeConfig,

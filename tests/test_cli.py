@@ -4,7 +4,7 @@ import struct
 
 import pytest
 
-from samlab import cli, data, fileio
+from samlab import cli, data, fileio, harness
 
 
 def write_config(tmp_path, **overrides):
@@ -153,6 +153,36 @@ def test_missing_idx_file_exits_2_before_out_dir(tmp_path, capsys, key):
     code = cli.main(["train", "--config", str(config), "--out", str(out)])
     assert code == 2
     assert f"{key!r} is not a file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["probe", "slice"])
+def test_unwritable_out_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, command):
+    calls = []
+    for name in ("probe_checkpoint", "slice_checkpoint"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name: calls.append(_name))
+    config = write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main([command, "--config", str(config), "--checkpoint", str(tmp_path / "x.ckpt"),
+                     "--out", str(blocker / "out")])
+    assert code == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not writable" in captured.err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("command", ["train", "compare", "probe", "slice"])
+def test_jobs_below_one_exits_2_before_out_dir(tmp_path, capsys, command, jobs):
+    config = write_config(tmp_path)
+    out = tmp_path / "o"
+    argv = [command, "--config", str(config), "--out", str(out), "--jobs", jobs]
+    if command in ("probe", "slice"):
+        argv += ["--checkpoint", str(tmp_path / "x.ckpt")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
     assert not out.exists()
 
 

@@ -306,13 +306,31 @@ def test_single_and_stacked_calls_keep_their_bytes_interleaved(size, monkeypatch
 def test_stacked_rows_reject_a_quadratic_spec_and_bad_shapes():
     spec, params, batch = pin_case("relu", "mse", 2, 0)
     with pytest.raises(ShapeError):
-        network.loss_and_grad_rows(QuadraticSpec((1.0, 1.0)), np.zeros((2, 2)), batch)
+        network.loss_and_accuracy_rows(QuadraticSpec((1.0, 1.0)), np.zeros((2, 2)), batch)
     with pytest.raises(ShapeError):
         network.loss_and_grad_rows(spec, params, batch)
     bad = np.stack([params, params])
     bad[1, 0] = np.inf
     with pytest.raises(NumericError):
         network.forward_rows(spec, bad, batch)
+
+
+@pytest.mark.parametrize("spec", [QuadraticSpec((1.0, 4.0, -2.0), 0.25),
+                                  QuadraticSpec((0.5,) * 37),
+                                  QuadraticSpec((-1.0, 0.0, 3.0, 2.0))])
+def test_stacked_quadratic_rows_are_its_rows_one_by_one(spec):
+    batch = gen_two_moons(4, 0.1, 0).as_batch()  # a quadratic ignores it
+    rows = np.random.default_rng(len(spec.diag)).standard_normal((5, len(spec.diag)))
+    rows[1] = -0.0
+    rows[2, ::2] = 0.0
+    result = network.loss_and_grad_rows(spec, rows, batch)
+    losses = network.forward_rows(spec, rows, batch)
+    singles = [network._quadratic(spec, row) for row in rows]
+    assert [float(v).hex() for v in result.value] == [r.value.hex() for r in singles]
+    assert [float(v).hex() for v in losses] == [r.value.hex() for r in singles]
+    assert result.gradient.tobytes() == np.stack([r.gradient for r in singles]).tobytes()
+    assert [float(v).hex() for v in losses] == \
+        [network.forward(spec, row, batch).hex() for row in rows]
 
 
 @pytest.mark.parametrize("width", range(1, 13))

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
-from samlab import network, probes
+from samlab import network, optimizers, probes
 from samlab.data import gen_two_moons
-from samlab.network import MlpSpec, QuadraticSpec
+from samlab.network import Batch, MlpSpec, QuadraticSpec
+from samlab.optimizers import epsilon_first_order, ZERO_GRAD_EPS
+from samlab.vecops import sample_unit_direction
 from samlab.probes import (
     ProbeConfig, build_report, generalization_gap, loss_ascent_direction,
     loss_average_direction, loss_plane_slice, loss_worst_direction_estimate,
@@ -102,18 +106,23 @@ def test_worst_direction_constant_loss():
     assert est == 0.75
 
 
-def count_calls(monkeypatch, *names):
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _f=getattr(network, name)):
-            counts[_name] += 1
-            return _f(*args)
+def count_rows(monkeypatch):
+    """Count the points evaluated for their loss alone ("forward") and with
+    their gradient ("loss_and_grad"), by the 2-D and the stacked calls."""
+    counts = {"forward": 0, "loss_and_grad": 0}
+    for name, kind, rows in (("forward", "forward", lambda p: 1),
+                             ("loss_and_grad", "loss_and_grad", lambda p: 1),
+                             ("forward_rows", "forward", len),
+                             ("loss_and_grad_rows", "loss_and_grad", len)):
+        def counted(spec, params, batch, _kind=kind, _rows=rows, _f=getattr(network, name)):
+            counts[_kind] += _rows(params)
+            return _f(spec, params, batch)
         monkeypatch.setattr(network, name, counted)
     return counts
 
 
 def test_worst_direction_evaluates_each_point_once(monkeypatch):
-    counts = count_calls(monkeypatch, "forward", "loss_and_grad")
+    counts = count_rows(monkeypatch)
     spec = MlpSpec(in_width=2, hidden=(6,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(4)).data
     restarts, steps = 3, 5
@@ -126,7 +135,7 @@ def test_worst_direction_evaluates_each_point_once(monkeypatch):
 
 
 def test_worst_direction_flat_ascent_stops_at_its_start(monkeypatch):
-    counts = count_calls(monkeypatch, "forward", "loss_and_grad")
+    counts = count_rows(monkeypatch)
     spec = QuadraticSpec(diag=(0.0, 0.0), offset=0.75)
     loss_worst_direction_estimate(spec, np.ones(2), BATCH, 0.1,
                                   restarts=2, inner_steps=5, seed=0)
@@ -260,3 +269,183 @@ def test_report_serializes_with_exact_field_names():
     }
     assert d["generalization_gap"] == pytest.approx(0.2)
     assert d["standardized_sharpness"] == pytest.approx(d["l_asc"] - d["base_loss"], abs=1e-12)
+
+
+# --- stacked evaluation ------------------------------------------------------
+# The one-point loops the probes ran before they stacked their points, kept as
+# the oracle: every stacked probe must return their bytes.
+
+def oracle_average_direction(spec, params, batch, rho, n_samples, seed):
+    rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
+    losses = np.empty(n_samples, dtype=np.float64)
+    for i in range(n_samples):
+        direction = sample_unit_direction(params.shape[0], rng)
+        losses[i] = network.forward(spec, params + rho * direction, batch)
+    return (float(np.mean(losses)), float(np.std(losses, ddof=1) / np.sqrt(n_samples)),
+            n_samples)
+
+
+def oracle_ascend(spec, params, batch, rho, inner_steps, start_epsilon):
+    epsilon = np.asarray(start_epsilon, dtype=np.float64).copy()
+    start_norm = float(np.linalg.norm(epsilon))
+    if start_norm > rho:
+        epsilon *= rho / start_norm
+    best = -math.inf
+    step_len = 2.0 * rho / inner_steps
+    for _ in range(inner_steps):
+        result = network.loss_and_grad(spec, params + epsilon, batch)
+        best = max(best, result.value)
+        norm = float(np.linalg.norm(result.gradient))
+        if norm < ZERO_GRAD_EPS:
+            return best
+        epsilon = epsilon + step_len * (result.gradient / norm)
+        eps_norm = float(np.linalg.norm(epsilon))
+        if eps_norm > rho:
+            epsilon *= rho / eps_norm
+    return max(best, network.forward(spec, params + epsilon, batch))
+
+
+def oracle_worst_direction(spec, params, batch, rho, restarts, inner_steps, seed):
+    base_result = network.loss_and_grad(spec, params, batch)
+    best = base_result.value
+    first_order = epsilon_first_order(base_result.gradient, rho)
+    if not first_order.zero_gradient:
+        best = max(best, oracle_ascend(spec, params, batch, rho, inner_steps,
+                                       first_order.epsilon))
+    dim = params.shape[0]
+    for restart in range(restarts):
+        rng = np.random.default_rng([seed & 0xFFFFFFFFFFFFFFFF, restart])
+        radius = rho * float(rng.uniform()) ** (1.0 / dim)
+        best = max(best, oracle_ascend(spec, params, batch, rho, inner_steps,
+                                       radius * sample_unit_direction(dim, rng)))
+    return best
+
+
+def oracle_plane_slice(spec, params, batch, direction_a, direction_b, extent, n_points):
+    a = direction_a / float(np.linalg.norm(direction_a))
+    b = direction_b - np.dot(direction_b, a) * a
+    b = b / float(np.linalg.norm(b))
+    alphas = np.linspace(-extent, extent, n_points)
+    betas = np.linspace(-extent, extent, n_points)
+    if n_points % 2 == 1:
+        alphas[n_points // 2] = 0.0
+        betas[n_points // 2] = 0.0
+    losses = np.empty((n_points, n_points), dtype=np.float64)
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            losses[i, j] = network.forward(spec, params + alpha * a + beta * b, batch)
+    return alphas, betas, losses
+
+
+def stacked_case(activation, head, depth, rows=24):
+    """An MLP with odd-sized parameter rows, its params and a batch."""
+    hidden = (7, 5)[:depth]
+    spec = MlpSpec(2, hidden, 2, activation, head)
+    params = network.init_params(spec, np.random.default_rng([depth, len(head)])).data
+    return spec, params, gen_two_moons(rows, 0.2, depth).as_batch()
+
+
+def force_rows_per_call(monkeypatch, spec, batch, k):
+    monkeypatch.setattr(probes, "STACK_ELEMENTS", k * batch.features.shape[0] * max(spec.widths))
+    assert probes.rows_per_call(spec, batch) == k
+
+
+def hexes(values):
+    return [v.hex() if isinstance(v, float) else v for v in values]
+
+
+K = 4
+STACKED_SHAPES = [("relu", "softmax_ce", 0), ("tanh", "mse", 0), ("relu", "mse", 1),
+                  ("tanh", "softmax_ce", 1), ("relu", "softmax_ce", 2), ("tanh", "mse", 2)]
+
+
+@pytest.mark.parametrize("shape", STACKED_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_stacked_probes_match_the_one_point_loops(shape, monkeypatch):
+    spec, params, batch = stacked_case(*shape)
+    force_rows_per_call(monkeypatch, spec, batch, K)
+    for n_samples in (2, K - 1, K, K + 1, 2 * K + 3):
+        got = loss_average_direction(spec, params, batch, 0.1, n_samples, seed=n_samples)
+        want = oracle_average_direction(spec, params, batch, 0.1, n_samples, seed=n_samples)
+        assert hexes(got) == hexes(want)
+    for ascents in (2, K, K + 1):
+        args = (spec, params, batch, 0.05, ascents - 1, 3, 9)
+        assert loss_worst_direction_estimate(*args).hex() == oracle_worst_direction(*args).hex()
+    rng = np.random.default_rng(5)
+    directions = rng.standard_normal((2, params.size))
+    for n_points in (2, 3, 41):
+        got = loss_plane_slice(spec, params, batch, *directions, extent=0.5, n_points=n_points)
+        want = oracle_plane_slice(spec, params, batch, *directions, 0.5, n_points)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+@pytest.mark.parametrize("shape", STACKED_SHAPES[:2] + STACKED_SHAPES[-1:],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_stacked_report_matches_the_one_point_loops(shape, monkeypatch):
+    spec, params, batch = stacked_case(*shape)
+    force_rows_per_call(monkeypatch, spec, batch, K)
+    cfg = ProbeConfig(rho=0.05, restarts=K, inner_steps=4, n_samples=2 * K + 3)
+    got = build_report(spec, params, batch, cfg, seed=3, data_scope="train",
+                       train_loss=0.25, test_loss=0.5)
+    with monkeypatch.context() as patched:
+        patched.setattr(probes, "loss_average_direction", oracle_average_direction)
+        patched.setattr(probes, "loss_worst_direction_estimate", oracle_worst_direction)
+        want = build_report(spec, params, batch, cfg, seed=3, data_scope="train",
+                            train_loss=0.25, test_loss=0.5)
+    assert hexes(got.to_dict().values()) == hexes(want.to_dict().values())
+
+
+def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
+    spec = MlpSpec(2, (128,), 2, "tanh", "mse")
+    params = network.init_params(spec, np.random.default_rng(1)).data
+    batch = gen_two_moons(520, 0.2, 1).as_batch()
+    assert probes.rows_per_call(spec, batch) == 1  # 520 x 128 > STACK_ELEMENTS / 2
+    counts = count_rows(monkeypatch)
+    sizes = []
+    for name in ("forward_rows", "loss_and_grad_rows"):
+        def sized(spec, rows, batch, _f=getattr(network, name)):
+            sizes.append(len(rows))
+            return _f(spec, rows, batch)
+        monkeypatch.setattr(network, name, sized)
+    stacked = {"average": hexes(loss_average_direction(spec, params, batch, 0.1, 3, seed=2)),
+               "worst": loss_worst_direction_estimate(spec, params, batch, 0.05, 2, 3, 4).hex()}
+    assert counts == {"forward": 3 + 3, "loss_and_grad": 1 + 3 * 3}
+    assert set(sizes) == {1}
+    monkeypatch.undo()
+    assert stacked == {
+        "average": hexes(oracle_average_direction(spec, params, batch, 0.1, 3, seed=2)),
+        "worst": oracle_worst_direction(spec, params, batch, 0.05, 2, 3, 4).hex()}
+    directions = np.random.default_rng(6).standard_normal((2, params.size))
+    got = loss_plane_slice(spec, params, batch, *directions, extent=0.5, n_points=3)
+    want = oracle_plane_slice(spec, params, batch, *directions, 0.5, 3)
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_rows_per_call_of_the_bench_shapes():
+    small = gen_two_moons(500, 0.2, 0).as_batch()
+    assert probes.rows_per_call(MlpSpec(2, (32,), 2), small) == 8
+    wide = Batch(np.zeros((1000, 16)), np.zeros(1000, dtype=int))
+    assert probes.rows_per_call(MlpSpec(16, (128, 128), 8, "tanh", "mse"), wide) == 1
+
+
+def test_flat_ascent_leaves_its_lockstep_alone():
+    """Dead relu units and a balanced batch make w flat, and a start that
+    moves no output bias stays flat: that ascent stops at its start while
+    the others, stacked beside it, run every step."""
+    spec = MlpSpec(2, (4,), 2)
+    params = np.zeros(network.param_count(spec))
+    params[8:12] = -10.0  # hidden biases: every unit dead for these inputs
+    batch = Batch(np.random.default_rng(3).uniform(-1, 1, (8, 2)), np.array([0, 1] * 4))
+    rng = np.random.default_rng(8)
+    starts = [0.05 * sample_unit_direction(params.size, rng) for _ in range(3)]
+    flat_start = starts[1].copy()
+    flat_start[-2:] = 0.0
+    starts.insert(1, flat_start)
+    counts = {"rows": 0}
+
+    def count(k):
+        counts["rows"] += 1
+
+    got = optimizers.lockstep(spec, batch, (probes._ascent(params, 0.05, 5, s) for s in starts),
+                              width=3, on_eval=count)
+    assert hexes(got) == hexes([oracle_ascend(spec, params, batch, 0.05, 5, s) for s in starts])
+    assert counts["rows"] == 1 + 3 * (5 + 1)
