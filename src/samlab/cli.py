@@ -61,7 +61,7 @@ def cmd_train(args) -> int:
     config = _load(args)
     out_dir = _require_out(config)
     harness.require_trainable(config)
-    harness.prepare_out_dir(out_dir)
+    harness.prepare_out_dir(out_dir, checkpoints=True)
     suite = harness.run_suite(config, jobs=args.jobs)
     harness.emit_outputs(out_dir, [suite])
     _print_suite(suite)
@@ -75,7 +75,7 @@ def cmd_compare(args) -> int:
     if not config.optimizer_sweep:
         raise SamLabError("compare needs an 'optimizers' list in the config")
     harness.require_trainable(config)
-    harness.prepare_out_dir(out_dir)
+    harness.prepare_out_dir(out_dir, checkpoints=True)
     suites = harness.compare_optimizers(config, config.optimizer_sweep, jobs=args.jobs)
     harness.emit_outputs(out_dir, suites)
     for suite in suites:

@@ -37,6 +37,7 @@ from . import fileio
 from . import network, optimizers, probes
 from .errors import ConfigError, LayoutError, SamLabError
 from .params import ParameterVector
+from .vecops import l2_norm
 
 # Role constants for sub-seed derivation (ASCII mnemonics). Run-seed side:
 ROLE_INIT = 0x494E4954      # "INIT": weight initialization
@@ -411,8 +412,8 @@ def _train(config: ExperimentConfig, sweep, seed: int) -> list:
     states = [optimizers.init_state(opt, len(params), direction_seed=_subseed(seed, ROLE_EPSILON))
               for opt in sweep]
 
-    train_batch = train.as_batch()
-    test_batch = test.as_batch()
+    train_batch = network.check_batch(spec, train.as_batch())
+    test_batch = network.check_batch(spec, test.as_batch())
     shuffle_seed = _subseed(seed, ROLE_SHUFFLE)
 
     rows = np.tile(params.data, (len(sweep), 1))
@@ -604,8 +605,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def prepare_out_dir(out_dir: Union[str, Path]) -> Path:
-    """Create the output directory and fail fast if it is not writable.
+def prepare_out_dir(out_dir: Union[str, Path], checkpoints: bool = False) -> Path:
+    """Create the output directory, and its `checkpoints/` directory if
+    asked, and fail fast if either cannot be made or written.
 
     Called before any training starts; discovering an unwritable target
     after minutes of compute is the failure mode this prevents.
@@ -616,6 +618,8 @@ def prepare_out_dir(out_dir: Union[str, Path]) -> Path:
         probe_file = path / ".write_probe"
         probe_file.write_bytes(b"")
         probe_file.unlink()
+        if checkpoints:
+            (path / "checkpoints").mkdir(exist_ok=True)
     except OSError as exc:
         raise SamLabError(f"output directory {path} is not writable: {exc}") from exc
     return path
@@ -651,8 +655,16 @@ def emit_outputs(out_dir: Union[str, Path], suites, save_checkpoints: bool = Tru
     Returns {name: path} for everything written. Row order is suite order
     then seed order; repeated invocations with the same inputs produce
     byte-identical files apart from the wall_seconds measurement column.
+    A file that cannot be written raises a SamLabError.
     """
-    out = prepare_out_dir(out_dir)
+    out = prepare_out_dir(out_dir, checkpoints=save_checkpoints)
+    try:
+        return _write_outputs(out, suites, save_checkpoints)
+    except OSError as exc:
+        raise SamLabError(f"cannot write outputs to {out}: {exc}") from exc
+
+
+def _write_outputs(out: Path, suites, save_checkpoints: bool) -> dict:
     written = {}
 
     rows = [run_row(record) for suite in suites for record in suite.records]
@@ -685,7 +697,6 @@ def emit_outputs(out_dir: Union[str, Path], suites, save_checkpoints: bool = Tru
 
     if save_checkpoints:
         ckpt_dir = out / "checkpoints"
-        ckpt_dir.mkdir(exist_ok=True)
         for suite in suites:
             for record in suite.records:
                 name = f"{record.optimizer_label}_seed{record.seed}.ckpt"
@@ -725,7 +736,18 @@ def _load_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
             f"checkpoint holds {len(vector)} parameters but the configured "
             f"model needs {expected}",
             expected_count=expected, found_count=len(vector))
+    # Two models can have the same count ([32] and [10, 10] on 2 inputs and
+    # 2 classes both have 162), so the layers must match too.
+    if vector.layout != network.param_layout(spec):
+        raise LayoutError(
+            f"checkpoint layout {_layout_text(vector.layout)} does not match the "
+            f"configured model's {_layout_text(network.param_layout(spec))}",
+            expected_count=expected, found_count=len(vector))
     return vector.data, spec, train, test
+
+
+def _layout_text(layout) -> str:
+    return ", ".join(f"{entry.name}{list(entry.shape)}" for entry in layout)
 
 
 def probe_checkpoint(checkpoint_path: Union[str, Path],
@@ -737,7 +759,7 @@ def probe_checkpoint(checkpoint_path: Union[str, Path],
     no trace of which optimizer produced the checkpoint.
     """
     flat, spec, train, test = _load_checkpoint(checkpoint_path, config)
-    train_batch = train.as_batch()
+    train_batch = network.check_batch(spec, train.as_batch())
     train_loss = network.forward(spec, flat, train_batch)
     test_loss = network.forward(spec, flat, test.as_batch())
     return probes.build_report(
@@ -755,10 +777,10 @@ def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
     """
     slice_cfg = config.slice_plane if config.slice_plane is not None else SliceConfig()
     flat, spec, train, _ = _load_checkpoint(checkpoint_path, config)
-    batch = train.as_batch()
+    batch = network.check_batch(spec, train.as_batch())
     result = network.loss_and_grad(spec, flat, batch)
     rng = np.random.default_rng(_subseed(config.seeds[0], ROLE_PROBE))
-    grad_norm = float(np.linalg.norm(result.gradient))
+    grad_norm = l2_norm(result.gradient)
     if grad_norm > 1e-12:
         dir_a = result.gradient / grad_norm
     else:

@@ -12,6 +12,19 @@ Two model families are supported:
 loop over the layers, the head, and the hand-derived reverse pass in
 `autodiff`.
 
+A batch is checked once, not on every call. `check_batch` checks that the
+features are (n, in_width) and finite and that the labels are n integers in
+[0, out_width), all before any compute, and precomputes what the head reads
+from the labels (the flat index of each label's logit and the one-hot
+targets). It keeps read-only copies of the arrays, so no later write by the
+caller can make a checked batch wrong, and a check that held once holds for
+the object's lifetime. Every entry point below calls `check_batch` first,
+which returns a batch already checked for an equal spec as it is: an
+optimizer step checks its minibatch once for all its points, a training run
+its two split batches once, and a probe its batch once. The parameters
+change from call to call, so they are still checked on every call, as is
+every layer's output.
+
 The same body also evaluates a stack of K parameter rows (K, P) of one MLP
 on one batch (`loss_and_grad_rows`, `forward_rows`, `loss_and_accuracy_rows`),
 which is how a sweep's runs step in lockstep and how the probes evaluate
@@ -98,6 +111,21 @@ class MlpSpec:
     def widths(self) -> tuple:
         return (self.in_width,) + self.hidden + (self.out_width,)
 
+    # The kernel reads these on every call. A spec is frozen, so each is
+    # derived once and then kept on the instance, with no hashed lookup.
+    @functools.cached_property
+    def layers(self) -> tuple:
+        """(weight slice, weight shape, bias slice) of each affine layer in
+        the flat parameters."""
+        layout = param_layout(self)
+        return tuple((slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
+                     for w, b in zip(layout[::2], layout[1::2]))
+
+    @functools.cached_property
+    def param_count(self) -> int:
+        last = param_layout(self)[-1]
+        return last.offset + last.size
+
 
 @dataclass(frozen=True)
 class QuadraticSpec:
@@ -110,6 +138,10 @@ class QuadraticSpec:
         object.__setattr__(self, "diag", tuple(float(d) for d in self.diag))
         if len(self.diag) < 1:
             raise ValueError("quadratic needs at least one coefficient")
+
+    @property
+    def param_count(self) -> int:
+        return len(self.diag)
 
 
 ModelSpec = Union[MlpSpec, QuadraticSpec]
@@ -133,19 +165,8 @@ def param_layout(spec: ModelSpec) -> tuple:
     return tuple(entries)
 
 
-@functools.lru_cache
 def param_count(spec: ModelSpec) -> int:
-    layout = param_layout(spec)
-    return layout[-1].offset + layout[-1].size
-
-
-@functools.lru_cache
-def _layers(spec: MlpSpec) -> tuple:
-    """(weight slice, weight shape, bias slice) of each affine layer in the
-    flat parameters, looked up once per call of the kernel."""
-    layout = param_layout(spec)
-    return tuple((slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
-                 for w, b in zip(layout[::2], layout[1::2]))
+    return spec.param_count
 
 
 def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParameterVector:
@@ -168,10 +189,72 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParameterVector:
     return ParameterVector(flat, layout)
 
 
+class CheckedBatch(NamedTuple):
+    """A batch that `check_batch` has checked for one MLP spec.
+
+    The arrays are read-only copies, so the checks hold for the object's
+    lifetime. `index` and `one_hot` are what the heads read from the labels:
+    the flat index arange(n) * out_width + labels into the (n, out_width)
+    logits, and the one-hot targets.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
+    spec: MlpSpec
+    index: np.ndarray
+    one_hot: np.ndarray
+
+
+def _check_features(spec: MlpSpec, features) -> np.ndarray:
+    """A read-only float64 copy of `features`, checked: (n, in_width), finite."""
+    features = np.array(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != spec.in_width:
+        raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
+    if not np.isfinite(features).all():
+        raise NumericError("batch features")
+    features.flags.writeable = False
+    return features
+
+
+def check_batch(spec: ModelSpec, batch):
+    """`batch` checked for `spec`'s input width, class count and head, as a
+    `CheckedBatch`; a batch already checked for an equal spec is returned as
+    it is, and a quadratic, which ignores its batch, gets it back unchecked.
+
+    Features must be (n, in_width) with n >= 1 and finite, labels integers
+    of shape (n,) in [0, out_width). Every kernel entry point calls this
+    first, so a caller that evaluates one batch many times checks it once by
+    passing the checked batch.
+    """
+    if type(batch) is CheckedBatch and (batch.spec is spec or batch.spec == spec):
+        return batch
+    if isinstance(spec, QuadraticSpec):
+        return batch
+    features = _check_features(spec, batch.features)
+    n, n_classes = features.shape[0], spec.out_width
+    if n == 0:
+        raise ShapeError("input", f"(n >= 1, {spec.in_width})", features.shape)
+    labels = np.array(batch.labels)
+    if labels.shape != (n,):
+        raise ShapeError(spec.head, f"({n},) labels", labels.shape)
+    if labels.dtype.kind not in "iu":
+        raise ShapeError(spec.head, "integer labels", labels.dtype)
+    if labels.min() < 0 or labels.max() >= n_classes:
+        raise ShapeError(spec.head, f"labels in [0, {n_classes})",
+                         f"labels in [{labels.min()}, {labels.max()}]")
+    rows = np.arange(n)
+    one_hot = np.zeros((n, n_classes), dtype=np.float64)
+    one_hot[rows, labels] = 1.0
+    index = rows * n_classes + labels.astype(np.intp)
+    for array in (labels, index, one_hot):
+        array.flags.writeable = False
+    return CheckedBatch(features, labels, spec, index, one_hot)
+
+
 def _check_params(spec: ModelSpec, params) -> np.ndarray:
     flat = params.data if isinstance(params, ParameterVector) else np.asarray(params, dtype=np.float64)
     flat = flat.reshape(-1)
-    expected = param_count(spec)
+    expected = spec.param_count
     if flat.shape[0] != expected:
         raise LayoutError(
             f"parameter count mismatch: model expects {expected}, got {flat.shape[0]}",
@@ -183,23 +266,19 @@ def _check_params(spec: ModelSpec, params) -> np.ndarray:
     return flat
 
 
-def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features):
+def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
     """Forward pass to the head inputs.
 
     `flat` is one parameter vector (P,) or a stack of rows (K, P); the
-    features (n, d) are shared by every row. Returns (inputs, weights,
-    logits): the input of every affine layer, its weight view into `flat`,
-    and the last layer's output, (n, out) or (K, n, out). Each affine
-    output is checked for finiteness, because tanh maps an overflow to +-1.
-    A large hidden layer's output is written into its buffer, which the next
-    call overwrites; the logits are always a new array.
+    features (n, d), already checked, are shared by every row. Returns
+    (inputs, weights, logits): the input of every affine layer, its weight
+    view into `flat`, and the last layer's output, (n, out) or (K, n, out).
+    Each affine output is checked for finiteness, because tanh maps an
+    overflow to +-1. A large hidden layer's output is written into its
+    buffer, which the next call overwrites; the logits are always a new
+    array.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != spec.in_width:
-        raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
-    if not np.isfinite(features).all():
-        raise NumericError("batch features")
-    layers = _layers(spec)
+    layers = spec.layers
     n_layers = len(layers)
     lead = flat.shape[:-1]
     inputs, weights = [], []
@@ -225,12 +304,6 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features):
     return inputs, weights, x
 
 
-def _one_hot(labels: np.ndarray, width: int) -> np.ndarray:
-    out = np.zeros((labels.shape[0], width), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     """`ufunc.reduce(a, axis=-1, keepdims=True)`, byte for byte.
 
@@ -251,28 +324,24 @@ def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_loss(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
-    """Mean loss of the head, and the array its logits gradient is built from
-    (log-probabilities for softmax_ce, residuals for mse). For stacked logits
-    (K, n, out) the loss is a (K,) array, one mean per row."""
-    labels = np.asarray(labels)
+def _head_loss(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
+    """Mean loss of the head on a checked batch, and the array its logits
+    gradient is built from (log-probabilities for softmax_ce, residuals for
+    mse). For stacked logits (K, n, out) the loss is a (K,) array, one mean
+    per row."""
     n, n_classes = logits.shape[-2:]
-    if labels.shape != (n,):
-        raise ShapeError(spec.head, f"({n},) labels", labels.shape)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ShapeError(spec.head, f"labels in [0, {n_classes})",
-                         f"labels in [{labels.min()}, {labels.max()}]")
     # np.add.reduce(v) / v.size is np.mean's own arithmetic, without its
-    # overhead. Each sum runs over one contiguous row, as in a 2-D call: the
-    # gather of a stacked array comes out transposed, and numpy would sum it
-    # in another order, so it is copied to C order first.
+    # overhead. Each sum runs over one contiguous row, as in a 2-D call:
+    # `take` along the last axis gathers each row's picked entries into one
+    # contiguous row (a fancy index of a stack would come out transposed, and
+    # numpy would sum it in another order).
     if spec.head == "softmax_ce":
         basis = logits - _fold(np.maximum, logits)
         basis -= np.log(_fold(np.add, np.exp(basis)))
-        picked = np.ascontiguousarray(basis[..., np.arange(n), labels])
+        picked = basis.reshape(basis.shape[:-2] + (-1,)).take(batch.index, axis=-1)
         loss = -(np.add.reduce(picked, axis=-1) / n)
     else:
-        basis = logits - _one_hot(labels, n_classes)
+        basis = logits - batch.one_hot
         squares = basis ** 2
         loss = np.add.reduce(squares.reshape(logits.shape[:-2] + (-1,)), axis=-1) / (n * n_classes)
     if logits.ndim > 2:
@@ -284,13 +353,15 @@ def _head_loss(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
     return float(loss), basis
 
 
-def _head(spec: MlpSpec, logits: np.ndarray, labels) -> tuple:
+def _head(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
     """Mean loss of the head and its gradient w.r.t. the logits."""
-    loss, basis = _head_loss(spec, logits, labels)
+    loss, basis = _head_loss(spec, logits, batch)
     n, n_classes = logits.shape[-2:]
     if spec.head == "softmax_ce":
+        # p - one_hot: each label's entry less 1.0, every other entry less
+        # 0.0, which leaves its bytes as they are.
         probs = np.exp(basis)
-        probs[..., np.arange(n), np.asarray(labels)] -= 1.0
+        probs -= batch.one_hot
         probs /= n
         return loss, probs
     return loss, (2.0 / (n * n_classes)) * basis
@@ -308,45 +379,54 @@ def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:
 
 def forward(spec: ModelSpec, params, batch) -> float:
     """Mean loss of the model on a batch (cross-entropy or MSE per spec)."""
+    batch = check_batch(spec, batch)
     flat = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat).value
     _, _, logits = _mlp_pass(spec, flat, batch.features)
-    return _head_loss(spec, logits, batch.labels)[0]
+    return _head_loss(spec, logits, batch)[0]
 
 
 def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
     """Loss and its exact gradient w.r.t. the flat parameters."""
+    batch = check_batch(spec, batch)
     flat = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat)
     inputs, weights, logits = _mlp_pass(spec, flat, batch.features)
-    loss, d_logits = _head(spec, logits, batch.labels)
+    loss, d_logits = _head(spec, logits, batch)
     return LossGradient(loss, ad.backward(spec.activation, inputs, weights, d_logits, flat.size))
+
+
+def _require_mlp(spec: ModelSpec, where: str) -> None:
+    if isinstance(spec, QuadraticSpec):
+        raise ShapeError(where, "an MLP spec", "QuadraticSpec")
 
 
 def predict_logits(spec: MlpSpec, params, features: np.ndarray) -> np.ndarray:
     """Forward pass to the head inputs (no loss)."""
-    if isinstance(spec, QuadraticSpec):
-        raise ShapeError("predict_logits", "an MLP spec", "QuadraticSpec")
-    return _mlp_pass(spec, _check_params(spec, params), features)[2]
+    _require_mlp(spec, "predict_logits")
+    return _mlp_pass(spec, _check_params(spec, params), _check_features(spec, features))[2]
 
 
 def _accuracy(logits: np.ndarray, labels):
-    return np.mean(np.argmax(logits, axis=-1) == np.asarray(labels), axis=-1)
+    return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
 
 
 def accuracy(spec: MlpSpec, params, batch) -> float:
     """Fraction of batch examples whose argmax output matches the label."""
-    return float(_accuracy(predict_logits(spec, params, batch.features), batch.labels))
+    _require_mlp(spec, "accuracy")
+    batch = check_batch(spec, batch)
+    logits = _mlp_pass(spec, _check_params(spec, params), batch.features)[2]
+    return float(_accuracy(logits, batch.labels))
 
 
 def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:
     """(`forward`, `accuracy`) of one batch from a single forward pass."""
-    if isinstance(spec, QuadraticSpec):
-        raise ShapeError("loss_and_accuracy", "an MLP spec", "QuadraticSpec")
+    _require_mlp(spec, "loss_and_accuracy")
+    batch = check_batch(spec, batch)
     _, _, logits = _mlp_pass(spec, _check_params(spec, params), batch.features)
-    return _head_loss(spec, logits, batch.labels)[0], float(_accuracy(logits, batch.labels))
+    return _head_loss(spec, logits, batch)[0], float(_accuracy(logits, batch.labels))
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +436,7 @@ def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:
 
 def _check_rows(spec: ModelSpec, rows) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=np.float64)
-    expected = param_count(spec)
+    expected = spec.param_count
     if rows.ndim != 2 or rows.shape[1] != expected:
         raise ShapeError("stacked rows", f"(K, {expected})", rows.shape)
     if not np.isfinite(rows).all():
@@ -364,7 +444,7 @@ def _check_rows(spec: ModelSpec, rows) -> np.ndarray:
     return rows
 
 
-def _rows_pass(spec: MlpSpec, rows: np.ndarray, features):
+def _rows_pass(spec: MlpSpec, rows: np.ndarray, features: np.ndarray):
     """Forward pass of checked rows (K, P); one row goes through the 2-D
     arrays, which cost less than a stack of one."""
     return _mlp_pass(spec, rows[0] if len(rows) == 1 else rows, features)
@@ -379,28 +459,30 @@ def _quadratic_rows(spec: QuadraticSpec, rows: np.ndarray) -> LossGradient:
 def loss_and_grad_rows(spec: ModelSpec, rows, batch) -> LossGradient:
     """`loss_and_grad` of each row of `rows` (K, P): (K,) losses and (K, P)
     gradients. A quadratic's rows are evaluated one by one."""
+    batch = check_batch(spec, batch)
     rows = _check_rows(spec, rows)
     if isinstance(spec, QuadraticSpec):
         return _quadratic_rows(spec, rows)
     inputs, weights, logits = _rows_pass(spec, rows, batch.features)
-    loss, d_logits = _head(spec, logits, batch.labels)
+    loss, d_logits = _head(spec, logits, batch)
     grad = ad.backward(spec.activation, inputs, weights, d_logits, rows.shape[1])
-    return LossGradient(np.reshape(loss, -1), grad.reshape(rows.shape))
+    return LossGradient(np.asarray(loss).reshape(-1), grad.reshape(rows.shape))
 
 
 def forward_rows(spec: ModelSpec, rows, batch) -> np.ndarray:
     """`forward` of each row of `rows` (K, P), as a (K,) array."""
+    batch = check_batch(spec, batch)
     rows = _check_rows(spec, rows)
     if isinstance(spec, QuadraticSpec):
         return _quadratic_rows(spec, rows).value
     logits = _rows_pass(spec, rows, batch.features)[2]
-    return np.reshape(_head_loss(spec, logits, batch.labels)[0], -1)
+    return np.asarray(_head_loss(spec, logits, batch)[0]).reshape(-1)
 
 
 def loss_and_accuracy_rows(spec: MlpSpec, rows, batch) -> tuple:
     """`loss_and_accuracy` of each row of `rows` (K, P), as two (K,) arrays."""
-    if isinstance(spec, QuadraticSpec):
-        raise ShapeError("loss_and_accuracy_rows", "an MLP spec", "QuadraticSpec")
+    _require_mlp(spec, "loss_and_accuracy_rows")
+    batch = check_batch(spec, batch)
     logits = _rows_pass(spec, _check_rows(spec, rows), batch.features)[2]
-    loss = _head_loss(spec, logits, batch.labels)[0]
-    return np.reshape(loss, -1), np.reshape(_accuracy(logits, batch.labels), -1)
+    loss = _head_loss(spec, logits, batch)[0]
+    return np.asarray(loss).reshape(-1), np.asarray(_accuracy(logits, batch.labels)).reshape(-1)

@@ -24,7 +24,8 @@ pending points with one stacked `network.loss_and_grad_rows` call per round
 (`lockstep`, the driver the probes' ascents share). A run leaves the rounds
 when its step ends (sgd after one point, a flat batch's sam_ga ascent early),
 and each run keeps its own state, momentum buffer and direction stream, so a
-lockstep step is byte for byte the runs' single steps.
+lockstep step is byte for byte the runs' single steps. Both check the step's
+minibatch once (`network.check_batch`), not once per point.
 """
 
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ import numpy as np
 
 from . import network
 from .errors import ConfigError
-from .vecops import sample_unit_direction
+from .vecops import l2_norm, sample_unit_direction
 
 FIRST_ORDER = "first_order"
 GRADIENT_ASCENT = "gradient_ascent"
@@ -68,7 +69,7 @@ class Perturbation:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.epsilon))
+        return l2_norm(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def epsilon_first_order(gradient: np.ndarray, rho: float) -> Perturbation:
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     gradient = np.asarray(gradient, dtype=np.float64)
-    norm = float(np.linalg.norm(gradient))
+    norm = l2_norm(gradient)
     if norm < ZERO_GRAD_EPS:
         return Perturbation(np.zeros_like(gradient), rho, FIRST_ORDER,
                             steps_used=0, zero_gradient=True)
@@ -174,7 +175,7 @@ def _ascent_points(w: np.ndarray, rho: float, n_steps: int):
         value, grad = yield current
         if step == 0:
             base_value = value
-        norm = float(np.linalg.norm(grad))
+        norm = l2_norm(grad)
         if norm < ZERO_GRAD_EPS:
             return Perturbation(current - w, rho, GRADIENT_ASCENT,
                                 steps_used=step, zero_gradient=True), base_value
@@ -267,6 +268,8 @@ def _run_points(points, evaluate):
 
 
 def _evaluator(model_spec, batch, state: OptimizerState):
+    batch = network.check_batch(model_spec, batch)  # once per step, not per point
+
     def evaluate(point):
         state.grad_evals += 1
         return network.loss_and_grad(model_spec, point, batch)
@@ -319,6 +322,7 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None,
     is answered. Rows are evaluated independently, so every answer is byte
     for byte the 2-D call on its point.
     """
+    batch = network.check_batch(model_spec, batch)  # once, not per round
     queue = enumerate(generators)
     results = {}
     live = []  # [index, generator, pending point]

@@ -34,7 +34,7 @@ import numpy as np
 from . import network
 from .network import QuadraticSpec
 from .optimizers import epsilon_first_order, lockstep, LossOnly, ZERO_GRAD_EPS
-from .vecops import sample_unit_direction
+from .vecops import l2_norm, sample_unit_direction
 from .errors import SamLabError
 
 DEFAULT_RESTARTS = 8
@@ -97,12 +97,18 @@ class SharpnessReport:
         return asdict(self)
 
 
-def loss_ascent_direction(model_spec, params: np.ndarray, batch, rho: float) -> float:
-    """L(w + rho * g/||g||): loss after one normalized gradient step up."""
-    result = network.loss_and_grad(model_spec, params, batch)
-    perturbation = epsilon_first_order(result.gradient, rho)
+def loss_ascent_direction(model_spec, params: np.ndarray, batch, rho: float,
+                          base: Optional[network.LossGradient] = None) -> float:
+    """L(w + rho * g/||g||): loss after one normalized gradient step up.
+
+    `base` is `network.loss_and_grad` at w, if the caller already has it.
+    """
+    batch = network.check_batch(model_spec, batch)
+    if base is None:
+        base = network.loss_and_grad(model_spec, params, batch)
+    perturbation = epsilon_first_order(base.gradient, rho)
     if perturbation.zero_gradient:
-        return result.value
+        return base.value
     return network.forward(model_spec, params + perturbation.epsilon, batch)
 
 
@@ -117,6 +123,7 @@ def loss_average_direction(model_spec, params: np.ndarray, batch, rho: float,
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
     params = np.asarray(params, dtype=np.float64)
+    batch = network.check_batch(model_spec, batch)
     losses = np.empty(n_samples, dtype=np.float64)
     chunk = rows_per_call(model_spec, batch)
     for start in range(0, n_samples, chunk):
@@ -140,7 +147,7 @@ def _ascent(params, rho, inner_steps, start_epsilon):
     the last point, which it does not step from, is a `LossOnly` point.
     """
     epsilon = np.asarray(start_epsilon, dtype=np.float64).copy()
-    start_norm = float(np.linalg.norm(epsilon))
+    start_norm = l2_norm(epsilon)
     if start_norm > rho:
         epsilon *= rho / start_norm
     best = -math.inf
@@ -148,18 +155,19 @@ def _ascent(params, rho, inner_steps, start_epsilon):
     for _ in range(inner_steps):
         value, gradient = yield params + epsilon
         best = max(best, value)
-        norm = float(np.linalg.norm(gradient))
+        norm = l2_norm(gradient)
         if norm < ZERO_GRAD_EPS:
             return best
         epsilon = epsilon + step_len * (gradient / norm)
-        eps_norm = float(np.linalg.norm(epsilon))
+        eps_norm = l2_norm(epsilon)
         if eps_norm > rho:
             epsilon *= rho / eps_norm
     return max(best, (yield LossOnly(params + epsilon)))
 
 
 def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: float,
-                                  restarts: int, inner_steps: int, seed: int) -> float:
+                                  restarts: int, inner_steps: int, seed: int,
+                                  base: Optional[network.LossGradient] = None) -> float:
     """Estimate max_{||e|| <= rho} L(w + e) by multi-restart ascent.
 
     One ascent starts from the first-order perturbation (usually already near
@@ -170,15 +178,18 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     and otherwise the first-order start dominates it in practice; we still
     clamp against the center explicitly to make the lower bound exact. The
     ascents run in `lockstep`, at most `rows_per_call` at once, each starting
-    point drawn only when its ascent starts.
+    point drawn only when its ascent starts. `base` is
+    `network.loss_and_grad` at w, if the caller already has it.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     params = np.asarray(params, dtype=np.float64)
-    base_result = network.loss_and_grad(model_spec, params, batch)
-    best = base_result.value
+    batch = network.check_batch(model_spec, batch)
+    if base is None:
+        base = network.loss_and_grad(model_spec, params, batch)
+    best = base.value
 
-    first_order = epsilon_first_order(base_result.gradient, rho)
+    first_order = epsilon_first_order(base.gradient, rho)
     dim = params.shape[0]
 
     def starts():
@@ -202,8 +213,9 @@ def standardized_sharpness(model_spec, params: np.ndarray, batch, rho: float) ->
 
     Zero when the gradient vanishes (e1 = 0 by the flat-batch fallback).
     """
-    base = network.forward(model_spec, params, batch)
-    return loss_ascent_direction(model_spec, params, batch, rho) - base
+    batch = network.check_batch(model_spec, batch)
+    base = network.loss_and_grad(model_spec, params, batch)
+    return loss_ascent_direction(model_spec, params, batch, rho, base=base) - base.value
 
 
 def generalization_gap(train_loss: float, test_loss: float) -> float:
@@ -227,14 +239,15 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
     if n_points < 2:
         raise ValueError(f"n_points must be >= 2, got {n_points}")
     params = np.asarray(params, dtype=np.float64)
+    batch = network.check_batch(model_spec, batch)
     a = np.asarray(direction_a, dtype=np.float64).copy()
-    norm_a = float(np.linalg.norm(a))
+    norm_a = l2_norm(a)
     if norm_a < ZERO_GRAD_EPS:
         raise SamLabError("slice direction a has zero norm")
     a /= norm_a
     b = np.asarray(direction_b, dtype=np.float64).copy()
     b -= np.dot(b, a) * a
-    norm_b = float(np.linalg.norm(b))
+    norm_b = l2_norm(b)
     if norm_b < ZERO_GRAD_EPS:
         raise SamLabError("slice directions are parallel; the plane is degenerate")
     b /= norm_b
@@ -264,28 +277,31 @@ def build_report(model_spec, params: np.ndarray, batch, config: ProbeConfig,
     """Run every probe at one parameter point and collect the results.
 
     The gap is filled in only when both split losses are supplied; a probe of
-    a bare checkpoint has no training history to compare against.
+    a bare checkpoint has no training history to compare against. The batch
+    is checked once, and w is evaluated once: its loss and gradient give the
+    base loss, the ascent direction and the first-order ascent start.
     """
     params = np.asarray(params, dtype=np.float64)
-    base = network.forward(model_spec, params, batch)
-    l_asc = loss_ascent_direction(model_spec, params, batch, config.rho)
+    batch = network.check_batch(model_spec, batch)
+    base = network.loss_and_grad(model_spec, params, batch)
+    l_asc = loss_ascent_direction(model_spec, params, batch, config.rho, base=base)
     avg_mean, avg_stderr, n_used = loss_average_direction(
         model_spec, params, batch, config.rho, config.n_samples, seed)
     l_max = loss_worst_direction_estimate(
         model_spec, params, batch, config.rho,
-        config.restarts, config.inner_steps, seed)
+        config.restarts, config.inner_steps, seed, base=base)
     gap = None
     if train_loss is not None and test_loss is not None:
         gap = generalization_gap(train_loss, test_loss)
     return SharpnessReport(
-        base_loss=base,
+        base_loss=base.value,
         l_asc=l_asc,
         l_avg_mean=avg_mean,
         l_avg_stderr=avg_stderr,
         l_avg_samples=n_used,
         l_max_estimate=l_max,
         l_max_restarts=config.restarts,
-        standardized_sharpness=l_asc - base,
+        standardized_sharpness=l_asc - base.value,
         generalization_gap=gap,
         rho=config.rho,
         data_scope=data_scope,

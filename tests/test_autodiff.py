@@ -47,7 +47,8 @@ def assert_backward_matches_fd(spec, flat, features, d_logits):
 
 def head_grad(head, logits, labels):
     spec = MlpSpec(in_width=1, out_width=logits.shape[1], head=head)
-    return network._head(spec, logits, labels)
+    batch = network.check_batch(spec, Batch(np.zeros((logits.shape[0], 1)), labels))
+    return network._head(spec, logits, batch)
 
 
 def assert_head_matches_fd(head, logits, labels):

@@ -282,3 +282,56 @@ def test_cli_invocations_are_deterministic(tmp_path):
         return rows
 
     assert rows_sans_timing(out1 / "runs.csv") == rows_sans_timing(out2 / "runs.csv")
+
+
+@pytest.mark.parametrize("command", ["probe", "slice"])
+def test_checkpoint_of_another_model_with_the_same_count_exits_2(tmp_path, capsys, command):
+    # On 2 features and 2 classes, hidden [32] and [10, 10] both have 162
+    # parameters: only the layout tells them apart.
+    trained = write_config(tmp_path, model={"kind": "mlp", "hidden": [32]})
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(trained), "--out", str(out), "--seeds", "1"]) == 0
+    other = tmp_path / "other"
+    other.mkdir()
+    config = write_config(other, model={"kind": "mlp", "hidden": [10, 10]})
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--checkpoint", str(out / "checkpoints" / "sgd_seed1.ckpt")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: checkpoint layout dense0.weight[2, 32]")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_checkpoints_path_taken_by_a_file_exits_2_before_any_compute(
+        tmp_path, capsys, monkeypatch, command):
+    calls = []
+    for name in ("run_suite", "compare_optimizers"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "checkpoints").write_text("")
+    code = cli.main([command, "--config", str(config), "--out", str(out)])
+    assert code == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: output directory {out} is not writable")
+    assert sorted(p.name for p in out.iterdir()) == ["checkpoints"]
+
+
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_output_write_failure_exits_2_without_traceback(tmp_path, capsys, monkeypatch, command):
+    def fail(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(fileio, "write_text", fail)
+    config = write_config(tmp_path, seeds=[1])
+    code = cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write outputs to ")
+    assert "No space left on device" in err and "Traceback" not in err

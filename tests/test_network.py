@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from samlab import autodiff as ad
 from samlab import network
@@ -403,3 +405,138 @@ def test_large_results_survive_later_calls(activation):
     first = {}
     for n in (3000, 200, 3000, 200):
         assert first.setdefault(n, outputs(batches[n])) == outputs(batches[n])
+
+
+# --- checked batches ----------------------------------------------------------
+
+def test_checked_batch_holds_read_only_copies():
+    spec, params, batch = pin_case("relu", "softmax_ce", 3, 2)
+    checked = network.check_batch(spec, batch)
+    for name in ("features", "labels", "index", "one_hot"):
+        array = getattr(checked, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert batch.features.flags.writeable and batch.labels.flags.writeable
+    assert not np.shares_memory(checked.features, batch.features)
+    assert not np.shares_memory(checked.labels, batch.labels)
+    n = len(batch.labels)
+    np.testing.assert_array_equal(checked.index, np.arange(n) * 3 + batch.labels)
+    np.testing.assert_array_equal(checked.one_hot, np.eye(3)[batch.labels])
+
+    before = network.loss_and_grad(spec, params, checked)
+    batch.features[:] = np.nan  # the caller's arrays change; the checked copies do not
+    batch.labels[:] = 7
+    after = network.loss_and_grad(spec, params, checked)
+    assert (after.value.hex(), after.gradient.tobytes()) == \
+        (before.value.hex(), before.gradient.tobytes())
+
+
+def test_checked_batch_is_checked_again_for_another_width_class_count_or_head():
+    spec = MlpSpec(2, (4,), 3)
+    batch = Batch(np.random.default_rng(0).standard_normal((5, 2)), np.array([0, 1, 2, 0, 2]))
+    checked = network.check_batch(spec, batch)
+    assert network.check_batch(spec, checked) is checked
+    assert network.check_batch(MlpSpec(2, (4,), 3), checked) is checked  # an equal spec
+    with pytest.raises(ShapeError):
+        network.check_batch(MlpSpec(3, (4,), 3), checked)  # another input width
+    with pytest.raises(ShapeError):
+        network.check_batch(MlpSpec(2, (4,), 2), checked)  # label 2 is out of range
+    with pytest.raises(ShapeError):
+        network.forward(MlpSpec(2, (4,), 2), np.zeros(22), checked)
+    wider = network.check_batch(MlpSpec(2, (4,), 4), checked)
+    assert wider is not checked and wider.one_hot.shape == (5, 4)
+    np.testing.assert_array_equal(wider.index, np.arange(5) * 4 + batch.labels)
+    mse = network.check_batch(MlpSpec(2, (4,), 3, head="mse"), checked)
+    assert mse is not checked and mse.spec.head == "mse"
+    assert network.check_batch(QuadraticSpec((1.0,)), batch) is batch  # ignored, unchecked
+
+
+BAD_BATCHES = {
+    "width": (np.zeros((4, 3)), np.array([0, 1, 2, 0]), ShapeError),
+    "not 2-D": (np.zeros(4), np.array([0, 1, 2, 0]), ShapeError),
+    "non-finite": (np.array([[0.0, 1.0], [np.inf, 0.0]]), np.array([0, 1]), NumericError),
+    "no rows": (np.zeros((0, 2)), np.zeros(0, dtype=int), ShapeError),
+    "label count": (np.zeros((4, 2)), np.array([0, 1, 2]), ShapeError),
+    "label shape": (np.zeros((4, 2)), np.zeros((4, 1), dtype=int), ShapeError),
+    "label above": (np.zeros((4, 2)), np.array([0, 1, 3, 0]), ShapeError),
+    "label below": (np.zeros((4, 2)), np.array([0, -1, 2, 0]), ShapeError),
+    "float labels": (np.zeros((4, 2)), np.array([0.0, 1.0, 2.0, 0.0]), ShapeError),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_BATCHES))
+@pytest.mark.parametrize("head", ["softmax_ce", "mse"])
+def test_bad_batches_fail_before_any_compute(bad, head, monkeypatch):
+    features, labels, error = BAD_BATCHES[bad]
+    spec = MlpSpec(2, (4,), 3, head=head)
+    params = np.zeros(network.param_count(spec))
+    rows = np.zeros((2, params.size))
+
+    def no_compute(*args):
+        raise AssertionError("the kernel ran on a bad batch")
+
+    monkeypatch.setattr(network, "_mlp_pass", no_compute)
+    calls = [(f, params) for f in (network.forward, network.loss_and_grad,
+                                   network.loss_and_accuracy, network.accuracy)]
+    calls += [(f, rows) for f in (network.forward_rows, network.loss_and_grad_rows,
+                                  network.loss_and_accuracy_rows)]
+    for evaluate, points in calls:
+        with pytest.raises(error):
+            evaluate(spec, points, Batch(features, labels))
+
+
+@pytest.mark.parametrize("case", [("relu", "softmax_ce", 3, 2), ("tanh", "mse", 10, 2),
+                                  ("relu", "softmax_ce", 2, 0), ("tanh", "mse", 3, 2, "wide")],
+                         ids=lambda case: "-".join(map(str, case)))
+def test_one_checked_batch_gives_the_raw_batch_bytes(case):
+    spec, params, batch = pin_case(*case)
+    rows = np.stack([params, 0.5 * params, -params])
+
+    def outputs(b):
+        single = network.loss_and_grad(spec, params, b)
+        stacked = network.loss_and_grad_rows(spec, rows, b)
+        return (network.forward(spec, params, b).hex(), single.value.hex(),
+                single.gradient.tobytes(), network.accuracy(spec, params, b).hex(),
+                network.loss_and_accuracy(spec, params, b),
+                stacked.value.tobytes(), stacked.gradient.tobytes(),
+                network.forward_rows(spec, rows, b).tobytes(),
+                [a.tobytes() for a in network.loss_and_accuracy_rows(spec, rows, b)])
+
+    raw = outputs(batch)
+    assert raw[0] == PINNED_KERNEL_BYTES[case][0]
+    checked = network.check_batch(spec, batch)
+    for _ in range(3):
+        assert outputs(checked) == raw
+
+
+# The head reads the labels through the checked batch's precomputed arrays.
+# Both reads must give the bytes of the fancy indexing they replace, for any
+# values: zeros of both signs, tiny and huge magnitudes.
+_head_values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324, 1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), stack=st.integers(0, 4), n=st.integers(1, 12),
+       n_classes=st.integers(1, 11))
+def test_precomputed_label_reads_match_fancy_indexing(data, stack, n, n_classes):
+    lead = (stack,) if stack else ()
+    values = data.draw(hnp.arrays(np.float64, lead + (n, n_classes), elements=_head_values))
+    labels = data.draw(hnp.arrays(np.int64, (n,), elements=st.integers(0, n_classes - 1)))
+    spec = MlpSpec(1, (), n_classes)
+    checked = network.check_batch(spec, Batch(np.zeros((n, 1)), labels))
+
+    # the softmax loss's gather, summed along each contiguous row
+    old = np.ascontiguousarray(values[..., np.arange(n), labels])
+    new = values.reshape(lead + (-1,)).take(checked.index, axis=-1)
+    assert new.flags.c_contiguous and new.tobytes() == old.tobytes()
+    with np.errstate(over="ignore"):
+        assert np.add.reduce(new, axis=-1).tobytes() == np.add.reduce(old, axis=-1).tobytes()
+
+    # the softmax gradient's "less 1.0 at each label"
+    old = values.copy()
+    old[..., np.arange(n), labels] -= 1.0
+    new = values.copy()
+    new -= checked.one_hot
+    assert new.tobytes() == old.tobytes()

@@ -143,6 +143,31 @@ def test_worst_direction_flat_ascent_stops_at_its_start(monkeypatch):
     assert counts == {"forward": 0, "loss_and_grad": 1 + 2}
 
 
+@pytest.mark.parametrize("spec", [MlpSpec(2, (6,), 2), QuadraticSpec((1.0, 3.0))],
+                         ids=["mlp", "quadratic"])
+def test_report_evaluates_the_unperturbed_point_once(spec, monkeypatch):
+    """One evaluation at w gives the base loss, the ascent direction and the
+    first-order ascent start; every other point is off w."""
+    params = (network.init_params(spec, np.random.default_rng(4)).data
+              if isinstance(spec, MlpSpec) else np.array([0.3, 0.4]))
+    batch = gen_two_moons(32, 0.2, 2).as_batch()
+    cfg = ProbeConfig(rho=0.05, restarts=2, inner_steps=3, n_samples=4)
+    want = build_report(spec, params, batch, cfg, seed=5, data_scope="train")
+    at_w = []
+    for name in ("forward", "loss_and_grad", "forward_rows", "loss_and_grad_rows"):
+        def spied(spec, points, batch, _f=getattr(network, name)):
+            points = np.asarray(points)
+            at_w.extend(np.array_equal(p, params) for p in points.reshape(-1, params.size))
+            return _f(spec, points, batch)
+        monkeypatch.setattr(network, name, spied)
+    got = build_report(spec, params, batch, cfg, seed=5, data_scope="train")
+    assert at_w.count(True) == 1
+    assert len(at_w) > 1 + cfg.n_samples
+    assert hexes(got.to_dict().values()) == hexes(want.to_dict().values())
+    monkeypatch.undo()
+    assert got.base_loss.hex() == network.forward(spec, params, batch).hex()
+
+
 def test_worst_direction_matches_brute_force_grid():
     diag = np.array([1.0, 3.0])
     spec = QuadraticSpec(diag=tuple(diag))
@@ -305,7 +330,8 @@ def oracle_ascend(spec, params, batch, rho, inner_steps, start_epsilon):
     return max(best, network.forward(spec, params + epsilon, batch))
 
 
-def oracle_worst_direction(spec, params, batch, rho, restarts, inner_steps, seed):
+def oracle_worst_direction(spec, params, batch, rho, restarts, inner_steps, seed, base=None):
+    # `base` is what build_report passes; the oracle evaluates w itself.
     base_result = network.loss_and_grad(spec, params, batch)
     best = base_result.value
     first_order = epsilon_first_order(base_result.gradient, rho)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from samlab import vecops
 
@@ -31,3 +32,14 @@ def test_unit_direction_varies_across_draws():
 def test_unit_direction_norm_property(dim, seed):
     d = vecops.sample_unit_direction(dim, np.random.default_rng(seed))
     assert abs(np.linalg.norm(d) - 1.0) < 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=hnp.arrays(np.float64, st.integers(1, 300),
+                    elements=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                       st.sampled_from([0.0, -0.0, 1e200, -1e308, 5e-324]))))
+def test_l2_norm_is_numpys_norm_byte_for_byte(v):
+    with np.errstate(all="ignore"):
+        want = np.linalg.norm(v)
+        assert vecops.l2_norm(v).hex() == float(want).hex()
+        assert (v / vecops.l2_norm(v)).tobytes() == (v / want).tobytes()
