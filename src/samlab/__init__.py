@@ -13,7 +13,7 @@ from .network import (
 from .optimizers import (
     OptimizerConfig, OptimizerState, Perturbation, StepReport,
     epsilon_first_order, epsilon_gradient_ascent, epsilon_random,
-    sgd_step, sam_step, step, init_state,
+    step, init_state,
 )
 from .probes import (
     ProbeConfig, SharpnessReport,

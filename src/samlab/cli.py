@@ -91,7 +91,10 @@ def cmd_probe(args) -> int:
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     if out is not None:
         path = out / "probe_report.json"
-        fileio.write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        try:
+            fileio.write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise SamLabError(f"cannot write {path}: {exc}") from exc
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

@@ -25,24 +25,24 @@ its two split batches once, and a probe its batch once. The parameters
 change from call to call, so they are still checked on every call, as is
 every layer's output.
 
-The same body also evaluates a stack of K parameter rows (K, P) of one MLP
-on one batch (`loss_and_grad_rows`, `forward_rows`, `loss_and_accuracy_rows`),
-which is how a sweep's runs step in lockstep and how the probes evaluate
-their independent points. Every array then has a leading row axis: weights
+Every entry point takes one parameter vector or a stack of K of them: a
+`ParameterVector` or a (P,) array gives scalar results, a (K, P) array
+per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
+is how a sweep's runs step in lockstep and how the probes evaluate their
+independent points. Every array then has a leading row axis: weights
 (K, fan_in, fan_out), activations (K, n, width), and the shared features
 broadcast against them. Matmuls and sums run over the trailing axes, and
 numpy computes each row of a stacked matmul with the BLAS call of the 2-D
-one, so row k of every result is byte for byte the 2-D call on row k. A
-single row keeps the 2-D arrays, which cost less than a stack of one. A
-quadratic's rows go through `_quadratic` one by one (not
-`loss_and_accuracy_rows`, which needs an MLP), so the probes' closed-form
-tests run their stacked path.
+one, so row k of every result is byte for byte the call on row k alone. A
+stack of one still runs through the 2-D arrays, which cost less than a
+stack of one. A quadratic's rows take the same reductions over their last
+axis, so the probes' closed-form tests run their stacked path.
 
 Large intermediates live in per-process buffers (`autodiff.scratch`): each
 hidden layer's output and the reverse pass's layer gradients, once they reach
 `autodiff.REUSE_MIN_ELEMENTS` (for a stack, counted over all its rows), go
 into a buffer that is reused across calls and kept at the largest size seen;
-single and stacked calls use separate buffers. So the kernel is not safe to
+2-D and stacked passes use separate buffers. So the kernel is not safe to
 call from two threads at once; samlab's only parallelism is its process
 pool. Returned arrays (logits, gradients) are always freshly allocated and
 never alias a buffer.
@@ -77,8 +77,8 @@ class Batch(NamedTuple):
 
 
 class LossGradient(NamedTuple):
-    """Scalar loss plus its exact gradient (flat, float64); from the stacked
-    calls, (K,) losses and (K, P) gradients."""
+    """Scalar loss plus its exact gradient (flat, float64); for a stack of
+    parameter rows, (K,) losses and (K, P) gradients."""
 
     value: float
     gradient: np.ndarray
@@ -252,18 +252,27 @@ def check_batch(spec: ModelSpec, batch):
 
 
 def _check_params(spec: ModelSpec, params) -> np.ndarray:
+    """The parameters as a contiguous float64 array, one vector (P,) or a
+    stack of rows (K, P), checked before any compute."""
     flat = params.data if isinstance(params, ParameterVector) else np.asarray(params, dtype=np.float64)
-    flat = flat.reshape(-1)
     expected = spec.param_count
-    if flat.shape[0] != expected:
+    if flat.ndim not in (1, 2):
+        raise ShapeError("params", f"({expected},) or (K, {expected})", flat.shape)
+    if flat.shape[-1] != expected:
         raise LayoutError(
-            f"parameter count mismatch: model expects {expected}, got {flat.shape[0]}",
+            f"parameter count mismatch: model expects {expected}, got {flat.shape[-1]}",
             expected_count=expected,
-            found_count=flat.shape[0],
+            found_count=flat.shape[-1],
         )
     if not np.isfinite(flat).all():
         raise NumericError("params")
-    return flat
+    return np.ascontiguousarray(flat)
+
+
+def _per_row(flat: np.ndarray, value):
+    """A result with one value per parameter row: a float for one vector, a
+    (K,) array for a stack."""
+    return float(value) if flat.ndim == 1 else np.asarray(value).reshape(-1)
 
 
 def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
@@ -302,6 +311,12 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
             else:
                 np.tanh(x, out=x)
     return inputs, weights, x
+
+
+def _pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
+    """`_mlp_pass` of checked params; a stack of one row goes through the 2-D
+    arrays, which cost less than a stack of one."""
+    return _mlp_pass(spec, flat[0] if flat.shape[:-1] == (1,) else flat, features)
 
 
 def _fold(ufunc, a: np.ndarray) -> np.ndarray:
@@ -369,33 +384,36 @@ def _head(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
 
 def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:
     diag = np.asarray(spec.diag)
-    loss = np.sum(flat * flat * (0.5 * diag))
+    loss = np.add.reduce(flat * flat * (0.5 * diag), axis=-1)
     if spec.offset != 0.0:  # adding 0.0 would turn a -0.0 loss into 0.0
         loss = loss + spec.offset
-    if not np.isfinite(loss):
+    if not np.isfinite(loss).all():
         raise NumericError("quadratic_loss")
-    return LossGradient(float(loss), diag * flat)
+    return LossGradient(_per_row(flat, loss), diag * flat)
 
 
-def forward(spec: ModelSpec, params, batch) -> float:
-    """Mean loss of the model on a batch (cross-entropy or MSE per spec)."""
+def forward(spec: ModelSpec, params, batch):
+    """Mean loss of the model on a batch (cross-entropy or MSE per spec): a
+    float, or a (K,) array for a stack of K parameter rows."""
     batch = check_batch(spec, batch)
     flat = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat).value
-    _, _, logits = _mlp_pass(spec, flat, batch.features)
-    return _head_loss(spec, logits, batch)[0]
+    _, _, logits = _pass(spec, flat, batch.features)
+    return _per_row(flat, _head_loss(spec, logits, batch)[0])
 
 
 def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
-    """Loss and its exact gradient w.r.t. the flat parameters."""
+    """Loss and its exact gradient w.r.t. the flat parameters; for a stack,
+    (K,) losses and (K, P) gradients."""
     batch = check_batch(spec, batch)
     flat = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat)
-    inputs, weights, logits = _mlp_pass(spec, flat, batch.features)
+    inputs, weights, logits = _pass(spec, flat, batch.features)
     loss, d_logits = _head(spec, logits, batch)
-    return LossGradient(loss, ad.backward(spec.activation, inputs, weights, d_logits, flat.size))
+    grad = ad.backward(spec.activation, inputs, weights, d_logits, flat.shape[-1])
+    return LossGradient(_per_row(flat, loss), grad.reshape(flat.shape))
 
 
 def _require_mlp(spec: ModelSpec, where: str) -> None:
@@ -404,7 +422,8 @@ def _require_mlp(spec: ModelSpec, where: str) -> None:
 
 
 def predict_logits(spec: MlpSpec, params, features: np.ndarray) -> np.ndarray:
-    """Forward pass to the head inputs (no loss)."""
+    """Forward pass to the head inputs (no loss): (n, out), or (K, n, out)
+    for a stack."""
     _require_mlp(spec, "predict_logits")
     return _mlp_pass(spec, _check_params(spec, params), _check_features(spec, features))[2]
 
@@ -413,76 +432,20 @@ def _accuracy(logits: np.ndarray, labels):
     return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
 
 
-def accuracy(spec: MlpSpec, params, batch) -> float:
-    """Fraction of batch examples whose argmax output matches the label."""
+def accuracy(spec: MlpSpec, params, batch):
+    """Fraction of batch examples whose argmax output matches the label: a
+    float, or a (K,) array for a stack."""
     _require_mlp(spec, "accuracy")
     batch = check_batch(spec, batch)
-    logits = _mlp_pass(spec, _check_params(spec, params), batch.features)[2]
-    return float(_accuracy(logits, batch.labels))
+    flat = _check_params(spec, params)
+    return _per_row(flat, _accuracy(_pass(spec, flat, batch.features)[2], batch.labels))
 
 
 def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:
     """(`forward`, `accuracy`) of one batch from a single forward pass."""
     _require_mlp(spec, "loss_and_accuracy")
     batch = check_batch(spec, batch)
-    _, _, logits = _mlp_pass(spec, _check_params(spec, params), batch.features)
-    return _head_loss(spec, logits, batch)[0], float(_accuracy(logits, batch.labels))
-
-
-# ---------------------------------------------------------------------------
-# Stacked rows: K parameter vectors of one model, evaluated on one batch, an
-# MLP's by a single pass. Row k of every result is byte for byte the 2-D call
-# on row k.
-
-def _check_rows(spec: ModelSpec, rows) -> np.ndarray:
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    expected = spec.param_count
-    if rows.ndim != 2 or rows.shape[1] != expected:
-        raise ShapeError("stacked rows", f"(K, {expected})", rows.shape)
-    if not np.isfinite(rows).all():
-        raise NumericError("params")
-    return rows
-
-
-def _rows_pass(spec: MlpSpec, rows: np.ndarray, features: np.ndarray):
-    """Forward pass of checked rows (K, P); one row goes through the 2-D
-    arrays, which cost less than a stack of one."""
-    return _mlp_pass(spec, rows[0] if len(rows) == 1 else rows, features)
-
-
-def _quadratic_rows(spec: QuadraticSpec, rows: np.ndarray) -> LossGradient:
-    results = [_quadratic(spec, row) for row in rows]
-    return LossGradient(np.array([r.value for r in results]),
-                        np.stack([r.gradient for r in results]))
-
-
-def loss_and_grad_rows(spec: ModelSpec, rows, batch) -> LossGradient:
-    """`loss_and_grad` of each row of `rows` (K, P): (K,) losses and (K, P)
-    gradients. A quadratic's rows are evaluated one by one."""
-    batch = check_batch(spec, batch)
-    rows = _check_rows(spec, rows)
-    if isinstance(spec, QuadraticSpec):
-        return _quadratic_rows(spec, rows)
-    inputs, weights, logits = _rows_pass(spec, rows, batch.features)
-    loss, d_logits = _head(spec, logits, batch)
-    grad = ad.backward(spec.activation, inputs, weights, d_logits, rows.shape[1])
-    return LossGradient(np.asarray(loss).reshape(-1), grad.reshape(rows.shape))
-
-
-def forward_rows(spec: ModelSpec, rows, batch) -> np.ndarray:
-    """`forward` of each row of `rows` (K, P), as a (K,) array."""
-    batch = check_batch(spec, batch)
-    rows = _check_rows(spec, rows)
-    if isinstance(spec, QuadraticSpec):
-        return _quadratic_rows(spec, rows).value
-    logits = _rows_pass(spec, rows, batch.features)[2]
-    return np.asarray(_head_loss(spec, logits, batch)[0]).reshape(-1)
-
-
-def loss_and_accuracy_rows(spec: MlpSpec, rows, batch) -> tuple:
-    """`loss_and_accuracy` of each row of `rows` (K, P), as two (K,) arrays."""
-    _require_mlp(spec, "loss_and_accuracy_rows")
-    batch = check_batch(spec, batch)
-    logits = _rows_pass(spec, _check_rows(spec, rows), batch.features)[2]
-    loss = _head_loss(spec, logits, batch)[0]
-    return np.asarray(loss).reshape(-1), np.asarray(_accuracy(logits, batch.labels)).reshape(-1)
+    flat = _check_params(spec, params)
+    _, _, logits = _pass(spec, flat, batch.features)
+    return (_per_row(flat, _head_loss(spec, logits, batch)[0]),
+            _per_row(flat, _accuracy(logits, batch.labels)))

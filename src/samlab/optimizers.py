@@ -20,12 +20,13 @@ Each kind's step is one generator (`step_points`): it yields every point whose
 loss and gradient the step needs and receives them, so the evaluation is up
 to its caller. `step` answers each point with `network.loss_and_grad`;
 `step_rows` advances K runs' generators together and answers all their
-pending points with one stacked `network.loss_and_grad_rows` call per round
-(`lockstep`, the driver the probes' ascents share). A run leaves the rounds
-when its step ends (sgd after one point, a flat batch's sam_ga ascent early),
-and each run keeps its own state, momentum buffer and direction stream, so a
-lockstep step is byte for byte the runs' single steps. Both check the step's
-minibatch once (`network.check_batch`), not once per point.
+pending points with one `network.loss_and_grad` call on their stacked rows
+per round (`lockstep`, the driver the probes' ascents share). A run leaves
+the rounds when its step ends (sgd after one point, a flat batch's sam_ga
+ascent early), and each run keeps its own state, momentum buffer and
+direction stream, so a lockstep step is byte for byte the runs' single
+steps. Both check the step's minibatch once (`network.check_batch`), not
+once per point.
 """
 
 from dataclasses import dataclass, field
@@ -219,8 +220,6 @@ def _sam_points(params: np.ndarray, config: OptimizerConfig, state: OptimizerSta
     gradient. Uses exactly 2 gradient evaluations for the first-order and
     random strategies and N+1 for N-step gradient ascent.
     """
-    if config.kind not in (SAM, SAM_GA, RAND_SAM):
-        raise ConfigError(f"sam_step needs a SAM variant, got kind {config.kind!r}")
     params = np.asarray(params, dtype=np.float64)
     evals_before = state.grad_evals
 
@@ -276,18 +275,6 @@ def _evaluator(model_spec, batch, state: OptimizerState):
     return evaluate
 
 
-def sgd_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
-             state: OptimizerState):
-    """One SGD-with-momentum step, its point evaluated by `network.loss_and_grad`."""
-    return _run_points(_sgd_points(params, config, state), _evaluator(model_spec, batch, state))
-
-
-def sam_step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
-             state: OptimizerState):
-    """One sharpness-aware step, each point evaluated by `network.loss_and_grad`."""
-    return _run_points(_sam_points(params, config, state), _evaluator(model_spec, batch, state))
-
-
 def step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
          state: OptimizerState):
     """One step of the configured kind, evaluated by `network.loss_and_grad`."""
@@ -314,13 +301,14 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None,
 
     A generator yields a point whose loss and gradient it wants and receives
     (value, gradient), or a `LossOnly` point and receives the value. Each
-    round answers every live generator's pending point with one stacked call
-    per kind: `network.loss_and_grad_rows` and `network.forward_rows`. A
-    generator leaves the rounds when it returns; at most `width` are live at
-    once (all if None), and the next one is started, and so builds its
-    points, only when a place is free. `on_eval(k)` runs before generator k
-    is answered. Rows are evaluated independently, so every answer is byte
-    for byte the 2-D call on its point.
+    round answers every live generator's pending point with one call per
+    kind on the stacked points: `network.loss_and_grad` and
+    `network.forward`. A generator leaves the rounds when it returns; at
+    most `width` are live at once (all if None), and the next one is
+    started, and so builds its points, only when a place is free.
+    `on_eval(k)` runs before generator k is answered. Rows are evaluated
+    independently, so every answer is byte for byte the call on its point
+    alone.
     """
     batch = network.check_batch(model_spec, batch)  # once, not per round
     queue = enumerate(generators)
@@ -342,11 +330,11 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None,
         loss_entries = [entry for entry in live if type(entry[2]) is LossOnly]
         answered = []
         if grad_entries:
-            values, grads = network.loss_and_grad_rows(
+            values, grads = network.loss_and_grad(
                 model_spec, _stack([entry[2] for entry in grad_entries]), batch)
             answered += zip(grad_entries, zip(values.tolist(), grads))
         if loss_entries:
-            values = network.forward_rows(
+            values = network.forward(
                 model_spec, _stack([entry[2].point for entry in loss_entries]), batch)
             answered += zip(loss_entries, values.tolist())
         live = []

@@ -15,11 +15,11 @@ measurement instrument with the thing measured.
 
 The probes evaluate the loss at many independent points (a slice's grid, the
 average direction's samples, the worst-direction ascents), and they evaluate
-them as stacked rows: up to K points per `network.forward_rows` or
-`network.loss_and_grad_rows` call, each row byte for byte the 2-D call on its
-point. K = STACK_ELEMENTS // (batch rows x widest layer), at least 1, so one
+them as stacked rows: up to K points per `network.forward` or
+`network.loss_and_grad` call, each row byte for byte the call on its point
+alone. K = STACK_ELEMENTS // (batch rows x widest layer), at least 1, so one
 stacked activation stays within 1 MiB: 8 points for a 500-row batch through
-32 units, 1 (the 2-D calls) for a 1000-row batch through 128. Points are
+32 units, 1 (one point a call) for a 1000-row batch through 128. Points are
 built one chunk at a time in the order the one-point loops drew them, never
 all at once, and the worst direction's ascents advance in `lockstep` with at
 most K live, so the extra memory is about K points and their activations.
@@ -130,7 +130,7 @@ def loss_average_direction(model_spec, params: np.ndarray, batch, rho: float,
         rows = np.empty((min(chunk, n_samples - start), params.shape[0]))
         for row in rows:
             np.add(params, rho * sample_unit_direction(params.shape[0], rng), out=row)
-        losses[start:start + len(rows)] = network.forward_rows(model_spec, rows, batch)
+        losses[start:start + len(rows)] = network.forward(model_spec, rows, batch)
     mean = float(np.mean(losses))
     stderr = float(np.std(losses, ddof=1) / np.sqrt(n_samples))
     return mean, stderr, n_samples
@@ -266,7 +266,7 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
     for start in range(0, losses.size, chunk):
         cells = slice(start, start + chunk)
         rows = (params + grid_alphas[cells] * a) + grid_betas[cells] * b
-        losses[cells] = network.forward_rows(model_spec, rows, batch)
+        losses[cells] = network.forward(model_spec, rows, batch)
     return alphas, betas, losses.reshape(n_points, n_points)
 
 

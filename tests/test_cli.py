@@ -267,6 +267,40 @@ def test_slice_writes_grid(tmp_path):
     assert len(lines) == 26
 
 
+@pytest.mark.parametrize("name", ["", ".", "..", "x/y", "/abs", "a\0b"],
+                         ids=["empty", "dot", "dotdot", "slash", "absolute", "nul"])
+def test_slice_name_that_is_no_file_name_exits_2_before_any_compute(
+        tmp_path, capsys, monkeypatch, name):
+    calls = []
+    monkeypatch.setattr(harness, "slice_checkpoint", lambda *args: calls.append(args))
+    config = write_config(tmp_path, slice={"name": name})
+    out = tmp_path / "o"
+    code = cli.main(["slice", "--config", str(config), "--checkpoint", str(tmp_path / "x.ckpt"),
+                     "--out", str(out)])
+    assert code == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: config.slice: slice name must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [("probe", "probe_report.json"),
+                                             ("slice", "slice_plane.csv")])
+def test_output_file_taken_by_a_directory_exits_2_without_traceback(
+        tmp_path, capsys, command, target):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["train", "--config", str(config), "--out", str(out), "--seeds", "1"]) == 0
+    (out / target).mkdir()
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(config), "--out", str(out),
+                     "--checkpoint", str(out / "checkpoints" / "sgd_seed1.ckpt")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out / target}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert (out / target).is_dir() and not list(out.glob(".*.tmp"))
+
+
 def test_cli_invocations_are_deterministic(tmp_path):
     config = write_config(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -260,9 +260,9 @@ def test_stacked_rows_match_their_2d_pins(case):
     for position in range(3):
         rows = others[:position] + [params] + others[position:]
         want = expected[:position] + [PINNED_KERNEL_BYTES[case]] + expected[position:]
-        result = network.loss_and_grad_rows(spec, np.stack(rows), batch)
-        losses = network.forward_rows(spec, np.stack(rows), batch)
-        test_losses, accuracies = network.loss_and_accuracy_rows(spec, np.stack(rows), batch)
+        result = network.loss_and_grad(spec, np.stack(rows), batch)
+        losses = network.forward(spec, np.stack(rows), batch)
+        test_losses, accuracies = network.loss_and_accuracy(spec, np.stack(rows), batch)
         got = [(float(result.value[k]).hex(), _digest(result.gradient[k]),
                 float(accuracies[k]).hex()) for k in range(3)]
         assert got == want
@@ -272,7 +272,7 @@ def test_stacked_rows_match_their_2d_pins(case):
 
 def test_one_row_stack_is_the_2d_call():
     spec, params, batch = pin_case("tanh", "softmax_ce", 3, 2)
-    result = network.loss_and_grad_rows(spec, params[None, :], batch)
+    result = network.loss_and_grad(spec, params[None, :], batch)
     assert result.value.shape == (1,) and result.gradient.shape == (1, params.size)
     assert (float(result.value[0]).hex(), _digest(result.gradient[0])) == \
         PINNED_KERNEL_BYTES[("tanh", "softmax_ce", 3, 2)][:2]
@@ -287,12 +287,12 @@ def test_single_and_stacked_calls_keep_their_bytes_interleaved(size, monkeypatch
     rows_sizes = [rows.shape[0] * batch.features.shape[0] * h for h in spec.hidden]
     assert min(rows_sizes) >= ad.REUSE_MIN_ELEMENTS
     singles = [_single_bytes(spec, row, batch) for row in rows]
-    stacked = network.loss_and_grad_rows(spec, rows, batch)
+    stacked = network.loss_and_grad(spec, rows, batch)
     stacked_bytes = (stacked.value.tobytes(), stacked.gradient.tobytes())
 
     slots = {}
     for name, call in (("single", lambda: network.loss_and_grad(spec, params, batch)),
-                       ("stacked", lambda: network.loss_and_grad_rows(spec, rows, batch))):
+                       ("stacked", lambda: network.loss_and_grad(spec, rows, batch))):
         monkeypatch.setattr(ad, "_buffers", {})
         call()
         slots[name] = set(ad._buffers)
@@ -300,21 +300,52 @@ def test_single_and_stacked_calls_keep_their_bytes_interleaved(size, monkeypatch
     monkeypatch.undo()
 
     for k in (0, 1, 2, 1, 0):
-        again = network.loss_and_grad_rows(spec, rows, batch)
+        again = network.loss_and_grad(spec, rows, batch)
         assert (again.value.tobytes(), again.gradient.tobytes()) == stacked_bytes
         assert _single_bytes(spec, rows[k], batch) == singles[k]
 
 
 def test_stacked_rows_reject_a_quadratic_spec_and_bad_shapes():
     spec, params, batch = pin_case("relu", "mse", 2, 0)
-    with pytest.raises(ShapeError):
-        network.loss_and_accuracy_rows(QuadraticSpec((1.0, 1.0)), np.zeros((2, 2)), batch)
-    with pytest.raises(ShapeError):
-        network.loss_and_grad_rows(spec, params, batch)
+    for points in (np.zeros(2), np.zeros((2, 2))):
+        with pytest.raises(ShapeError):
+            network.loss_and_accuracy(QuadraticSpec((1.0, 1.0)), points, batch)
     bad = np.stack([params, params])
     bad[1, 0] = np.inf
     with pytest.raises(NumericError):
-        network.forward_rows(spec, bad, batch)
+        network.forward(spec, bad, batch)
+
+
+BAD_PARAM_SHAPES = {
+    "stack of P-1": (lambda p: np.zeros((2, p - 1)), LayoutError),
+    "stack of P+1": (lambda p: np.zeros((3, p + 1)), LayoutError),
+    "one of P+1": (lambda p: np.zeros((1, p + 1)), LayoutError),
+    "column of P": (lambda p: np.zeros((p, 1)), LayoutError),
+    "3-D": (lambda p: np.zeros((2, 1, p)), ShapeError),
+    "3-D of one": (lambda p: np.zeros((1, 1, p)), ShapeError),
+    "scalar": (lambda p: np.float64(0.0), ShapeError),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PARAM_SHAPES))
+def test_bad_param_shapes_fail_before_any_compute(bad, monkeypatch):
+    """Only a (P,) vector or a (K, P) stack is taken: an array that merely
+    holds P elements, or a stack of another width, raises before the pass."""
+    make, error = BAD_PARAM_SHAPES[bad]
+    spec = MlpSpec(2, (4,), 3)
+    batch = gen_two_moons(5, 0.1, 0).as_batch()
+    points = make(network.param_count(spec))
+
+    def no_compute(*args):
+        raise AssertionError("the kernel ran on bad parameters")
+
+    monkeypatch.setattr(network, "_mlp_pass", no_compute)
+    for evaluate in (network.forward, network.loss_and_grad, network.loss_and_accuracy,
+                     network.accuracy):
+        with pytest.raises(error):
+            evaluate(spec, points, batch)
+    with pytest.raises(error):
+        network.predict_logits(spec, points, batch.features)
 
 
 @pytest.mark.parametrize("spec", [QuadraticSpec((1.0, 4.0, -2.0), 0.25),
@@ -325,8 +356,8 @@ def test_stacked_quadratic_rows_are_its_rows_one_by_one(spec):
     rows = np.random.default_rng(len(spec.diag)).standard_normal((5, len(spec.diag)))
     rows[1] = -0.0
     rows[2, ::2] = 0.0
-    result = network.loss_and_grad_rows(spec, rows, batch)
-    losses = network.forward_rows(spec, rows, batch)
+    result = network.loss_and_grad(spec, rows, batch)
+    losses = network.forward(spec, rows, batch)
     singles = [network._quadratic(spec, row) for row in rows]
     assert [float(v).hex() for v in result.value] == [r.value.hex() for r in singles]
     assert [float(v).hex() for v in losses] == [r.value.hex() for r in singles]
@@ -477,10 +508,9 @@ def test_bad_batches_fail_before_any_compute(bad, head, monkeypatch):
         raise AssertionError("the kernel ran on a bad batch")
 
     monkeypatch.setattr(network, "_mlp_pass", no_compute)
-    calls = [(f, params) for f in (network.forward, network.loss_and_grad,
-                                   network.loss_and_accuracy, network.accuracy)]
-    calls += [(f, rows) for f in (network.forward_rows, network.loss_and_grad_rows,
-                                  network.loss_and_accuracy_rows)]
+    calls = [(f, points) for f in (network.forward, network.loss_and_grad,
+                                   network.loss_and_accuracy, network.accuracy)
+             for points in (params, rows)]
     for evaluate, points in calls:
         with pytest.raises(error):
             evaluate(spec, points, Batch(features, labels))
@@ -495,13 +525,13 @@ def test_one_checked_batch_gives_the_raw_batch_bytes(case):
 
     def outputs(b):
         single = network.loss_and_grad(spec, params, b)
-        stacked = network.loss_and_grad_rows(spec, rows, b)
+        stacked = network.loss_and_grad(spec, rows, b)
         return (network.forward(spec, params, b).hex(), single.value.hex(),
                 single.gradient.tobytes(), network.accuracy(spec, params, b).hex(),
                 network.loss_and_accuracy(spec, params, b),
                 stacked.value.tobytes(), stacked.gradient.tobytes(),
-                network.forward_rows(spec, rows, b).tobytes(),
-                [a.tobytes() for a in network.loss_and_accuracy_rows(spec, rows, b)])
+                network.forward(spec, rows, b).tobytes(),
+                [a.tobytes() for a in network.loss_and_accuracy(spec, rows, b)])
 
     raw = outputs(batch)
     assert raw[0] == PINNED_KERNEL_BYTES[case][0]

@@ -8,7 +8,7 @@ from samlab.errors import ConfigError
 from samlab.network import QuadraticSpec, MlpSpec
 from samlab.optimizers import (
     OptimizerConfig, epsilon_first_order, epsilon_gradient_ascent, epsilon_random,
-    init_state, sam_step, sgd_step,
+    init_state, step,
 )
 
 
@@ -175,7 +175,7 @@ def test_sgd_plain_update():
     cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
     state = init_state(cfg, 2)
     batch = gen_two_moons(4, 0.1, 0).as_batch()
-    new, report = sgd_step(spec, np.array([1.0, 1.0]), batch, cfg, state)
+    new, report = step(spec, np.array([1.0, 1.0]), batch, cfg, state)
     np.testing.assert_allclose(new, [0.9, 1.0], rtol=1e-12)
     assert report.grad_evals == 1
     assert report.perturbed_loss is None
@@ -189,10 +189,10 @@ def test_sgd_momentum_doubles_second_step():
     state = init_state(cfg, 1)
     batch = gen_two_moons(4, 0.1, 0).as_batch()
     w0 = np.array([1.0])
-    w1, _ = sgd_step(spec, w0, batch, cfg, state)
+    w1, _ = step(spec, w0, batch, cfg, state)
     move1 = w1 - w0
     # second gradient at w1 is w1; buffer = 0.9*w0 + w1; step = -lr*buffer
-    w2, _ = sgd_step(spec, w1, batch, cfg, state)
+    w2, _ = step(spec, w1, batch, cfg, state)
     expected = w1 - 0.01 * (0.9 * w0 + w1)
     np.testing.assert_allclose(w2, expected, rtol=1e-12)
     # with identical gradients the second move would be 1.9x the first
@@ -205,7 +205,7 @@ def test_sgd_weight_decay_decoupled():
     state = init_state(cfg, 2)
     batch = gen_two_moons(4, 0.1, 0).as_batch()
     w = np.array([1.0, -2.0])
-    new, _ = sgd_step(spec, w, batch, cfg, state)
+    new, _ = step(spec, w, batch, cfg, state)
     expected = w - 0.1 * (w + 0.01 * w)
     np.testing.assert_allclose(new, expected, rtol=1e-12)
 
@@ -218,7 +218,7 @@ def test_sam_step_hand_computed_quadratic():
     cfg = OptimizerConfig(kind="sam", learning_rate=0.1, rho=0.05)
     state = init_state(cfg, 2)
     batch = gen_two_moons(4, 0.1, 0).as_batch()
-    new, report = sam_step(spec, np.array([1.0, 0.0]), batch, cfg, state)
+    new, report = step(spec, np.array([1.0, 0.0]), batch, cfg, state)
     np.testing.assert_allclose(new, [0.895, 0.0], atol=1e-12)
     assert report.loss == pytest.approx(0.5, rel=1e-12)
     assert report.perturbed_loss == pytest.approx(0.5 * 1.05**2, rel=1e-12)
@@ -232,7 +232,7 @@ def test_sam_updates_original_w_not_perturbed():
     state = init_state(cfg, 2)
     batch = gen_two_moons(4, 0.1, 0).as_batch()
     w = np.array([2.0, 0.0])
-    new, _ = sam_step(spec, w, batch, cfg, state)
+    new, _ = step(spec, w, batch, cfg, state)
     # descending from w+eps instead would give (2.05 - 0.205) = 1.845
     np.testing.assert_allclose(new, [2.0 - 0.1 * 2.05, 0.0], atol=1e-12)
 
@@ -246,8 +246,8 @@ def test_rand_sam_tiny_rho_equals_sgd():
     sam_cfg = OptimizerConfig(kind="rand_sam", learning_rate=0.1, momentum=0.9, rho=1e-12)
     sgd_state = init_state(sgd_cfg, len(params))
     sam_state = init_state(sam_cfg, len(params), direction_seed=77)
-    a, _ = sgd_step(spec, params.copy(), batch, sgd_cfg, sgd_state)
-    b, _ = sam_step(spec, params.copy(), batch, sam_cfg, sam_state)
+    a, _ = step(spec, params.copy(), batch, sgd_cfg, sgd_state)
+    b, _ = step(spec, params.copy(), batch, sam_cfg, sam_state)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -267,7 +267,7 @@ def test_ga_sam_step_matches_straight_line_trace():
     g_prime = diag * w
     expected = w0 - 0.05 * g_prime
 
-    new, report = sam_step(spec, w0, batch, cfg, state)
+    new, report = step(spec, w0, batch, cfg, state)
     np.testing.assert_allclose(new, expected, atol=1e-12)
     assert report.grad_evals == 4  # 3 ascent evals + 1 at the perturbed point
 
@@ -278,7 +278,7 @@ def test_sam_zero_gradient_degrades_to_sgd():
     state = init_state(cfg, 2)
     batch = gen_two_moons(4, 0.1, 0).as_batch()
     w = np.array([1.0, 1.0])
-    new, report = sam_step(spec, w, batch, cfg, state)
+    new, report = step(spec, w, batch, cfg, state)
     assert report.zero_gradient
     np.testing.assert_array_equal(new, w)  # zero gradient, zero movement
 
@@ -293,7 +293,7 @@ def test_rand_sam_deterministic_given_seed():
         state = init_state(cfg, len(params), direction_seed=123)
         w = params.copy()
         for _ in range(3):
-            w, _ = sam_step(spec, w, batch, cfg, state)
+            w, _ = step(spec, w, batch, cfg, state)
         return w
 
     np.testing.assert_array_equal(run(), run())
@@ -307,7 +307,7 @@ def test_rand_sam_fresh_direction_each_step():
     w = np.array([1.0, 1.0])
     reports = []
     for _ in range(2):
-        w, rep = sam_step(spec, w, batch, cfg, state)
+        w, rep = step(spec, w, batch, cfg, state)
         reports.append(rep)
     # same w (lr tiny) but different random eps -> different perturbed losses
     assert reports[0].perturbed_loss != reports[1].perturbed_loss

@@ -108,17 +108,19 @@ def test_worst_direction_constant_loss():
 
 def count_rows(monkeypatch):
     """Count the points evaluated for their loss alone ("forward") and with
-    their gradient ("loss_and_grad"), by the 2-D and the stacked calls."""
+    their gradient ("loss_and_grad"): one for a vector, K for a stack of K."""
     counts = {"forward": 0, "loss_and_grad": 0}
-    for name, kind, rows in (("forward", "forward", lambda p: 1),
-                             ("loss_and_grad", "loss_and_grad", lambda p: 1),
-                             ("forward_rows", "forward", len),
-                             ("loss_and_grad_rows", "loss_and_grad", len)):
-        def counted(spec, params, batch, _kind=kind, _rows=rows, _f=getattr(network, name)):
-            counts[_kind] += _rows(params)
+    for name in counts:
+        def counted(spec, params, batch, _name=name, _f=getattr(network, name)):
+            counts[_name] += points_in(params)
             return _f(spec, params, batch)
         monkeypatch.setattr(network, name, counted)
     return counts
+
+
+def points_in(params) -> int:
+    params = np.asarray(params)
+    return 1 if params.ndim == 1 else len(params)
 
 
 def test_worst_direction_evaluates_each_point_once(monkeypatch):
@@ -154,7 +156,7 @@ def test_report_evaluates_the_unperturbed_point_once(spec, monkeypatch):
     cfg = ProbeConfig(rho=0.05, restarts=2, inner_steps=3, n_samples=4)
     want = build_report(spec, params, batch, cfg, seed=5, data_scope="train")
     at_w = []
-    for name in ("forward", "loss_and_grad", "forward_rows", "loss_and_grad_rows"):
+    for name in ("forward", "loss_and_grad"):
         def spied(spec, points, batch, _f=getattr(network, name)):
             points = np.asarray(points)
             at_w.extend(np.array_equal(p, params) for p in points.reshape(-1, params.size))
@@ -427,9 +429,9 @@ def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
     assert probes.rows_per_call(spec, batch) == 1  # 520 x 128 > STACK_ELEMENTS / 2
     counts = count_rows(monkeypatch)
     sizes = []
-    for name in ("forward_rows", "loss_and_grad_rows"):
+    for name in ("forward", "loss_and_grad"):
         def sized(spec, rows, batch, _f=getattr(network, name)):
-            sizes.append(len(rows))
+            sizes.append(points_in(rows))
             return _f(spec, rows, batch)
         monkeypatch.setattr(network, name, sized)
     stacked = {"average": hexes(loss_average_direction(spec, params, batch, 0.1, 3, seed=2)),
