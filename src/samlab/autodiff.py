@@ -11,6 +11,11 @@ written in terms of it: relu'(z) = (a > 0) and tanh'(z) = 1 - a**2.
 
 Large intermediates go into per-process buffers (`scratch`) instead of fresh
 arrays, because each fresh one costs page faults on every call.
+
+At small shapes each numpy call costs more than its arithmetic, so every
+gradient slice is written once, straight from its sum or product, into one
+uninitialized gradient, and one `+ 0.0` over the whole of it then gives the
+bytes a zero-filled accumulator would.
 """
 
 import math
@@ -30,12 +35,11 @@ _buffers = {}
 
 def scratch(slot, shape: tuple):
     """A float64 view of shape `shape` into this process's buffer `slot`,
-    grown to the largest size asked for; None for an array below
-    REUSE_MIN_ELEMENTS. The view's contents are garbage, and the next request
-    for the same slot overwrites them."""
+    grown to the largest size asked for. The view's contents are garbage, and
+    the next request for the same slot overwrites them. Callers ask only for
+    arrays of at least REUSE_MIN_ELEMENTS, and check the size first, since
+    the lookup costs more than a small fresh array."""
     size = math.prod(shape)
-    if size < REUSE_MIN_ELEMENTS:
-        return None
     buf = _buffers.get(slot)
     if buf is None or buf.size < size:
         buf = _buffers[slot] = np.empty(size)
@@ -60,25 +64,29 @@ def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) 
     only read.
     """
     lead = d_logits.shape[:-2]
-    grad = np.zeros(lead + (size,))
+    grad = np.empty(lead + (size,))
     end = size
     d = d_logits
     for i in range(len(weights) - 1, -1, -1):
         w = weights[i]
         x = inputs[i]
         fan_in, fan_out = w.shape[-2:]
-        # += into zeros keeps every zero entry +0.0, whatever the sign of the
-        # zero products it came from.
-        grad[..., end - fan_out:end] += d.sum(axis=-2)
+        # Each slice is written once, straight from its sum or product; the
+        # weight slice's reshape splits its last axis, so it stays a view.
+        np.add.reduce(d, axis=-2, out=grad[..., end - fan_out:end])
         end -= fan_out
-        grad[..., end - fan_in * fan_out:end] += (x.swapaxes(-1, -2) @ d).reshape(lead + (-1,))
+        w_grad = grad[..., end - fan_in * fan_out:end].reshape(lead + (fan_in, fan_out))
+        np.matmul(x.swapaxes(-1, -2), d, out=w_grad)
         end -= fan_in * fan_out
         if i > 0:
             # Two slots in turn: an `out=` that overlaps an input would make
             # matmul copy that input to a fresh array first.
-            out = scratch(("grad", len(lead), i % 2), lead + (d.shape[-2], fan_in))
             w_t = w.swapaxes(-1, -2)
-            d = d @ w_t if out is None else np.matmul(d, w_t, out=out)
+            if d.size // fan_out * fan_in >= REUSE_MIN_ELEMENTS:
+                d = np.matmul(d, w_t, out=scratch(("grad", len(lead), i % 2),
+                                                  lead + (d.shape[-2], fan_in)))
+            else:
+                d = d @ w_t
             # The derivative overwrites the activation, which nothing reads
             # again; the products equal (x > 0) * d and (1 - x**2) * d.
             if activation == "relu":
@@ -87,4 +95,7 @@ def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) 
                 np.multiply(x, x, out=x)
                 np.subtract(1.0, x, out=x)
             d *= x
+    # Adding 0.0 turns a -0.0 entry into +0.0 and leaves every other entry's
+    # bytes as they are, as the sums into a zero-filled gradient did.
+    grad += 0.0
     return grad

@@ -381,11 +381,11 @@ def require_trainable(config: ExperimentConfig) -> None:
 def _step(spec, rows, batch, sweep, states):
     """Step every row once: several in lockstep, one run by `optimizers.step`.
 
-    A run alone keeps the 1-D path: `step_rows` on one row costs about 15 %
-    more per step than `step` at 2-32-2 with batch 32 and about 4 % more at
-    16-128-128-8 with batch 128 (interleaved in one process, sgd, sam and
-    sam_ga5), so a lone run (train) and a group (compare) each take the
-    cheaper path.
+    A run alone keeps the 1-D path: `step_rows` on one row answers each of
+    its points with the same vector call as `step`, but its lockstep rounds
+    still cost about 9-11 % more per step than `step` at 2-32-2 with batch
+    32 (interleaved in one process, sgd, sam and sam_ga5), so a lone run
+    (train) and a group (compare) each take the cheaper path.
     """
     if len(rows) == 1:
         return optimizers.step(spec, rows[0], batch, sweep[0], states[0])[0][None, :]
@@ -717,13 +717,14 @@ def emit_slice(out_dir: Union[str, Path], name: str, alphas, betas, losses) -> P
     file that cannot be written raises a SamLabError."""
     out = prepare_out_dir(out_dir)
     path = out / f"slice_{name}.csv"
-    rows = []
-    for i, alpha in enumerate(alphas):
-        for j, beta in enumerate(betas):
-            rows.append({"alpha": float(alpha), "beta": float(beta),
-                         "loss": float(losses[i, j])})
+    # repr of each Python float, as `_write_csv` writes a float.
+    betas = np.asarray(betas, dtype=np.float64).tolist()
+    lines = ["alpha,beta,loss"]
+    for alpha, row in zip(np.asarray(alphas, dtype=np.float64).tolist(),
+                          np.asarray(losses, dtype=np.float64).tolist()):
+        lines.extend(f"{alpha!r},{beta!r},{loss!r}" for beta, loss in zip(betas, row))
     try:
-        _write_csv(path, ("alpha", "beta", "loss"), rows)
+        fileio.write_text(path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise SamLabError(f"cannot write {path}: {exc}") from exc
     return path
@@ -771,12 +772,13 @@ def probe_checkpoint(checkpoint_path: Union[str, Path],
     """
     flat, spec, train, test = _load_checkpoint(checkpoint_path, config)
     train_batch = network.check_batch(spec, train.as_batch())
-    train_loss = network.forward(spec, flat, train_batch)
+    # One evaluation at w gives the train loss and the report's base.
+    base = network.loss_and_grad(spec, flat, train_batch)
     test_loss = network.forward(spec, flat, test.as_batch())
     return probes.build_report(
         spec, flat, train_batch, config.probe,
         seed=_subseed(config.seeds[0], ROLE_PROBE), data_scope="train",
-        train_loss=train_loss, test_loss=test_loss)
+        train_loss=base.value, test_loss=test_loss, base=base)
 
 
 def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig):

@@ -47,6 +47,14 @@ call from two threads at once; samlab's only parallelism is its process
 pool. Returned arrays (logits, gradients) are always freshly allocated and
 never alias a buffer.
 
+At the small shapes of a `compare` sweep (a 2-32-2 model, batch 32) one
+call does a few thousand multiply-adds through about 70 numpy calls, so its
+cost is almost all fixed dispatch, about 1 us per numpy call. So the kernel
+keeps the straight-line forms: one numpy call where a method wrapper
+(`.all()`, `.sum`) or a copy plus a call would do the same, one BLAS dot for
+each finiteness check (`_finite`), a vector sliced without `...`, no buffer
+lookup below `autodiff.REUSE_MIN_ELEMENTS`, and no row axis for one vector.
+
 Outputs are byte-stable, and the kernel keeps two rules so that a faster form
 of a step cannot move a byte. A reduction keeps numpy's own summation order
 (`_fold` replaces a short-axis reduce only where the order is the same), and
@@ -205,12 +213,32 @@ class CheckedBatch(NamedTuple):
     one_hot: np.ndarray
 
 
+# Zeros for `_finite`, grown to the largest array checked and never written,
+# so their pages stay the kernel's shared zero page and take no memory.
+_zeros = np.zeros(0)
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of the float64 array `a` is finite.
+
+    a . 0 is NaN if an entry is inf or NaN (inf * 0 and NaN * 0 are NaN) and
+    +-0 if none is, since a sum of zeros cannot overflow. `np.vdot` forms it
+    in one BLAS call, at about half the cost of `np.isfinite(a).all()` at
+    every shape the kernel checks, and unlike `np.dot` it raises no
+    floating-point warning for an inf.
+    """
+    global _zeros
+    if _zeros.size < a.size:
+        _zeros = np.zeros(a.size)
+    return math.isfinite(np.vdot(a, _zeros[:a.size]))
+
+
 def _check_features(spec: MlpSpec, features) -> np.ndarray:
     """A read-only float64 copy of `features`, checked: (n, in_width), finite."""
     features = np.array(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.in_width:
         raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
-    if not np.isfinite(features).all():
+    if not _finite(features):
         raise NumericError("batch features")
     features.flags.writeable = False
     return features
@@ -264,9 +292,10 @@ def _check_params(spec: ModelSpec, params) -> np.ndarray:
             expected_count=expected,
             found_count=flat.shape[-1],
         )
-    if not np.isfinite(flat).all():
+    flat = np.ascontiguousarray(flat)
+    if not _finite(flat):
         raise NumericError("params")
-    return np.ascontiguousarray(flat)
+    return flat
 
 
 def _per_row(flat: np.ndarray, value):
@@ -290,20 +319,26 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
     layers = spec.layers
     n_layers = len(layers)
     lead = flat.shape[:-1]
+    # Rows of every layer's output, over all parameter rows.
+    rows = features.shape[0] * flat.shape[0] if lead else features.shape[0]
     inputs, weights = [], []
     x = features
     for i, (w_slice, w_shape, b_slice) in enumerate(layers):
-        w = flat[..., w_slice].reshape(lead + w_shape)
-        b = flat[..., b_slice]
         if lead:
-            b = b[:, None, :]
+            w = flat[:, w_slice].reshape(lead + w_shape)
+            b = flat[:, None, b_slice]
+        else:
+            w = flat[w_slice].reshape(w_shape)
+            b = flat[b_slice]
         inputs.append(x)
         weights.append(w)
-        out = (ad.scratch(("act", len(lead), i), lead + (x.shape[-2], w.shape[-1]))
-               if i < n_layers - 1 else None)
-        x = x @ w if out is None else np.matmul(x, w, out=out)
+        if i < n_layers - 1 and rows * w_shape[1] >= ad.REUSE_MIN_ELEMENTS:
+            x = np.matmul(x, w, out=ad.scratch(("act", len(lead), i),
+                                               lead + (x.shape[-2], w_shape[1])))
+        else:
+            x = x @ w
         x += b
-        if not np.isfinite(x).all():
+        if not _finite(x):
             raise NumericError(f"dense{i}")
         if i < n_layers - 1:
             if spec.activation == "relu":
@@ -329,12 +364,18 @@ def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     `ufunc.reduce`. Like numpy, the fold starts from the ufunc's identity if
     it has one (add: 0.0, so a row of -0.0 sums to +0.0).
     """
-    if a.shape[-1] >= 8:
+    width = a.shape[-1]
+    if width >= 8:
         return ufunc.reduce(a, axis=-1, keepdims=True)
-    out = a[..., :1].copy()
+    # The first call makes the new array: the identity with column 0, or
+    # columns 0 and 1.
     if ufunc.identity is not None:
-        ufunc(ufunc.identity, out, out=out)
-    for j in range(1, a.shape[-1]):
+        out, start = ufunc(ufunc.identity, a[..., :1]), 1
+    elif width > 1:
+        out, start = ufunc(a[..., :1], a[..., 1:2]), 2
+    else:
+        return a.copy()
+    for j in range(start, width):
         ufunc(out, a[..., j:j + 1], out=out)
     return out
 
@@ -360,7 +401,7 @@ def _head_loss(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
         squares = basis ** 2
         loss = np.add.reduce(squares.reshape(logits.shape[:-2] + (-1,)), axis=-1) / (n * n_classes)
     if logits.ndim > 2:
-        if not np.isfinite(loss).all():
+        if not _finite(loss):
             raise NumericError(spec.head)
         return loss, basis
     if not math.isfinite(loss):
@@ -387,7 +428,7 @@ def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:
     loss = np.add.reduce(flat * flat * (0.5 * diag), axis=-1)
     if spec.offset != 0.0:  # adding 0.0 would turn a -0.0 loss into 0.0
         loss = loss + spec.offset
-    if not np.isfinite(loss).all():
+    if not _finite(loss):
         raise NumericError("quadratic_loss")
     return LossGradient(_per_row(flat, loss), diag * flat)
 

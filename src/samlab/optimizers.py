@@ -27,6 +27,11 @@ ascent early), and each run keeps its own state, momentum buffer and
 direction stream, so a lockstep step is byte for byte the runs' single
 steps. Both check the step's minibatch once (`network.check_batch`), not
 once per point.
+
+At small shapes a kernel call costs mostly its fixed dispatch, not its rows,
+so a round answers a lone pending point with the vector call: it gives the
+bytes of a stack of one (which runs through the same 2-D arrays) without
+the stacking and the per-row split.
 """
 
 from dataclasses import dataclass, field
@@ -302,10 +307,11 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None,
     A generator yields a point whose loss and gradient it wants and receives
     (value, gradient), or a `LossOnly` point and receives the value. Each
     round answers every live generator's pending point with one call per
-    kind on the stacked points: `network.loss_and_grad` and
-    `network.forward`. A generator leaves the rounds when it returns; at
-    most `width` are live at once (all if None), and the next one is
-    started, and so builds its points, only when a place is free.
+    kind, `network.loss_and_grad` and `network.forward`: on the stacked
+    points, or on the point itself when it is the kind's only one. A
+    generator leaves the rounds when it returns; at most `width` are live at
+    once (all if None), and the next one is started, and so builds its
+    points, only when a place is free.
     `on_eval(k)` runs before generator k is answered. Rows are evaluated
     independently, so every answer is byte for byte the call on its point
     alone.
@@ -326,14 +332,21 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None,
                 results[k] = done.value
         if not live:
             return [results[k] for k in range(len(results))]
-        grad_entries = [entry for entry in live if type(entry[2]) is not LossOnly]
-        loss_entries = [entry for entry in live if type(entry[2]) is LossOnly]
+        grad_entries, loss_entries = [], []
+        for entry in live:
+            (loss_entries if type(entry[2]) is LossOnly else grad_entries).append(entry)
         answered = []
-        if grad_entries:
+        if len(grad_entries) == 1:
+            entry = grad_entries[0]
+            answered.append((entry, network.loss_and_grad(model_spec, entry[2], batch)))
+        elif grad_entries:
             values, grads = network.loss_and_grad(
                 model_spec, _stack([entry[2] for entry in grad_entries]), batch)
             answered += zip(grad_entries, zip(values.tolist(), grads))
-        if loss_entries:
+        if len(loss_entries) == 1:
+            entry = loss_entries[0]
+            answered.append((entry, network.forward(model_spec, entry[2].point, batch)))
+        elif loss_entries:
             values = network.forward(
                 model_spec, _stack([entry[2].point for entry in loss_entries]), batch)
             answered += zip(loss_entries, values.tolist())

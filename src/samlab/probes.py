@@ -273,17 +273,20 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
 def build_report(model_spec, params: np.ndarray, batch, config: ProbeConfig,
                  seed: int, data_scope: str,
                  train_loss: Optional[float] = None,
-                 test_loss: Optional[float] = None) -> SharpnessReport:
+                 test_loss: Optional[float] = None,
+                 base: Optional[network.LossGradient] = None) -> SharpnessReport:
     """Run every probe at one parameter point and collect the results.
 
     The gap is filled in only when both split losses are supplied; a probe of
     a bare checkpoint has no training history to compare against. The batch
     is checked once, and w is evaluated once: its loss and gradient give the
-    base loss, the ascent direction and the first-order ascent start.
+    base loss, the ascent direction and the first-order ascent start. `base`
+    is `network.loss_and_grad` at w on `batch`, if the caller already has it.
     """
     params = np.asarray(params, dtype=np.float64)
     batch = network.check_batch(model_spec, batch)
-    base = network.loss_and_grad(model_spec, params, batch)
+    if base is None:
+        base = network.loss_and_grad(model_spec, params, batch)
     l_asc = loss_ascent_direction(model_spec, params, batch, config.rho, base=base)
     avg_mean, avg_stderr, n_used = loss_average_direction(
         model_spec, params, batch, config.rho, config.n_samples, seed)

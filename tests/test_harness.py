@@ -498,6 +498,29 @@ def test_probe_checkpoint_twice_identical(tmp_path):
     assert a == b
 
 
+def test_probe_checkpoint_evaluates_w_on_the_train_batch_once(tmp_path, monkeypatch):
+    """One evaluation at w on the train batch gives the train loss and the
+    report's base; the test split is evaluated apart."""
+    cfg = small_config()
+    record = run_training(cfg, 1)
+    path = tmp_path / "w.ckpt"
+    checkpoint.save(path, record.final_params)
+    want = probe_checkpoint(path, cfg)
+    w = record.final_params.data
+    train_features = build_dataset(cfg.dataset, cfg.label_noise_fraction)[0].as_batch().features
+    at_w = []
+    for name in ("forward", "loss_and_grad"):
+        def spied(spec, points, batch, _f=getattr(network, name)):
+            on_train = np.array_equal(batch.features, train_features)
+            at_w.extend(on_train and np.array_equal(row, w)
+                        for row in np.asarray(points).reshape(-1, w.size))
+            return _f(spec, points, batch)
+        monkeypatch.setattr(network, name, spied)
+    got = probe_checkpoint(path, cfg)
+    assert at_w.count(True) == 1
+    assert got == want
+
+
 def test_probe_checkpoint_layout_mismatch_lists_counts(tmp_path):
     cfg = small_config()
     record = run_training(cfg, 1)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -276,6 +277,47 @@ def test_one_row_stack_is_the_2d_call():
     assert result.value.shape == (1,) and result.gradient.shape == (1, params.size)
     assert (float(result.value[0]).hex(), _digest(result.gradient[0])) == \
         PINNED_KERNEL_BYTES[("tanh", "softmax_ce", 3, 2)][:2]
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_KERNEL_BYTES),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_gradient_reads_no_uninitialized_memory(case, monkeypatch):
+    """Every fresh float array and buffer starts as NaN, so a gradient slice
+    that the reverse pass left unwritten would move the pinned bytes."""
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind == "f":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(ad, "_buffers", {})
+    monkeypatch.setattr(np, "empty", nan_empty)
+    spec, params, batch = pin_case(*case)
+    want = PINNED_KERNEL_BYTES[case][:2]
+    result = network.loss_and_grad(spec, params, batch)
+    assert (result.value.hex(), _digest(result.gradient)) == want
+    stacked = network.loss_and_grad(spec, np.stack([params] * 3), batch)
+    assert [(float(stacked.value[k]).hex(), _digest(stacked.gradient[k]))
+            for k in range(3)] == [want] * 3
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_dead_relu_layer_has_positive_zero_gradients(stack):
+    """All hidden units dead on the batch: every layer-0 weight and bias
+    gradient entry is +0.0, never -0.0."""
+    spec = MlpSpec(2, (8,), 2, "relu", "softmax_ce")
+    params = network.init_params(spec, np.random.default_rng(0)).data
+    w0, _, b0 = spec.layers[0]
+    params[b0] = -100.0
+    batch = small_batch()
+    assert (batch.features @ params[w0].reshape(2, 8) + params[b0]).max() < 0
+    if stack:
+        params = np.stack([params, 1.5 * params, params])
+    gradient = network.loss_and_grad(spec, params, batch).gradient
+    layer0 = gradient[..., :b0.stop]
+    assert not layer0.any() and not np.signbit(layer0).any()
 
 
 @pytest.mark.parametrize("size", ["mid", "wide"])
@@ -570,3 +612,27 @@ def test_precomputed_label_reads_match_fancy_indexing(data, stack, n, n_classes)
     new = values.copy()
     new -= checked.one_hot
     assert new.tobytes() == old.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9),
+                    elements=st.one_of(st.floats(), st.sampled_from(
+                        [np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -0.0]))))
+def test_finiteness_check_is_isfinite_all(a):
+    """`_finite` (a dot with zeros) answers np.isfinite(a).all() exactly,
+    and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert network._finite(a) == np.isfinite(a).all()
+
+
+@pytest.mark.parametrize("size", [1, 7, 16, 33, 1000, ad.REUSE_MIN_ELEMENTS + 5, 200_003])
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_finiteness_check_finds_one_bad_entry_anywhere(size, bad):
+    a = np.full(size, 1e308)
+    assert network._finite(a)
+    for position in {0, size // 2, size - 1}:
+        a[position] = bad
+        assert not network._finite(a) and not network._finite(a.reshape(1, -1))
+        a[position] = -1e308
+    assert network._finite(a)
