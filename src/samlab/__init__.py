@@ -29,7 +29,7 @@ from .harness import (
     DatasetConfig, ModelConfig, ExperimentConfig, RunRecord, AggregateResult,
     parse_config, load_config, config_hash, build_dataset,
     run_training, run_suite, compare_optimizers, probe_checkpoint,
-    emit_outputs,
+    emit_outputs, setup_process,
 )
 from . import checkpoint
 

@@ -9,8 +9,9 @@ and its weight view into the flat parameter array. A layer's input
 is the previous layer's activation output `a`, and both derivatives are
 written in terms of it: relu'(z) = (a > 0) and tanh'(z) = 1 - a**2.
 
-Large intermediates go into per-process buffers (`scratch`) instead of fresh
-arrays, because each fresh one costs page faults on every call.
+Every array the pass makes is fresh and dies with the call. Freed heap memory
+is reused by the next call with no page faults, as long as glibc's malloc
+keeps large arrays off `mmap`, which `harness.setup_process` arranges.
 
 At small shapes each numpy call costs more than its arithmetic, so every
 gradient slice is written once, straight from its sum or product, into one
@@ -18,32 +19,7 @@ uninitialized gradient, and one `+ 0.0` over the whole of it then gives the
 bytes a zero-filled accumulator would.
 """
 
-import math
-
 import numpy as np
-
-# glibc's default mmap threshold is 128 KiB: a fresh array of at least that
-# many bytes gets new pages from the kernel and gives them back when freed,
-# so it page-faults again on every call. Smaller arrays come from the heap
-# and fault nothing, while the buffer lookup and `out=` cost about 1 us per
-# use, which made the small-batch workloads slower. Hence buffers only from
-# this many float64 elements (128 KiB) up.
-REUSE_MIN_ELEMENTS = 16_384
-
-_buffers = {}
-
-
-def scratch(slot, shape: tuple):
-    """A float64 view of shape `shape` into this process's buffer `slot`,
-    grown to the largest size asked for. The view's contents are garbage, and
-    the next request for the same slot overwrites them. Callers ask only for
-    arrays of at least REUSE_MIN_ELEMENTS, and check the size first, since
-    the lookup costs more than a small fresh array."""
-    size = math.prod(shape)
-    buf = _buffers.get(slot)
-    if buf is None or buf.size < size:
-        buf = _buffers[slot] = np.empty(size)
-    return buf[:size].reshape(shape)
 
 
 def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) -> np.ndarray:
@@ -79,14 +55,7 @@ def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) 
         np.matmul(x.swapaxes(-1, -2), d, out=w_grad)
         end -= fan_in * fan_out
         if i > 0:
-            # Two slots in turn: an `out=` that overlaps an input would make
-            # matmul copy that input to a fresh array first.
-            w_t = w.swapaxes(-1, -2)
-            if d.size // fan_out * fan_in >= REUSE_MIN_ELEMENTS:
-                d = np.matmul(d, w_t, out=scratch(("grad", len(lead), i % 2),
-                                                  lead + (d.shape[-2], fan_in)))
-            else:
-                d = d @ w_t
+            d = d @ w.swapaxes(-1, -2)
             # The derivative overwrites the activation, which nothing reads
             # again; the products equal (x > 0) * d and (1 - x**2) * d.
             if activation == "relu":

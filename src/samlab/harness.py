@@ -19,7 +19,9 @@ the CSV/JSON files except the wall_seconds measurement column.
 """
 
 import concurrent.futures
+import ctypes
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -506,10 +508,62 @@ def _run_group(args):
     return train_group(config, config.optimizer_sweep, seed)
 
 
+# glibc's mallopt parameters and the values setup_process gives them. By
+# default an array of 128 KiB or more gets its own `mmap` and gives its pages
+# back when freed, and free memory at the top of the heap goes back too, so
+# the kernel's fresh arrays would fault their pages in again on every call.
+# 32 MiB is the largest mmap threshold glibc accepts.
+_MALLOPT_SETTINGS = ((-3, 32 * 2 ** 20),   # M_MMAP_THRESHOLD
+                     (-1, 2 ** 30))        # M_TRIM_THRESHOLD
+
+# OpenBLAS's thread setter, by build: scipy-openblas (numpy's wheels) with
+# 64-bit or 32-bit integers, then a plain OpenBLAS of either kind.
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@functools.cache
+def setup_process() -> None:
+    """Set the two process-wide settings samlab's bytes and speed rest on,
+    once per process; each is skipped quietly where its function is missing.
+
+    * BLAS on one thread. A multi-threaded OpenBLAS splits a product that
+      reduces over the batch rows (the weight gradient) another way and
+      rounds it differently, so outputs are byte-stable for one BLAS thread
+      only. The setter is looked up through numpy's own extension, so it is
+      the BLAS numpy loaded.
+    * glibc malloc's mmap and trim thresholds (`_MALLOPT_SETTINGS`), so the
+      kernel's fresh arrays reuse freed heap memory with no page faults.
+
+    `run_suite`, `compare_optimizers`, `probe_checkpoint`, `slice_checkpoint`
+    and every pool worker call it first. Library code that calls the kernel
+    directly should call it too.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # TypeError: no C library handle (Windows)
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        for param, value in _MALLOPT_SETTINGS:
+            mallopt(param, value)
+    try:
+        numpy_blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError):
+        return
+    for name in _BLAS_THREAD_SETTERS:
+        setter = getattr(numpy_blas, name, None)
+        if setter is not None:
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+            return
+
+
 def _map(fn, work, jobs: int) -> list:
     """`fn` over `work` in order, in a pool of `jobs` processes if jobs > 1."""
     if jobs > 1 and len(work) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
+                                                    initializer=setup_process) as pool:
             return list(pool.map(fn, work))
     return [fn(item) for item in work]
 
@@ -530,6 +584,7 @@ def run_suite(config: ExperimentConfig, jobs: int = 1) -> SuiteResult:
     seed order either way, so parallelism cannot change any output byte.
     """
     require_trainable(config)
+    setup_process()
     return _suite(config, _map(_run_one, [(config, seed) for seed in config.seeds], jobs))
 
 
@@ -545,6 +600,7 @@ def compare_optimizers(config: ExperimentConfig, optimizer_list, jobs: int = 1):
     if not optimizer_list:
         raise ConfigError("optimizer list is empty")
     require_trainable(config)
+    setup_process()
     # Re-validating with the list as the sweep rejects repeated labels.
     config = dataclasses.replace(config, optimizer_sweep=tuple(optimizer_list))
     groups = _map(_run_group, [(config, seed) for seed in config.seeds], jobs)
@@ -770,6 +826,7 @@ def probe_checkpoint(checkpoint_path: Union[str, Path],
     file under the same config always reproduces the same report and carries
     no trace of which optimizer produced the checkpoint.
     """
+    setup_process()
     flat, spec, train, test = _load_checkpoint(checkpoint_path, config)
     train_batch = network.check_batch(spec, train.as_batch())
     # One evaluation at w gives the train loss and the report's base.
@@ -788,6 +845,7 @@ def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
     direction); direction b is a random direction from the probe stream.
     Returns (slice_config, alphas, betas, losses).
     """
+    setup_process()
     slice_cfg = config.slice_plane if config.slice_plane is not None else SliceConfig()
     flat, spec, train, _ = _load_checkpoint(checkpoint_path, config)
     batch = network.check_batch(spec, train.as_batch())

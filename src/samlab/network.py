@@ -38,31 +38,27 @@ stack of one still runs through the 2-D arrays, which cost less than a
 stack of one. A quadratic's rows take the same reductions over their last
 axis, so the probes' closed-form tests run their stacked path.
 
-Large intermediates live in per-process buffers (`autodiff.scratch`): each
-hidden layer's output and the reverse pass's layer gradients, once they reach
-`autodiff.REUSE_MIN_ELEMENTS` (for a stack, counted over all its rows), go
-into a buffer that is reused across calls and kept at the largest size seen;
-2-D and stacked passes use separate buffers. So the kernel is not safe to
-call from two threads at once; samlab's only parallelism is its process
-pool. Returned arrays (logits, gradients) are always freshly allocated and
-never alias a buffer.
+Every array a call makes is fresh and dies with the call, or is returned.
+No buffer is shared between calls, so several threads may call the kernel at
+once. A freed array's memory goes back to the heap and the next call reuses
+it with no page faults, as long as glibc's malloc keeps large arrays off
+`mmap`: `harness.setup_process` sets its thresholds so.
 
 At the small shapes of a `compare` sweep (a 2-32-2 model, batch 32) one
 call does a few thousand multiply-adds through about 70 numpy calls, so its
 cost is almost all fixed dispatch, about 1 us per numpy call. So the kernel
 keeps the straight-line forms: one numpy call where a method wrapper
 (`.all()`, `.sum`) or a copy plus a call would do the same, one BLAS dot for
-each finiteness check (`_finite`), a vector sliced without `...`, no buffer
-lookup below `autodiff.REUSE_MIN_ELEMENTS`, and no row axis for one vector.
+each finiteness check (`_finite`), a vector sliced without `...`, and no
+row axis for one vector.
 
 Outputs are byte-stable, and the kernel keeps two rules so that a faster form
 of a step cannot move a byte. A reduction keeps numpy's own summation order
 (`_fold` replaces a short-axis reduce only where the order is the same), and
 each runs over one contiguous row, never over a transposed gather. An
-in-place op writes only to an array the call itself allocated or a buffer
-it owns, and whose old values nothing reads again (an affine output before
-its activation, the head's shifted logits), never to the caller's params,
-features or labels.
+in-place op writes only to an array the call itself allocated, and whose
+old values nothing reads again (an affine output before its activation, the
+head's shifted logits), never to the caller's params, features or labels.
 """
 
 import functools
@@ -214,7 +210,9 @@ class CheckedBatch(NamedTuple):
 
 
 # Zeros for `_finite`, grown to the largest array checked and never written,
-# so their pages stay the kernel's shared zero page and take no memory.
+# so their pages stay the kernel's shared zero page and take no memory. A call
+# reads the global once and slices only the array it read, so another thread
+# that replaces the global meanwhile, even with a shorter one, cannot cut it.
 _zeros = np.zeros(0)
 
 
@@ -228,9 +226,10 @@ def _finite(a: np.ndarray) -> bool:
     floating-point warning for an inf.
     """
     global _zeros
-    if _zeros.size < a.size:
-        _zeros = np.zeros(a.size)
-    return math.isfinite(np.vdot(a, _zeros[:a.size]))
+    zeros = _zeros
+    if zeros.size < a.size:
+        zeros = _zeros = np.zeros(a.size)
+    return math.isfinite(np.vdot(a, zeros[:a.size]))
 
 
 def _check_features(spec: MlpSpec, features) -> np.ndarray:
@@ -312,15 +311,11 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
     (inputs, weights, logits): the input of every affine layer, its weight
     view into `flat`, and the last layer's output, (n, out) or (K, n, out).
     Each affine output is checked for finiteness, because tanh maps an
-    overflow to +-1. A large hidden layer's output is written into its
-    buffer, which the next call overwrites; the logits are always a new
-    array.
+    overflow to +-1.
     """
     layers = spec.layers
     n_layers = len(layers)
     lead = flat.shape[:-1]
-    # Rows of every layer's output, over all parameter rows.
-    rows = features.shape[0] * flat.shape[0] if lead else features.shape[0]
     inputs, weights = [], []
     x = features
     for i, (w_slice, w_shape, b_slice) in enumerate(layers):
@@ -332,11 +327,7 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
             b = flat[b_slice]
         inputs.append(x)
         weights.append(w)
-        if i < n_layers - 1 and rows * w_shape[1] >= ad.REUSE_MIN_ELEMENTS:
-            x = np.matmul(x, w, out=ad.scratch(("act", len(lead), i),
-                                               lead + (x.shape[-2], w_shape[1])))
-        else:
-            x = x @ w
+        x = x @ w
         x += b
         if not _finite(x):
             raise NumericError(f"dense{i}")

@@ -5,7 +5,9 @@ in a bench run.
 
 Each round runs in a fresh interpreter with BLAS pinned to one thread, as
 `perfbench/run.py` runs it: a multi-threaded OpenBLAS splits train_wide's
-matmuls differently and writes other bytes. Like the kernel pins in
+matmuls differently and writes other bytes. samlab's entry points set one
+BLAS thread themselves (`harness.setup_process`), so train_wide also runs
+once with the environment asking for two. Like the kernel pins in
 `test_network.py`, the digests hold for numpy 2.4 and its bundled OpenBLAS on
 x86-64.
 """
@@ -62,12 +64,30 @@ PINNED_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
-def test_bench_round_writes_its_pinned_bytes(name, tmp_path):
-    env = {**os.environ, **BLAS_PINS, "PYTHONPATH": str(PERFBENCH)}
-    done = subprocess.run([sys.executable, "-c", ROUND, name, str(tmp_path)],
+def _round(name: str, work: Path, threads: dict) -> dict:
+    """The digests of one round at seed 1, in a fresh interpreter whose BLAS
+    thread variables are `threads` alone."""
+    env = {var: value for var, value in os.environ.items() if var not in BLAS_PINS}
+    env.update(threads, PYTHONPATH=str(PERFBENCH))
+    done = subprocess.run([sys.executable, "-c", ROUND, name, str(work)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["errors"] == [] and result["failed"] == 0
-    assert result["digests"] == PINNED_DIGESTS[name]
+    return result["digests"]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_bench_round_writes_its_pinned_bytes(name, tmp_path):
+    assert _round(name, tmp_path, BLAS_PINS) == PINNED_DIGESTS[name]
+
+
+def test_two_blas_threads_asked_for_still_give_the_pinned_bytes(tmp_path):
+    """The environment asks OpenBLAS for two threads; `setup_process` sets one
+    before any kernel call, so train_wide writes its pinned bytes."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if (cpus or 1) < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread whatever it is asked, "
+                    "so two threads asked for cannot be told from one")
+    assert _round("train_wide", tmp_path, {"OPENBLAS_NUM_THREADS": "2"}) == \
+        PINNED_DIGESTS["train_wide"]

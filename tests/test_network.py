@@ -1,6 +1,9 @@
 import gc
 import hashlib
 import itertools
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -8,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from samlab import autodiff as ad
-from samlab import network
+from samlab import harness, network
 from samlab.data import gen_two_moons
 from samlab.errors import LayoutError, NumericError, ShapeError
 from samlab.network import Batch, MlpSpec, QuadraticSpec
@@ -165,11 +167,11 @@ def test_evaluation_leaves_no_garbage_cycles():
     assert gc.collect() == 0
 
 
-# (hidden widths, rows) per pin case size. The "wide" hidden layers and their
-# reverse-pass gradients (200 x 128 and 200 x 96) are at least
-# autodiff.REUSE_MIN_ELEMENTS, so they go through the reused buffers; every
-# "small" array stays below it. A "mid" array (120 x 64, 120 x 48) is below
-# it alone and above it in a stack of 3.
+# (hidden widths, rows) per pin case size. A "wide" hidden layer and its
+# reverse-pass gradient (200 x 128, 200 x 96) take 150-200 KiB, above glibc's
+# default mmap threshold (128 KiB); every "small" array is far below it. A
+# "mid" array (120 x 64, 120 x 48) is below it alone and above it in a stack
+# of 3.
 PIN_SIZES = {"small": ((5, 4), 40), "mid": ((64, 48), 120), "wide": ((128, 96), 200)}
 
 
@@ -282,8 +284,8 @@ def test_one_row_stack_is_the_2d_call():
 @pytest.mark.parametrize("case", sorted(PINNED_KERNEL_BYTES),
                          ids=lambda case: "-".join(map(str, case)))
 def test_gradient_reads_no_uninitialized_memory(case, monkeypatch):
-    """Every fresh float array and buffer starts as NaN, so a gradient slice
-    that the reverse pass left unwritten would move the pinned bytes."""
+    """Every fresh float array starts as NaN, so a gradient slice that the
+    reverse pass left unwritten would move the pinned bytes."""
     empty = np.empty
 
     def nan_empty(*args, **kwargs):
@@ -292,7 +294,6 @@ def test_gradient_reads_no_uninitialized_memory(case, monkeypatch):
             out.fill(np.nan)
         return out
 
-    monkeypatch.setattr(ad, "_buffers", {})
     monkeypatch.setattr(np, "empty", nan_empty)
     spec, params, batch = pin_case(*case)
     want = PINNED_KERNEL_BYTES[case][:2]
@@ -321,30 +322,88 @@ def test_dead_relu_layer_has_positive_zero_gradients(stack):
 
 
 @pytest.mark.parametrize("size", ["mid", "wide"])
-def test_single_and_stacked_calls_keep_their_bytes_interleaved(size, monkeypatch):
-    """Single and stacked calls use separate buffer slots, and neither moves
-    a byte of the other, in any order."""
+def test_single_and_stacked_calls_keep_their_bytes_interleaved(size):
+    """Neither a single nor a stacked call moves a byte of the other, in any
+    order."""
     spec, params, batch = pin_case("tanh", "mse", 3, 2, size)
     rows = np.stack([params, 0.5 * params, -params])
-    rows_sizes = [rows.shape[0] * batch.features.shape[0] * h for h in spec.hidden]
-    assert min(rows_sizes) >= ad.REUSE_MIN_ELEMENTS
     singles = [_single_bytes(spec, row, batch) for row in rows]
     stacked = network.loss_and_grad(spec, rows, batch)
     stacked_bytes = (stacked.value.tobytes(), stacked.gradient.tobytes())
-
-    slots = {}
-    for name, call in (("single", lambda: network.loss_and_grad(spec, params, batch)),
-                       ("stacked", lambda: network.loss_and_grad(spec, rows, batch))):
-        monkeypatch.setattr(ad, "_buffers", {})
-        call()
-        slots[name] = set(ad._buffers)
-    assert slots["stacked"] and not slots["single"] & slots["stacked"]
-    monkeypatch.undo()
 
     for k in (0, 1, 2, 1, 0):
         again = network.loss_and_grad(spec, rows, batch)
         assert (again.value.tobytes(), again.gradient.tobytes()) == stacked_bytes
         assert _single_bytes(spec, rows[k], batch) == singles[k]
+
+
+def _run_threads(target, count: int, meanwhile=None) -> list:
+    """Run `target(index)` on `count` threads at once, with the interpreter
+    switching threads every microsecond, and call `meanwhile()` on this
+    thread until they end; returns what each raised."""
+    errors = []
+
+    def run(index):
+        try:
+            target(index)
+        except Exception as error:  # reported by the caller's assert
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 120
+        while meanwhile is not None and time.monotonic() < deadline \
+                and any(thread.is_alive() for thread in threads):
+            meanwhile()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+class _YieldingZeros(np.ndarray):
+    """Zeros whose `size` lets other threads run before it answers, so a
+    check of the size and a later read of the same global can see two
+    different arrays."""
+
+    @property
+    def size(self):
+        time.sleep(0)
+        return super().size
+
+
+def test_concurrent_threads_get_their_single_thread_bytes(monkeypatch):
+    """Four threads calling the kernel at once on their own params each get
+    the bytes of the same calls made alone; so do threads on different batch
+    sizes while another keeps replacing the finiteness check's zeros with a
+    shorter array, as a thread that grows them to a smaller size would."""
+    harness.setup_process()
+    spec = MlpSpec(3, (128, 96), 4, "tanh", "mse")
+    rng = np.random.default_rng(11)
+    params = [network.init_params(spec, rng).data for _ in range(4)]
+    features, labels = rng.standard_normal((200, 3)), rng.integers(0, 4, 200)
+
+    def swap_zeros():
+        network._zeros = np.zeros(2 ** 15).view(_YieldingZeros)
+        time.sleep(0)
+        network._zeros = np.zeros(0)
+
+    for sizes, meanwhile in (((200,) * 4, None), ((50, 100, 150, 200), swap_zeros)):
+        batches = [Batch(features[:n], labels[:n]) for n in sizes]
+        alone = [_single_bytes(spec, params[k], batches[k]) for k in range(4)]
+        got = [[] for _ in params]
+        monkeypatch.setattr(network, "_zeros", np.zeros(0))
+        errors = _run_threads(
+            lambda k: got[k].extend(_single_bytes(spec, params[k], batches[k]) for _ in range(200)),
+            4, meanwhile)
+        assert errors == []
+        assert all(calls == [alone[k]] * 200 for k, calls in enumerate(got))
 
 
 def test_stacked_rows_reject_a_quadratic_spec_and_bad_shapes():
@@ -453,10 +512,10 @@ def test_evaluation_leaves_caller_arrays_unchanged(case):
 
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 def test_large_results_survive_later_calls(activation):
-    """Returned arrays never alias a reused buffer, and a buffer grown or
-    shrunk between calls gives every call its own bytes."""
-    # 3,000 rows x 10 classes is above the reuse limit, so logits that were
-    # written into a buffer would change under the second call.
+    """Returned arrays are never changed by a later call, and calls of
+    growing and shrinking sizes each give their own bytes."""
+    # 3,000 rows x 10 classes: logits that the kernel kept and wrote into
+    # again would change under the second call.
     spec, params, _ = pin_case(activation, "mse", 10, 2, "wide")
     other = network.init_params(spec, np.random.default_rng(9)).data
     rng = np.random.default_rng(4)
@@ -626,7 +685,7 @@ def test_finiteness_check_is_isfinite_all(a):
         assert network._finite(a) == np.isfinite(a).all()
 
 
-@pytest.mark.parametrize("size", [1, 7, 16, 33, 1000, ad.REUSE_MIN_ELEMENTS + 5, 200_003])
+@pytest.mark.parametrize("size", [1, 7, 16, 33, 1000, 16_389, 200_003])
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_finiteness_check_finds_one_bad_entry_anywhere(size, bad):
     a = np.full(size, 1e308)
