@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError, LengthError
-from .network import Batch
+from .network import Batch, CheckedBatch, take_rows
 
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
@@ -194,18 +194,25 @@ def split(dataset: Dataset, spec: SplitSpec):
     return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
 
 
-def minibatches(dataset: Dataset, batch_size: int, seed: int, epoch: int):
+def minibatches(dataset, batch_size: int, seed: int, epoch: int):
     """Yield shuffled batches; order is a pure function of (seed, epoch).
 
-    The final short batch is kept.
+    `dataset` is a `Dataset` (or a raw `Batch`), whose batches are raw
+    `Batch`es, or a `network.CheckedBatch`, whose batches are its
+    `take_rows` and need no check again; the same seeds give the same rows
+    either way. The final short batch is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = len(dataset)
+    n = dataset.features.shape[0]
     perm = np.random.default_rng([_u64(seed), _u64(epoch)]).permutation(n)
+    checked = type(dataset) is CheckedBatch
     for start in range(0, n, batch_size):
         idx = perm[start:start + batch_size]
-        yield Batch(dataset.features[idx], dataset.labels[idx])
+        if checked:
+            yield take_rows(dataset, idx)
+        else:
+            yield Batch(dataset.features[idx], dataset.labels[idx])
 
 
 def _u64(seed: int) -> int:

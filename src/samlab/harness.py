@@ -428,7 +428,7 @@ def _train(config: ExperimentConfig, sweep, seed: int) -> list:
     rows = np.tile(params.data, (len(sweep), 1))
     curves = []
     for epoch in range(config.epochs):
-        for batch in datamod.minibatches(train, config.batch_size, shuffle_seed, epoch):
+        for batch in datamod.minibatches(train_batch, config.batch_size, shuffle_seed, epoch):
             rows = _step(spec, rows, batch, sweep, states)
         curves.append(_evaluate(spec, rows, train_batch, test_batch))
     final_train, final_test, final_accuracy = (
@@ -773,12 +773,14 @@ def emit_slice(out_dir: Union[str, Path], name: str, alphas, betas, losses) -> P
     file that cannot be written raises a SamLabError."""
     out = prepare_out_dir(out_dir)
     path = out / f"slice_{name}.csv"
-    # repr of each Python float, as `_write_csv` writes a float.
-    betas = np.asarray(betas, dtype=np.float64).tolist()
+    # repr of each Python float, as `_write_csv` writes a float; each alpha
+    # and beta is formatted once, not once per cell.
+    betas = [repr(beta) for beta in np.asarray(betas, dtype=np.float64).tolist()]
     lines = ["alpha,beta,loss"]
     for alpha, row in zip(np.asarray(alphas, dtype=np.float64).tolist(),
                           np.asarray(losses, dtype=np.float64).tolist()):
-        lines.extend(f"{alpha!r},{beta!r},{loss!r}" for beta, loss in zip(betas, row))
+        alpha = repr(alpha)
+        lines.extend(f"{alpha},{beta},{loss!r}" for beta, loss in zip(betas, row))
     try:
         fileio.write_text(path, "\n".join(lines) + "\n")
     except OSError as exc:

@@ -21,9 +21,24 @@ caller can make a checked batch wrong, and a check that held once holds for
 the object's lifetime. Every entry point below calls `check_batch` first,
 which returns a batch already checked for an equal spec as it is: an
 optimizer step checks its minibatch once for all its points, a training run
-its two split batches once, and a probe its batch once. The parameters
-change from call to call, so they are still checked on every call, as is
-every layer's output.
+its two split batches once (its minibatches are `take_rows` of the checked
+train split, which need no check again), and a probe its batch once. The
+parameters change from call to call, so they are still checked on every
+call.
+
+Each layer's output is proven finite, not scanned. The one pass that checks
+the params (or the features) is the dot s of the array with itself, which
+is finite exactly when every entry is; then every entry is at most √s in
+magnitude (`_bound`). A layer's output x @ w + b is then at most
+(fan_in · X + 1) · W in magnitude, where W bounds the params and X the
+layer's input: the features' bound for layer 0, the previous layer's bound
+after relu, and 1 after tanh. Where that bound is below 2^1000, far below
+float64's overflow at 2^1024 with room for every rounding, the output is
+finite and is not read; only where it is not (params or features of
+astronomical size, or a dot that overflowed) is the output scanned, as
+every layer's was before. So exactly the calls that a scan of every layer
+would reject raise `NumericError("dense<i>")`: tanh would map an overflow
+to +-1 and relu a -inf to 0, so a check after the activation would not do.
 
 Every entry point takes one parameter vector or a stack of K of them: a
 `ParameterVector` or a (P,) array gives scalar results, a (K, P) array
@@ -48,9 +63,11 @@ At the small shapes of a `compare` sweep (a 2-32-2 model, batch 32) one
 call does a few thousand multiply-adds through about 70 numpy calls, so its
 cost is almost all fixed dispatch, about 1 us per numpy call. So the kernel
 keeps the straight-line forms: one numpy call where a method wrapper
-(`.all()`, `.sum`) or a copy plus a call would do the same, one BLAS dot for
-each finiteness check (`_finite`), a vector sliced without `...`, and no
-row axis for one vector.
+(`.all()`, `.sum`) or a copy plus a call would do the same, a vector sliced
+without `...`, and no row axis for one vector. At the probes' shapes (8
+stacked rows on 500 examples) a call's time goes on whole passes over its
+activations instead, so a loss-only call (`forward`, `loss_and_accuracy`)
+normalises only each example's picked log-probability, not all of them.
 
 Outputs are byte-stable, and the kernel keeps two rules so that a faster form
 of a step cannot move a byte. A reduction keeps numpy's own summation order
@@ -199,7 +216,8 @@ class CheckedBatch(NamedTuple):
     The arrays are read-only copies, so the checks hold for the object's
     lifetime. `index` and `one_hot` are what the heads read from the labels:
     the flat index arange(n) * out_width + labels into the (n, out_width)
-    logits, and the one-hot targets.
+    logits, and the one-hot targets. `bound` is at least every |feature|
+    (see `_bound`).
     """
 
     features: np.ndarray
@@ -207,40 +225,59 @@ class CheckedBatch(NamedTuple):
     spec: MlpSpec
     index: np.ndarray
     one_hot: np.ndarray
+    bound: float
 
 
-# Zeros for `_finite`, grown to the largest array checked and never written,
-# so their pages stay the kernel's shared zero page and take no memory. A call
-# reads the global once and slices only the array it read, so another thread
-# that replaces the global meanwhile, even with a shorter one, cannot cut it.
-_zeros = np.zeros(0)
+# A layer output whose bound is below this is finite: the roundings in the
+# bound and in the output's own sums add a relative error of about
+# fan_in * 2^-53, far below the factor 2^24 between this and float64's
+# overflow at 2^1024.
+_SCAN_FROM = 2.0 ** 1000
 
 
 def _finite(a: np.ndarray) -> bool:
-    """Whether every entry of the float64 array `a` is finite.
+    """Whether every entry of the float64 array `a` is finite."""
+    return np.isfinite(a).all()
 
-    a . 0 is NaN if an entry is inf or NaN (inf * 0 and NaN * 0 are NaN) and
-    +-0 if none is, since a sum of zeros cannot overflow. `np.vdot` forms it
-    in one BLAS call, at about half the cost of `np.isfinite(a).all()` at
-    every shape the kernel checks, and unlike `np.dot` it raises no
-    floating-point warning for an inf.
+
+def _bound(a: np.ndarray, what: str) -> float:
+    """A bound on every |entry| of the float64 array `a`, checking on the way
+    that each entry is finite: raises NumericError(what) if one is not.
+
+    The dot s = a . a is one BLAS pass, and it is finite exactly when every
+    entry is (an inf or NaN squares to inf or NaN, and a sum of non-negative
+    terms cannot cancel one). Rounding is monotonic, so s is at least the
+    rounded square of the largest |entry| M, and in binary floating point the
+    root of a rounded square is the number itself whenever the square is
+    normal, as it is for M >= 1; so max(√s, 1) >= M. Where s overflows,
+    each entry is scanned instead, and the bound of a finite array is inf.
     """
-    global _zeros
-    zeros = _zeros
-    if zeros.size < a.size:
-        zeros = _zeros = np.zeros(a.size)
-    return math.isfinite(np.vdot(a, zeros[:a.size]))
+    s = np.vdot(a, a)
+    if math.isfinite(s):
+        return max(math.sqrt(s), 1.0)
+    if not _finite(a):
+        raise NumericError(what)
+    return math.inf
 
 
-def _check_features(spec: MlpSpec, features) -> np.ndarray:
-    """A read-only float64 copy of `features`, checked: (n, in_width), finite."""
+def _check_features(spec: MlpSpec, features) -> tuple:
+    """A read-only float64 copy of `features`, checked: (n, in_width), finite;
+    and its `_bound`."""
     features = np.array(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != spec.in_width:
         raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
-    if not _finite(features):
-        raise NumericError("batch features")
+    bound = _bound(features, "batch features")
     features.flags.writeable = False
-    return features
+    return features, bound
+
+
+def _sealed(features, labels, spec: MlpSpec, one_hot, bound: float) -> CheckedBatch:
+    """A `CheckedBatch` of already checked rows, with its label index, every
+    array made read-only."""
+    index = np.arange(labels.size) * spec.out_width + labels.astype(np.intp)
+    for array in (features, labels, index, one_hot):
+        array.flags.writeable = False
+    return CheckedBatch(features, labels, spec, index, one_hot, bound)
 
 
 def check_batch(spec: ModelSpec, batch):
@@ -257,7 +294,7 @@ def check_batch(spec: ModelSpec, batch):
         return batch
     if isinstance(spec, QuadraticSpec):
         return batch
-    features = _check_features(spec, batch.features)
+    features, bound = _check_features(spec, batch.features)
     n, n_classes = features.shape[0], spec.out_width
     if n == 0:
         raise ShapeError("input", f"(n >= 1, {spec.in_width})", features.shape)
@@ -269,18 +306,28 @@ def check_batch(spec: ModelSpec, batch):
     if labels.min() < 0 or labels.max() >= n_classes:
         raise ShapeError(spec.head, f"labels in [0, {n_classes})",
                          f"labels in [{labels.min()}, {labels.max()}]")
-    rows = np.arange(n)
     one_hot = np.zeros((n, n_classes), dtype=np.float64)
-    one_hot[rows, labels] = 1.0
-    index = rows * n_classes + labels.astype(np.intp)
-    for array in (labels, index, one_hot):
-        array.flags.writeable = False
-    return CheckedBatch(features, labels, spec, index, one_hot)
+    one_hot[np.arange(n), labels] = 1.0
+    return _sealed(features, labels, spec, one_hot, bound)
 
 
-def _check_params(spec: ModelSpec, params) -> np.ndarray:
+def take_rows(batch: CheckedBatch, idx) -> CheckedBatch:
+    """Rows `idx` (a non-empty 1-D index) of a checked batch, checked: the
+    gathered features, labels and one-hot targets with their own label
+    index, as `check_batch` of the gathered raw rows would give, but with no
+    entry checked again. The bound stays the whole batch's, which bounds a
+    subset's features too.
+    """
+    labels = batch.labels[idx]
+    if labels.ndim != 1 or labels.size == 0:
+        raise ShapeError("take_rows", "a non-empty 1-D row index", labels.shape)
+    return _sealed(batch.features[idx], labels, batch.spec, batch.one_hot[idx], batch.bound)
+
+
+def _check_params(spec: ModelSpec, params) -> tuple:
     """The parameters as a contiguous float64 array, one vector (P,) or a
-    stack of rows (K, P), checked before any compute."""
+    stack of rows (K, P), checked before any compute; and their `_bound`,
+    one for every row."""
     flat = params.data if isinstance(params, ParameterVector) else np.asarray(params, dtype=np.float64)
     expected = spec.param_count
     if flat.ndim not in (1, 2):
@@ -292,9 +339,7 @@ def _check_params(spec: ModelSpec, params) -> np.ndarray:
             found_count=flat.shape[-1],
         )
     flat = np.ascontiguousarray(flat)
-    if not _finite(flat):
-        raise NumericError("params")
-    return flat
+    return flat, _bound(flat, "params")
 
 
 def _per_row(flat: np.ndarray, value):
@@ -303,21 +348,24 @@ def _per_row(flat: np.ndarray, value):
     return float(value) if flat.ndim == 1 else np.asarray(value).reshape(-1)
 
 
-def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
+def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray, w_bound: float,
+              x_bound: float):
     """Forward pass to the head inputs.
 
     `flat` is one parameter vector (P,) or a stack of rows (K, P); the
-    features (n, d), already checked, are shared by every row. Returns
-    (inputs, weights, logits): the input of every affine layer, its weight
-    view into `flat`, and the last layer's output, (n, out) or (K, n, out).
-    Each affine output is checked for finiteness, because tanh maps an
-    overflow to +-1.
+    features (n, d), already checked, are shared by every row. `w_bound`
+    bounds every |entry| of `flat` and `x_bound` every |feature|; inf means
+    no bound is known. Returns (inputs, weights, logits): the input of every
+    affine layer, its weight view into `flat`, and the last layer's output,
+    (n, out) or (K, n, out). Each affine output is proven finite from its
+    bound, or scanned where the bound proves nothing.
     """
     layers = spec.layers
     n_layers = len(layers)
     lead = flat.shape[:-1]
     inputs, weights = [], []
     x = features
+    bound = x_bound
     for i, (w_slice, w_shape, b_slice) in enumerate(layers):
         if lead:
             w = flat[:, w_slice].reshape(lead + w_shape)
@@ -329,20 +377,25 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
         weights.append(w)
         x = x @ w
         x += b
-        if not _finite(x):
+        # |x @ w + b| <= fan_in * bound * w_bound + w_bound; a NaN bound
+        # (0 * inf) is not below the limit either.
+        bound = (w_shape[0] * bound + 1.0) * w_bound
+        if not bound < _SCAN_FROM and not _finite(x):
             raise NumericError(f"dense{i}")
         if i < n_layers - 1:
             if spec.activation == "relu":
                 np.maximum(x, 0.0, out=x)
             else:
                 np.tanh(x, out=x)
+                bound = 1.0
     return inputs, weights, x
 
 
-def _pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray):
-    """`_mlp_pass` of checked params; a stack of one row goes through the 2-D
-    arrays, which cost less than a stack of one."""
-    return _mlp_pass(spec, flat[0] if flat.shape[:-1] == (1,) else flat, features)
+def _pass(spec: MlpSpec, flat: np.ndarray, w_bound: float, batch: CheckedBatch):
+    """`_mlp_pass` of checked params on a checked batch; a stack of one row
+    goes through the 2-D arrays, which cost less than a stack of one."""
+    return _mlp_pass(spec, flat[0] if flat.shape[:-1] == (1,) else flat, batch.features,
+                     w_bound, batch.bound)
 
 
 def _fold(ufunc, a: np.ndarray) -> np.ndarray:
@@ -371,47 +424,79 @@ def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _head_loss(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
-    """Mean loss of the head on a checked batch, and the array its logits
-    gradient is built from (log-probabilities for softmax_ce, residuals for
-    mse). For stacked logits (K, n, out) the loss is a (K,) array, one mean
-    per row."""
-    n, n_classes = logits.shape[-2:]
-    # np.add.reduce(v) / v.size is np.mean's own arithmetic, without its
-    # overhead. Each sum runs over one contiguous row, as in a 2-D call:
-    # `take` along the last axis gathers each row's picked entries into one
-    # contiguous row (a fancy index of a stack would come out transposed, and
-    # numpy would sum it in another order).
-    if spec.head == "softmax_ce":
-        basis = logits - _fold(np.maximum, logits)
-        basis -= np.log(_fold(np.add, np.exp(basis)))
-        picked = basis.reshape(basis.shape[:-2] + (-1,)).take(batch.index, axis=-1)
-        loss = -(np.add.reduce(picked, axis=-1) / n)
-    else:
-        basis = logits - batch.one_hot
-        squares = basis ** 2
-        loss = np.add.reduce(squares.reshape(logits.shape[:-2] + (-1,)), axis=-1) / (n * n_classes)
-    if logits.ndim > 2:
+def _finite_loss(spec: MlpSpec, loss):
+    """The head's mean loss, a float for 2-D logits or a (K,) array for a
+    stack, once it is checked finite."""
+    if isinstance(loss, np.ndarray):
         if not _finite(loss):
             raise NumericError(spec.head)
-        return loss, basis
+        return loss
     if not math.isfinite(loss):
         raise NumericError(spec.head)
-    return float(loss), basis
+    return float(loss)
+
+
+def _softmax_parts(logits: np.ndarray) -> tuple:
+    """The logits less each example's max, and the log of each example's sum
+    of their exps, (..., n, 1): a log-probability is the first less the
+    second."""
+    shifted = logits - _fold(np.maximum, logits)
+    return shifted, np.log(_fold(np.add, np.exp(shifted)))
+
+
+def _labelled(a: np.ndarray, batch: CheckedBatch) -> np.ndarray:
+    """Each example's entry of `a` (..., n, out) at its label, (..., n).
+
+    `take` along the last axis gathers each row's picked entries into one
+    contiguous row, so each later sum runs over one contiguous row, as in a
+    2-D call (a fancy index of a stack would come out transposed, and numpy
+    would sum it in another order).
+    """
+    return a.reshape(a.shape[:-2] + (-1,)).take(batch.index, axis=-1)
+
+
+def _mean_square(residual: np.ndarray):
+    """The mean of the squared residuals (..., n, out), over the last two
+    axes; np.add.reduce(v) / v.size is np.mean's own arithmetic, without its
+    overhead, and each row's sum runs over one contiguous row."""
+    n, n_classes = residual.shape[-2:]
+    squares = residual ** 2
+    return np.add.reduce(squares.reshape(residual.shape[:-2] + (-1,)), axis=-1) / (n * n_classes)
+
+
+def _head_loss(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch):
+    """Mean loss of the head on a checked batch: a float, or for stacked
+    logits (K, n, out) a (K,) array, one mean per row.
+
+    The loss reads only each example's log-probability at its label, so only
+    those n are formed: the label's shifted logit less the log of the sum,
+    the same subtraction on the same operands as `_head`'s full
+    log-probabilities, so the same bytes.
+    """
+    if spec.head == "softmax_ce":
+        shifted, log_sum = _softmax_parts(logits)
+        picked = _labelled(shifted, batch)
+        picked -= log_sum.reshape(picked.shape)
+        return _finite_loss(spec, -(np.add.reduce(picked, axis=-1) / logits.shape[-2]))
+    return _finite_loss(spec, _mean_square(logits - batch.one_hot))
 
 
 def _head(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
-    """Mean loss of the head and its gradient w.r.t. the logits."""
-    loss, basis = _head_loss(spec, logits, batch)
+    """Mean loss of the head, as `_head_loss`, and its gradient w.r.t. the
+    logits."""
     n, n_classes = logits.shape[-2:]
     if spec.head == "softmax_ce":
+        log_probs, log_sum = _softmax_parts(logits)
+        log_probs -= log_sum
+        loss = _finite_loss(spec, -(np.add.reduce(_labelled(log_probs, batch), axis=-1) / n))
         # p - one_hot: each label's entry less 1.0, every other entry less
         # 0.0, which leaves its bytes as they are.
-        probs = np.exp(basis)
+        probs = np.exp(log_probs)
         probs -= batch.one_hot
         probs /= n
         return loss, probs
-    return loss, (2.0 / (n * n_classes)) * basis
+    residual = logits - batch.one_hot
+    return _finite_loss(spec, _mean_square(residual)), (2.0 / (n * n_classes)) * residual
 
 
 def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:
@@ -428,21 +513,21 @@ def forward(spec: ModelSpec, params, batch):
     """Mean loss of the model on a batch (cross-entropy or MSE per spec): a
     float, or a (K,) array for a stack of K parameter rows."""
     batch = check_batch(spec, batch)
-    flat = _check_params(spec, params)
+    flat, bound = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat).value
-    _, _, logits = _pass(spec, flat, batch.features)
-    return _per_row(flat, _head_loss(spec, logits, batch)[0])
+    _, _, logits = _pass(spec, flat, bound, batch)
+    return _per_row(flat, _head_loss(spec, logits, batch))
 
 
 def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
     """Loss and its exact gradient w.r.t. the flat parameters; for a stack,
     (K,) losses and (K, P) gradients."""
     batch = check_batch(spec, batch)
-    flat = _check_params(spec, params)
+    flat, bound = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat)
-    inputs, weights, logits = _pass(spec, flat, batch.features)
+    inputs, weights, logits = _pass(spec, flat, bound, batch)
     loss, d_logits = _head(spec, logits, batch)
     grad = ad.backward(spec.activation, inputs, weights, d_logits, flat.shape[-1])
     return LossGradient(_per_row(flat, loss), grad.reshape(flat.shape))
@@ -457,7 +542,9 @@ def predict_logits(spec: MlpSpec, params, features: np.ndarray) -> np.ndarray:
     """Forward pass to the head inputs (no loss): (n, out), or (K, n, out)
     for a stack."""
     _require_mlp(spec, "predict_logits")
-    return _mlp_pass(spec, _check_params(spec, params), _check_features(spec, features))[2]
+    flat, bound = _check_params(spec, params)
+    features, x_bound = _check_features(spec, features)
+    return _mlp_pass(spec, flat, features, bound, x_bound)[2]
 
 
 def _accuracy(logits: np.ndarray, labels):
@@ -469,15 +556,15 @@ def accuracy(spec: MlpSpec, params, batch):
     float, or a (K,) array for a stack."""
     _require_mlp(spec, "accuracy")
     batch = check_batch(spec, batch)
-    flat = _check_params(spec, params)
-    return _per_row(flat, _accuracy(_pass(spec, flat, batch.features)[2], batch.labels))
+    flat, bound = _check_params(spec, params)
+    return _per_row(flat, _accuracy(_pass(spec, flat, bound, batch)[2], batch.labels))
 
 
 def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:
     """(`forward`, `accuracy`) of one batch from a single forward pass."""
     _require_mlp(spec, "loss_and_accuracy")
     batch = check_batch(spec, batch)
-    flat = _check_params(spec, params)
-    _, _, logits = _pass(spec, flat, batch.features)
-    return (_per_row(flat, _head_loss(spec, logits, batch)[0]),
+    flat, bound = _check_params(spec, params)
+    _, _, logits = _pass(spec, flat, bound, batch)
+    return (_per_row(flat, _head_loss(spec, logits, batch)),
             _per_row(flat, _accuracy(logits, batch.labels)))

@@ -2,6 +2,8 @@
 loss heads against central finite differences and hand-computed oracles, plus
 the input checks that guard them."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,13 +35,18 @@ def random_point(spec, n=6):
     return flat, features, d_logits
 
 
+def mlp_pass(spec, flat, features):
+    """The forward pass with no bound known, so every layer is scanned."""
+    return network._mlp_pass(spec, flat, features, math.inf, math.inf)
+
+
 def assert_backward_matches_fd(spec, flat, features, d_logits):
     """backward() against central differences of sum(logits * d_logits)."""
-    inputs, weights, _ = network._mlp_pass(spec, flat, features)
+    inputs, weights, _ = mlp_pass(spec, flat, features)
     grad = autodiff.backward(spec.activation, inputs, weights, d_logits, flat.size)
 
     def scalar(point):
-        return float(np.sum(network._mlp_pass(spec, point, features)[2] * d_logits))
+        return float(np.sum(mlp_pass(spec, point, features)[2] * d_logits))
 
     for i in range(flat.size):
         assert_close(grad[i], central_diff(scalar, flat, i))
@@ -80,7 +87,7 @@ def test_matmul_finite_diff_left_and_right():
 def test_add_bias_broadcast_backward_sums_rows():
     spec = MlpSpec(in_width=3, hidden=(), out_width=2)
     flat, features, d_logits = random_point(spec, n=5)
-    inputs, weights, _ = network._mlp_pass(spec, flat, features)
+    inputs, weights, _ = mlp_pass(spec, flat, features)
     grad = autodiff.backward(spec.activation, inputs, weights, d_logits, flat.size)
     np.testing.assert_array_equal(grad[6:], d_logits.sum(axis=0))
     ones = autodiff.backward(spec.activation, inputs, weights, np.ones((5, 2)), flat.size)
@@ -160,6 +167,16 @@ def test_non_finite_intermediate_rejected():
     # tanh maps the overflowed pre-activation to 1, so the logits stay finite
     spec = MlpSpec(in_width=1, hidden=(1,), out_width=2, activation="tanh")
     flat = np.array([1e308, 0.0, 1.0, 1.0, 0.0, 0.0])
+    batch = Batch(np.array([[1e308]]), np.array([0]))
+    for evaluate in (network.forward, network.loss_and_grad, network.accuracy):
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="dense0"):
+            evaluate(spec, flat, batch)
+
+
+def test_non_finite_intermediate_hidden_by_relu_rejected():
+    # relu maps the pre-activation's -inf to 0, so the logits stay finite
+    spec = MlpSpec(in_width=1, hidden=(1,), out_width=2, activation="relu")
+    flat = np.array([-1e308, 0.0, 1.0, 1.0, 0.0, 0.0])
     batch = Batch(np.array([[1e308]]), np.array([0]))
     for evaluate in (network.forward, network.loss_and_grad, network.accuracy):
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="dense0"):

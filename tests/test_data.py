@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from samlab import data
+from samlab import data, network
 from samlab.errors import IdxFormatError, LengthError, SamLabError
 
 
@@ -212,6 +212,19 @@ def test_minibatches_depend_on_epoch_not_call_order():
     a1 = list(data.minibatches(ds, 10, seed=1, epoch=1))
     np.testing.assert_array_equal(a0[0].features, b0[0].features)
     assert not np.array_equal(a0[0].features, a1[0].features)
+
+
+def test_minibatches_of_a_checked_split_are_its_rows_checked():
+    ds = data.gen_two_moons(23, 0.1, 4)
+    spec = network.MlpSpec(2, (4,), 2)
+    checked = network.check_batch(spec, ds.as_batch())
+    raw = list(data.minibatches(ds, 5, seed=1, epoch=3))
+    taken = list(data.minibatches(checked, 5, seed=1, epoch=3))
+    assert len(taken) == len(raw) == 5
+    for r, t in zip(raw, taken):
+        assert type(t) is network.CheckedBatch and network.check_batch(spec, t) is t
+        assert t.features.tobytes() == r.features.tobytes()
+        assert t.labels.tobytes() == r.labels.tobytes()
 
 
 def test_dataset_validation():

@@ -3,8 +3,8 @@ import hashlib
 import itertools
 import sys
 import threading
-import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -337,10 +337,9 @@ def test_single_and_stacked_calls_keep_their_bytes_interleaved(size):
         assert _single_bytes(spec, rows[k], batch) == singles[k]
 
 
-def _run_threads(target, count: int, meanwhile=None) -> list:
+def _run_threads(target, count: int) -> list:
     """Run `target(index)` on `count` threads at once, with the interpreter
-    switching threads every microsecond, and call `meanwhile()` on this
-    thread until they end; returns what each raised."""
+    switching threads every microsecond; returns what each raised."""
     errors = []
 
     def run(index):
@@ -355,10 +354,6 @@ def _run_threads(target, count: int, meanwhile=None) -> list:
     try:
         for thread in threads:
             thread.start()
-        deadline = time.monotonic() + 120
-        while meanwhile is not None and time.monotonic() < deadline \
-                and any(thread.is_alive() for thread in threads):
-            meanwhile()
         for thread in threads:
             thread.join(timeout=120)
     finally:
@@ -367,41 +362,22 @@ def _run_threads(target, count: int, meanwhile=None) -> list:
     return errors
 
 
-class _YieldingZeros(np.ndarray):
-    """Zeros whose `size` lets other threads run before it answers, so a
-    check of the size and a later read of the same global can see two
-    different arrays."""
-
-    @property
-    def size(self):
-        time.sleep(0)
-        return super().size
-
-
-def test_concurrent_threads_get_their_single_thread_bytes(monkeypatch):
+def test_concurrent_threads_get_their_single_thread_bytes():
     """Four threads calling the kernel at once on their own params each get
-    the bytes of the same calls made alone; so do threads on different batch
-    sizes while another keeps replacing the finiteness check's zeros with a
-    shorter array, as a thread that grows them to a smaller size would."""
+    the bytes of the same calls made alone, on one batch size and on four."""
     harness.setup_process()
     spec = MlpSpec(3, (128, 96), 4, "tanh", "mse")
     rng = np.random.default_rng(11)
     params = [network.init_params(spec, rng).data for _ in range(4)]
     features, labels = rng.standard_normal((200, 3)), rng.integers(0, 4, 200)
 
-    def swap_zeros():
-        network._zeros = np.zeros(2 ** 15).view(_YieldingZeros)
-        time.sleep(0)
-        network._zeros = np.zeros(0)
-
-    for sizes, meanwhile in (((200,) * 4, None), ((50, 100, 150, 200), swap_zeros)):
+    for sizes in ((200,) * 4, (50, 100, 150, 200)):
         batches = [Batch(features[:n], labels[:n]) for n in sizes]
         alone = [_single_bytes(spec, params[k], batches[k]) for k in range(4)]
         got = [[] for _ in params]
-        monkeypatch.setattr(network, "_zeros", np.zeros(0))
         errors = _run_threads(
             lambda k: got[k].extend(_single_bytes(spec, params[k], batches[k]) for _ in range(200)),
-            4, meanwhile)
+            4)
         assert errors == []
         assert all(calls == [alone[k]] * 200 for k, calls in enumerate(got))
 
@@ -678,8 +654,8 @@ def test_precomputed_label_reads_match_fancy_indexing(data, stack, n, n_classes)
                     elements=st.one_of(st.floats(), st.sampled_from(
                         [np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -0.0]))))
 def test_finiteness_check_is_isfinite_all(a):
-    """`_finite` (a dot with zeros) answers np.isfinite(a).all() exactly,
-    and warns of nothing."""
+    """`_finite` answers np.isfinite(a).all() exactly, and warns of
+    nothing."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert network._finite(a) == np.isfinite(a).all()
@@ -695,3 +671,130 @@ def test_finiteness_check_finds_one_bad_entry_anywhere(size, bad):
         assert not network._finite(a) and not network._finite(a.reshape(1, -1))
         a[position] = -1e308
     assert network._finite(a)
+
+
+@pytest.mark.parametrize("label_dtype", [np.int64, np.int32, np.uint8])
+def test_take_rows_is_check_batch_of_the_gathered_rows(label_dtype):
+    """`take_rows` of a checked batch equals `check_batch` of the same rows
+    gathered raw, field for field and dtype for dtype, read-only too; only
+    its bound is the whole batch's."""
+    spec = MlpSpec(2, (4,), 3)
+    rng = np.random.default_rng(5)
+    raw = Batch(rng.standard_normal((23, 2)), rng.integers(0, 3, 23).astype(label_dtype))
+    whole = network.check_batch(spec, raw)
+    for idx in (rng.permutation(23)[:7], np.array([4]), np.arange(23)[::-1]):
+        taken = network.take_rows(whole, idx)
+        checked = network.check_batch(spec, Batch(raw.features[idx], raw.labels[idx]))
+        assert type(taken) is network.CheckedBatch and taken.spec is spec
+        for name in ("features", "labels", "index", "one_hot"):
+            got, want = getattr(taken, name), getattr(checked, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            assert not got.flags.writeable
+        assert taken.bound == whole.bound >= checked.bound
+        assert network.check_batch(spec, taken) is taken
+    for idx in (np.array([], dtype=int), np.zeros((2, 2), dtype=int)):
+        with pytest.raises(ShapeError):
+            network.take_rows(whole, idx)
+
+
+def _outcome(evaluate, spec, points, batch):
+    """What `evaluate` returns, as a list of arrays, or the NumericError it
+    raises, as its message."""
+    with np.errstate(all="ignore"):
+        try:
+            result = evaluate(spec, points, batch)
+        except NumericError as error:
+            return str(error)
+    return [np.asarray(part) for part in (result if isinstance(result, tuple) else (result,))]
+
+
+def _bytes(outcome):
+    return outcome if isinstance(outcome, str) else [part.tobytes() for part in outcome]
+
+
+@pytest.mark.parametrize("scale, raises", [(1e100, None), (1e150, "dense2"), (1e200, "dense1")])
+def test_a_stack_with_one_huge_row(scale, raises):
+    """Params of 1e100 keep every layer finite, though their bound proves
+    nothing for layer 2; its scan passes, and every row of the stack gets
+    its single-call bytes. At 1e150 layer 2 overflows, and at 1e200
+    (whose sum of squares overflows) layer 1: the stack raises there, as the
+    huge row alone does."""
+    spec, params, batch = pin_case("relu", "softmax_ce", 3, 2)
+    huge = scale * params
+    rows = np.stack([params, huge, -params])
+    for evaluate in (network.forward, network.loss_and_grad, network.accuracy,
+                     network.loss_and_accuracy):
+        stacked = _outcome(evaluate, spec, rows, batch)
+        if raises:
+            assert stacked == _outcome(evaluate, spec, huge, batch)
+            assert isinstance(stacked, str) and raises in stacked
+            continue
+        for k, row in enumerate(rows):
+            assert [part[k].tobytes() for part in stacked] == \
+                _bytes(_outcome(evaluate, spec, row, batch))
+
+
+def test_ordinary_params_scan_no_activation(monkeypatch):
+    """With ordinary params and features every layer's output is proven
+    finite, so `_finite` only ever sees a stack's (K,) losses."""
+    seen = []
+    real = network._finite
+
+    def counting(a):
+        seen.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(network, "_finite", counting)
+    for case in (("relu", "softmax_ce", 3, 2), ("tanh", "mse", 10, 2),
+                 ("tanh", "softmax_ce", 2, 2, "wide")):
+        spec, params, batch = pin_case(*case)
+        rows = np.stack([params, 0.5 * params, -params])
+        for evaluate in (network.forward, network.loss_and_grad, network.accuracy,
+                         network.loss_and_accuracy):
+            evaluate(spec, params, batch)
+            evaluate(spec, rows, batch)
+        network.predict_logits(spec, rows, batch.features)
+    assert seen and set(seen) == {(3,)}
+
+
+_any_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([1e308, -1e308, 1.3407807929942596e154, 5e-324, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(),
+       shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9),
+       bad=st.sampled_from([np.inf, -np.inf, np.nan]))
+def test_bound_covers_every_entry_or_rejects_the_array(data, shape, bad):
+    """`_bound` is at least every |entry| of a finite array (or inf), warns
+    of nothing, and raises for an array holding an inf or NaN anywhere."""
+    a = data.draw(hnp.arrays(np.float64, shape, elements=_any_finite))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bound = network._bound(a, "a")
+        assert a.size == 0 or bound >= np.abs(a).max()
+        if a.size:
+            a.flat[data.draw(st.integers(0, a.size - 1))] = bad
+            with pytest.raises(NumericError, match="a"):
+                network._bound(a, "a")
+
+
+@settings(max_examples=80, deadline=None)
+@given(activation=st.sampled_from(["relu", "tanh"]), head=st.sampled_from(["softmax_ce", "mse"]),
+       w_exp=st.integers(-60, 700), x_exp=st.integers(-60, 700), seed=st.integers(0, 3))
+def test_proof_keeps_the_verdict_and_bytes_of_scanning_every_layer(activation, head, w_exp,
+                                                                   x_exp, seed):
+    """Params and features scaled by 2^w_exp and 2^x_exp give the outcome,
+    bytes or the NumericError, of the same call with every layer scanned."""
+    spec = MlpSpec(3, (6, 5), 3, activation, head)
+    rng = np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        rows = np.ldexp(rng.standard_normal((2, spec.param_count)), w_exp)
+        batch = Batch(np.ldexp(rng.standard_normal((7, 3)), x_exp), rng.integers(0, 3, 7))
+    calls = [(evaluate, points) for evaluate in (network.forward, network.loss_and_grad,
+                                                 network.loss_and_accuracy)
+             for points in (rows[0], rows)]
+    proven = [_bytes(_outcome(evaluate, spec, points, batch)) for evaluate, points in calls]
+    with mock.patch.object(network, "_SCAN_FROM", 0.0):
+        scanned = [_bytes(_outcome(evaluate, spec, points, batch)) for evaluate, points in calls]
+    assert proven == scanned
