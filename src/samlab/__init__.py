@@ -27,7 +27,7 @@ from .data import (
 from .params import LayoutEntry, ParameterVector, validate_layout
 from .harness import (
     DatasetConfig, ModelConfig, ExperimentConfig, RunRecord, AggregateResult,
-    parse_config, load_config, config_hash, build_dataset,
+    parse_config, load_config, config_hash, build_dataset, Task, prepare_task,
     run_training, run_suite, compare_optimizers, probe_checkpoint,
     emit_outputs, setup_process,
 )

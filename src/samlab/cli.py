@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands:
-    train    run one optimizer config over all seeds, write outputs
+    train    run the config's optimizer over all seeds: a compare of one
     compare  run every optimizer in the config's sweep over the same seeds,
              each seed's runs in lockstep
     probe    sharpness report for a saved checkpoint (JSON to stdout)
@@ -57,26 +57,17 @@ def _print_suite(suite) -> None:
         print(f"  seed {failure.seed} failed: {failure.error}", file=sys.stderr)
 
 
-def cmd_train(args) -> int:
-    config = _load(args)
-    out_dir = _require_out(config)
-    harness.require_trainable(config)
-    harness.prepare_out_dir(out_dir, checkpoints=True)
-    suite = harness.run_suite(config, jobs=args.jobs)
-    harness.emit_outputs(out_dir, [suite])
-    _print_suite(suite)
-    print(f"wrote {out_dir}/runs.csv")
-    return 0 if not suite.failures else 1
-
-
 def cmd_compare(args) -> int:
+    """`compare` the config's `optimizers` list, or `train` its one
+    optimizer as a compare of one: the two differ only in the sweep."""
     config = _load(args)
     out_dir = _require_out(config)
-    if not config.optimizer_sweep:
+    sweep = (config.optimizer,) if args.command == "train" else config.optimizer_sweep
+    if not sweep:
         raise SamLabError("compare needs an 'optimizers' list in the config")
     harness.require_trainable(config)
     harness.prepare_out_dir(out_dir, checkpoints=True)
-    suites = harness.compare_optimizers(config, config.optimizer_sweep, jobs=args.jobs)
+    suites = harness.compare_optimizers(config, sweep, jobs=args.jobs)
     harness.emit_outputs(out_dir, suites)
     for suite in suites:
         _print_suite(suite)
@@ -121,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", help="comma-separated seeds, overrides the config")
         p.add_argument("--out", help="output directory, overrides the config")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes: seeds (train) or seed groups "
-                            "(compare) spread over a pool")
+                       help="worker processes: each seed's runs go to one "
+                            "worker of a pool")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
                            help="path to a saved checkpoint")
@@ -138,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"train": cmd_train, "compare": cmd_compare,
+    handlers = {"train": cmd_compare, "compare": cmd_compare,
                 "probe": cmd_probe, "slice": cmd_slice}
     try:
         return handlers[args.command](args)

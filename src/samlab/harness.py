@@ -5,13 +5,16 @@ own stream from the run seed XORed with a fixed role constant, so changing,
 say, the probe sample count never perturbs training. Dataset construction
 derives from the dataset seed instead: the data is shared across run seeds.
 
-Runs of one seed share their init and minibatch order, so `compare_optimizers`
-trains a sweep's runs of each seed as one group in lockstep (`train_group`):
-the dataset and spec are built once per group, every step advances all runs
-together through `optimizers.step_rows`, and each epoch evaluates all of them
-with one stacked pass per split. `run_training` is the group of one, stepped
-by `optimizers.step`. A group's runs get the bytes they get alone; each run's
-wall_seconds is the group's elapsed time divided by its run count.
+`prepare_task` is the one place where a config turns into data (a `Task`).
+Each entry point prepares it once, in the calling process, before any run,
+so bad data fails the call before any run; pool workers inherit it.
+
+`compare_optimizers` trains a sweep's runs of each seed, which share their
+init and minibatch order, as one lockstep group (`train_group`): each step
+advances all runs through `optimizers.step_rows`, and each epoch evaluates
+them with one stacked pass per split. `run_training` is the group of one and
+`run_suite` a compare of one. A group's runs get the bytes they get alone;
+each run's wall_seconds is the group's elapsed time divided by its run count.
 
 Outputs are byte-stable: rows are ordered by seed (never completion time),
 floats are written with repr (shortest round-trip), and no timestamps enter
@@ -315,6 +318,27 @@ def build_dataset(cfg: DatasetConfig, label_noise_fraction: float):
     return train, test
 
 
+@dataclass(frozen=True)
+class Task:
+    """What every run and probe of one config shares: the model spec and the
+    train and test splits, checked for it by `network.check_batch` (a
+    quadratic, which ignores its batches, keeps them unchecked)."""
+
+    spec: network.ModelSpec
+    train: network.CheckedBatch
+    test: network.CheckedBatch
+
+
+def prepare_task(config: ExperimentConfig) -> Task:
+    """The config's data as a Task. A malformed idx file, or a test split
+    whose labels lie outside the train split's classes, raises here as a
+    SamLabError."""
+    train, test = build_dataset(config.dataset, config.label_noise_fraction)
+    spec = config.model.resolve(train)
+    return Task(spec, network.check_batch(spec, train.as_batch()),
+                network.check_batch(spec, test.as_batch()))
+
+
 # ---------------------------------------------------------------------------
 # Running.
 
@@ -381,13 +405,9 @@ def require_trainable(config: ExperimentConfig) -> None:
 
 
 def _step(spec, rows, batch, sweep, states):
-    """Step every row once: several in lockstep, one run by `optimizers.step`.
-
-    A run alone keeps the 1-D path: `step_rows` on one row answers each of
-    its points with the same vector call as `step`, but its lockstep rounds
-    still cost about 9-11 % more per step than `step` at 2-32-2 with batch
-    32 (interleaved in one process, sgd, sam and sam_ga5), so a lone run
-    (train) and a group (compare) each take the cheaper path.
+    """Step every row once: several in lockstep, one run by `optimizers.step`,
+    whose 1-D path costs 9-11 % less per step than a lockstep round of one
+    row (2-32-2, batch 32; sgd, sam and sam_ga5 interleaved in one process).
     """
     if len(rows) == 1:
         return optimizers.step(spec, rows[0], batch, sweep[0], states[0])[0][None, :]
@@ -402,42 +422,37 @@ def _evaluate(spec, rows, train_batch, test_batch) -> tuple:
             test_losses.tolist(), test_accuracies.tolist())
 
 
-def _train(config: ExperimentConfig, sweep, seed: int) -> list:
+def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
     """Train one run per optimizer of `sweep` on `seed` and probe each final
     point; raises if anything fails.
 
-    The runs share the dataset, the spec, the init and the minibatch order
-    (all derive from the config and the seed), so they step together on K
-    parameter rows. Each run keeps its own optimizer state and direction
-    stream, and its bytes are those of the same run trained alone. Each
-    run's wall_seconds is the group's elapsed time divided by K.
+    The runs share the task, the init and the minibatch order (all derive
+    from the config and the seed), so they step together on K parameter
+    rows. Each run keeps its own optimizer state and direction stream, and
+    its bytes are those of the same run trained alone. Each run's
+    wall_seconds is the group's elapsed time divided by K.
     """
     started = time.perf_counter()
-    train, test = build_dataset(config.dataset, config.label_noise_fraction)
-    spec = config.model.resolve(train)
-
+    spec = task.spec
     init_rng = np.random.default_rng(_subseed(seed, ROLE_INIT))
     params = network.init_params(spec, init_rng)
     states = [optimizers.init_state(opt, len(params), direction_seed=_subseed(seed, ROLE_EPSILON))
               for opt in sweep]
-
-    train_batch = network.check_batch(spec, train.as_batch())
-    test_batch = network.check_batch(spec, test.as_batch())
     shuffle_seed = _subseed(seed, ROLE_SHUFFLE)
 
     rows = np.tile(params.data, (len(sweep), 1))
     curves = []
     for epoch in range(config.epochs):
-        for batch in datamod.minibatches(train_batch, config.batch_size, shuffle_seed, epoch):
+        for batch in datamod.minibatches(task.train, config.batch_size, shuffle_seed, epoch):
             rows = _step(spec, rows, batch, sweep, states)
-        curves.append(_evaluate(spec, rows, train_batch, test_batch))
+        curves.append(_evaluate(spec, rows, task.train, task.test))
     final_train, final_test, final_accuracy = (
-        curves[-1] if curves else _evaluate(spec, rows, train_batch, test_batch))
+        curves[-1] if curves else _evaluate(spec, rows, task.train, task.test))
 
     records = []
     for k, (opt, state) in enumerate(zip(sweep, states)):
         report = probes.build_report(
-            spec, rows[k], train_batch, config.probe,
+            spec, rows[k], task.train, config.probe,
             seed=_subseed(seed, ROLE_PROBE), data_scope="train",
             train_loss=final_train[k], test_loss=final_test[k])
         records.append(RunRecord(
@@ -464,48 +479,36 @@ def _train(config: ExperimentConfig, sweep, seed: int) -> list:
     return records
 
 
-def run_training(config: ExperimentConfig, seed: int) -> RunRecord:
-    """Train one model end to end and probe the final point (a group of one).
-
-    Deterministic given (config, seed): the four random consumers draw from
-    streams derived by XORing the seed with fixed role constants, so they
-    cannot interfere with one another.
-    """
-    return _train(config, (config.optimizer,), seed)[0]
-
-
-def _run_one(args):
-    config, seed = args
-    try:
-        return run_training(config, seed)
-    except Exception as exc:  # one seed's failure must not lose the others' results
-        return FailedRun(seed=seed, optimizer_label=config.optimizer.label,
-                         error=f"{type(exc).__name__}: {exc}")
+def run_training(task: Task, config: ExperimentConfig, seed: int) -> RunRecord:
+    """Train `config.optimizer` on `seed` and probe the final point: a group
+    of one, on `task` = `prepare_task(config)`."""
+    return _train(task, config, (config.optimizer,), seed)[0]
 
 
 def _single(config: ExperimentConfig, opt) -> ExperimentConfig:
     return dataclasses.replace(config, optimizer=opt, optimizer_sweep=())
 
 
-def train_group(config: ExperimentConfig, sweep, seed: int) -> list:
-    """One RunRecord or FailedRun per optimizer of `sweep` on `seed`, in
-    sweep order, trained in lockstep.
-
-    If anything in the group raises, its runs are re-run one at a time by
+def train_group(task: Task, config: ExperimentConfig, seed: int) -> list:
+    """One RunRecord or FailedRun per optimizer of `config.optimizer_sweep`
+    on `seed`, in sweep order, trained in lockstep. A sweep of one, or a
+    group in which anything raises, runs each optimizer alone by
     `run_training`: a failing run becomes its own FailedRun, with the error
-    it gives alone, and every other run keeps its bytes.
-    """
+    it gives alone, and every other run keeps its bytes."""
+    sweep = config.optimizer_sweep
     if len(sweep) > 1:
         try:
-            return _train(config, sweep, seed)
+            return _train(task, config, sweep, seed)
         except Exception:  # run alone, each run tells its own error
             pass
-    return [_run_one((_single(config, opt), seed)) for opt in sweep]
-
-
-def _run_group(args):
-    config, seed = args
-    return train_group(config, config.optimizer_sweep, seed)
+    outcomes = []
+    for opt in sweep:
+        try:
+            outcomes.append(run_training(task, _single(config, opt), seed))
+        except Exception as exc:  # one run's failure must not lose the others' results
+            outcomes.append(FailedRun(seed=seed, optimizer_label=opt.label,
+                                      error=f"{type(exc).__name__}: {exc}"))
+    return outcomes
 
 
 # glibc's mallopt parameters and the values setup_process gives them. By
@@ -559,13 +562,20 @@ def setup_process() -> None:
             return
 
 
-def _map(fn, work, jobs: int) -> list:
-    """`fn` over `work` in order, in a pool of `jobs` processes if jobs > 1."""
-    if jobs > 1 and len(work) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs,
-                                                    initializer=setup_process) as pool:
-            return list(pool.map(fn, work))
-    return [fn(item) for item in work]
+# The Task a pool worker trains on. The pool's initializer sets it once per
+# worker; the calling process never does.
+_worker_task = None
+
+
+def _start_worker(task: Task) -> None:
+    global _worker_task
+    setup_process()
+    _worker_task = task
+
+
+def _train_seed(work) -> list:
+    config, seed = work
+    return train_group(_worker_task, config, seed)
 
 
 def _suite(config: ExperimentConfig, outcomes) -> SuiteResult:
@@ -577,35 +587,38 @@ def _suite(config: ExperimentConfig, outcomes) -> SuiteResult:
                        records=records, failures=failures, aggregate=aggregate)
 
 
-def run_suite(config: ExperimentConfig, jobs: int = 1) -> SuiteResult:
-    """One RunRecord per seed; failures are collected, not fatal.
-
-    With jobs > 1 seeds run in separate processes; results are reassembled in
-    seed order either way, so parallelism cannot change any output byte.
-    """
-    require_trainable(config)
-    setup_process()
-    return _suite(config, _map(_run_one, [(config, seed) for seed in config.seeds], jobs))
-
-
-def compare_optimizers(config: ExperimentConfig, optimizer_list, jobs: int = 1):
-    """One SuiteResult per optimizer of `optimizer_list`, in list order, on
-    the same data, model and seeds.
-
-    Each seed's runs train as one lockstep group (`train_group`); with
-    jobs > 1 the seed groups spread over one process pool. The outputs are
-    byte for byte those of one `run_suite` per optimizer, except the
-    measured wall_seconds.
-    """
+def _compare(config: ExperimentConfig, optimizer_list, jobs: int) -> list:
     if not optimizer_list:
         raise ConfigError("optimizer list is empty")
     require_trainable(config)
     setup_process()
     # Re-validating with the list as the sweep rejects repeated labels.
     config = dataclasses.replace(config, optimizer_sweep=tuple(optimizer_list))
-    groups = _map(_run_group, [(config, seed) for seed in config.seeds], jobs)
+    task = prepare_task(config)
+    if jobs > 1 and len(config.seeds) > 1:
+        # A forked worker inherits the task: it is never pickled per seed.
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=jobs, initializer=_start_worker, initargs=(task,)) as pool:
+            groups = list(pool.map(_train_seed, [(config, seed) for seed in config.seeds]))
+    else:
+        groups = [train_group(task, config, seed) for seed in config.seeds]
     return [_suite(_single(config, opt), [group[j] for group in groups])
             for j, opt in enumerate(config.optimizer_sweep)]
+
+
+def compare_optimizers(config: ExperimentConfig, optimizer_list, jobs: int = 1) -> list:
+    """One SuiteResult per optimizer of `optimizer_list`, in list order;
+    failures are collected, not fatal. With jobs > 1 the seeds' lockstep
+    groups spread over a process pool. Rows are in seed order either way, so
+    each suite is byte for byte a `run_suite` of its optimizer (but for
+    wall_seconds)."""
+    return _compare(config, optimizer_list, jobs)
+
+
+def run_suite(config: ExperimentConfig, jobs: int = 1) -> SuiteResult:
+    """A compare of `config.optimizer` alone. It calls `_compare`, so a
+    wrapper of either public name (a perfbench span) never nests the other."""
+    return _compare(config, (config.optimizer,), jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -791,16 +804,10 @@ def emit_slice(out_dir: Union[str, Path], name: str, alphas, betas, losses) -> P
 # ---------------------------------------------------------------------------
 # Checkpoint-centric entry points.
 
-def _load_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig):
-    """Load a checkpoint and check it fits the configured model.
-
-    Returns (flat params, spec, train, test); the dataset is rebuilt from the
-    config because the spec's widths derive from it.
-    """
+def _load_checkpoint(checkpoint_path: Union[str, Path], task: Task) -> np.ndarray:
+    """A checkpoint's flat parameters, checked to fit the task's model."""
     vector = checkpoint_io.load(checkpoint_path)
-    train, test = build_dataset(config.dataset, config.label_noise_fraction)
-    spec = config.model.resolve(train)
-    expected = network.param_count(spec)
+    expected = network.param_count(task.spec)
     if expected != len(vector):
         raise LayoutError(
             f"checkpoint holds {len(vector)} parameters but the configured "
@@ -808,12 +815,13 @@ def _load_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
             expected_count=expected, found_count=len(vector))
     # Two models can have the same count ([32] and [10, 10] on 2 inputs and
     # 2 classes both have 162), so the layers must match too.
-    if vector.layout != network.param_layout(spec):
+    layout = network.param_layout(task.spec)
+    if vector.layout != layout:
         raise LayoutError(
             f"checkpoint layout {_layout_text(vector.layout)} does not match the "
-            f"configured model's {_layout_text(network.param_layout(spec))}",
+            f"configured model's {_layout_text(layout)}",
             expected_count=expected, found_count=len(vector))
-    return vector.data, spec, train, test
+    return vector.data
 
 
 def _layout_text(layout) -> str:
@@ -829,13 +837,13 @@ def probe_checkpoint(checkpoint_path: Union[str, Path],
     no trace of which optimizer produced the checkpoint.
     """
     setup_process()
-    flat, spec, train, test = _load_checkpoint(checkpoint_path, config)
-    train_batch = network.check_batch(spec, train.as_batch())
+    task = prepare_task(config)
+    flat = _load_checkpoint(checkpoint_path, task)
     # One evaluation at w gives the train loss and the report's base.
-    base = network.loss_and_grad(spec, flat, train_batch)
-    test_loss = network.forward(spec, flat, test.as_batch())
+    base = network.loss_and_grad(task.spec, flat, task.train)
+    test_loss = network.forward(task.spec, flat, task.test)
     return probes.build_report(
-        spec, flat, train_batch, config.probe,
+        task.spec, flat, task.train, config.probe,
         seed=_subseed(config.seeds[0], ROLE_PROBE), data_scope="train",
         train_loss=base.value, test_loss=test_loss, base=base)
 
@@ -849,9 +857,9 @@ def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
     """
     setup_process()
     slice_cfg = config.slice_plane if config.slice_plane is not None else SliceConfig()
-    flat, spec, train, _ = _load_checkpoint(checkpoint_path, config)
-    batch = network.check_batch(spec, train.as_batch())
-    result = network.loss_and_grad(spec, flat, batch)
+    task = prepare_task(config)
+    flat = _load_checkpoint(checkpoint_path, task)
+    result = network.loss_and_grad(task.spec, flat, task.train)
     rng = np.random.default_rng(_subseed(config.seeds[0], ROLE_PROBE))
     grad_norm = l2_norm(result.gradient)
     if grad_norm > 1e-12:
@@ -861,6 +869,5 @@ def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
         dir_a[0] = 1.0
     dir_b = rng.standard_normal(len(flat))
     alphas, betas, losses = probes.loss_plane_slice(
-        spec, flat, batch, dir_a, dir_b,
-        slice_cfg.extent, slice_cfg.n_points)
+        task.spec, flat, task.train, dir_a, dir_b, slice_cfg.extent, slice_cfg.n_points)
     return slice_cfg, alphas, betas, losses

@@ -260,17 +260,6 @@ def _bound(a: np.ndarray, what: str) -> float:
     return math.inf
 
 
-def _check_features(spec: MlpSpec, features) -> tuple:
-    """A read-only float64 copy of `features`, checked: (n, in_width), finite;
-    and its `_bound`."""
-    features = np.array(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != spec.in_width:
-        raise ShapeError("input", f"(n, {spec.in_width})", features.shape)
-    bound = _bound(features, "batch features")
-    features.flags.writeable = False
-    return features, bound
-
-
 def _sealed(features, labels, spec: MlpSpec, one_hot, bound: float) -> CheckedBatch:
     """A `CheckedBatch` of already checked rows, with its label index, every
     array made read-only."""
@@ -294,10 +283,11 @@ def check_batch(spec: ModelSpec, batch):
         return batch
     if isinstance(spec, QuadraticSpec):
         return batch
-    features, bound = _check_features(spec, batch.features)
-    n, n_classes = features.shape[0], spec.out_width
-    if n == 0:
+    features = np.array(batch.features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != spec.in_width or not features.shape[0]:
         raise ShapeError("input", f"(n >= 1, {spec.in_width})", features.shape)
+    bound = _bound(features, "batch features")
+    n, n_classes = features.shape[0], spec.out_width
     labels = np.array(batch.labels)
     if labels.shape != (n,):
         raise ShapeError(spec.head, f"({n},) labels", labels.shape)
@@ -536,15 +526,6 @@ def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
 def _require_mlp(spec: ModelSpec, where: str) -> None:
     if isinstance(spec, QuadraticSpec):
         raise ShapeError(where, "an MLP spec", "QuadraticSpec")
-
-
-def predict_logits(spec: MlpSpec, params, features: np.ndarray) -> np.ndarray:
-    """Forward pass to the head inputs (no loss): (n, out), or (K, n, out)
-    for a stack."""
-    _require_mlp(spec, "predict_logits")
-    flat, bound = _check_params(spec, params)
-    features, x_bound = _check_features(spec, features)
-    return _mlp_pass(spec, flat, features, bound, x_bound)[2]
 
 
 def _accuracy(logits: np.ndarray, labels):

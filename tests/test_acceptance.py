@@ -19,9 +19,9 @@ from samlab.harness import (
     DatasetConfig,
     ExperimentConfig,
     ModelConfig,
-    build_dataset,
     compare_optimizers,
     emit_outputs,
+    prepare_task,
     run_row,
 )
 from samlab.network import (
@@ -272,8 +272,8 @@ def test_optimizer_accuracy_ordering(workload, acceptance_line):
 
 def test_gradient_evaluation_accounting(workload, acceptance_line):
     config = _experiment(_OPTIMIZERS[0])
-    train, _ = build_dataset(config.dataset, config.label_noise_fraction)
-    batches = math.ceil(train.features.shape[0] / config.batch_size) * config.epochs
+    n_train = prepare_task(config).train.features.shape[0]
+    batches = math.ceil(n_train / config.batch_size) * config.epochs
     multiplier = {"sgd": 1, "sam": 2, "rand_sam": 2, "sam_ga1": 2, "sam_ga5": 6}
     ok = True
     for label, rows in workload["rows"].items():

@@ -32,3 +32,28 @@ def test_bench_tracer_installs_records_and_uninstalls(tmp_path, monkeypatch):
     names = [span[0] for span in tracer.spans]
     assert names.count("optimizers.step.sam") == 1
     assert names.count("network.loss_and_grad") == 2
+
+
+def test_traced_pool_workers_spill_a_lane_per_run(tmp_path, monkeypatch):
+    """A pool worker spills its spans when `harness.run_training` returns, so
+    every run a `run_suite` worker trains must end in a module-level call of
+    that name; otherwise the traced bench loses the workers' lanes."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    config = harness.ExperimentConfig(
+        dataset=harness.DatasetConfig(generator="two_moons", n=40, seed=5),
+        model=harness.ModelConfig(hidden=(4,)),
+        optimizer=optimizers.OptimizerConfig(kind="sam", learning_rate=0.1),
+        epochs=1, batch_size=10, seeds=(1, 2))
+    tracer = tracing.Tracer(tmp_path / "spill")
+    try:
+        tracer.install()
+        suite = harness.run_suite(config, jobs=2)
+    finally:
+        tracer.uninstall()
+    tracer.collect()
+    assert [r.seed for r in suite.records] == [1, 2]
+    assert len(tracer.worker_lanes) == 2
+    for lane in tracer.worker_lanes:
+        assert [span[0] for span in lane].count("harness.run_training") == 1

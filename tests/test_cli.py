@@ -156,6 +156,44 @@ def test_missing_idx_file_exits_2_before_out_dir(tmp_path, capsys, key):
     assert not out.exists()
 
 
+def _idx_images(n, magic=data.IDX_IMAGE_MAGIC, extra=b""):
+    """n images of 1x2 pixels, then `extra`."""
+    return struct.pack(">IIII", magic, n, 1, 2) + bytes(range(2 * n)) + extra
+
+
+def _idx_labels(labels):
+    return struct.pack(">II", data.IDX_LABEL_MAGIC, len(labels)) + bytes(labels)
+
+
+BAD_IDX_DATA = {
+    "bad magic": {"images": _idx_images(4, magic=0x999)},
+    "truncated": {"images": _idx_images(4)[:-1]},
+    "trailing bytes": {"images": _idx_images(4, extra=b"\0")},
+    "test label outside the train classes": {"test_labels": _idx_labels([0, 5])},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_IDX_DATA))
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_bad_data_exits_2_before_any_run(tmp_path, capsys, command, bad):
+    files = {"images": _idx_images(4), "labels": _idx_labels([0, 1, 0, 1]),
+             "test_images": _idx_images(2), "test_labels": _idx_labels([1, 0])}
+    files.update(BAD_IDX_DATA[bad])
+    paths = {}
+    for key, content in files.items():
+        path = tmp_path / f"{key}.idx"
+        path.write_bytes(content)
+        paths[key] = str(path)
+    config = write_config(tmp_path, dataset={"generator": "idx", **paths},
+                          batch_size=2, seeds=[1, 2])
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not [p.name for p in out.rglob("*") if p.is_file()]
+
+
 @pytest.mark.parametrize("command", ["probe", "slice"])
 def test_unwritable_out_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, command):
     calls = []

@@ -14,7 +14,7 @@ from samlab.errors import ConfigError, LayoutError, SamLabError
 from samlab.harness import (
     AggregateResult, DatasetConfig, ExperimentConfig, ModelConfig, RunRecord,
     aggregate_records, build_dataset, compare_optimizers, config_hash,
-    emit_outputs, emit_slice, parse_config, probe_checkpoint, run_suite,
+    emit_outputs, emit_slice, parse_config, prepare_task, probe_checkpoint, run_suite,
     run_training, run_row, RUNS_CSV_COLUMNS,
 )
 from samlab.optimizers import OptimizerConfig
@@ -174,8 +174,8 @@ def test_build_dataset_deterministic():
 
 def test_run_training_deterministic():
     cfg = small_config()
-    a = run_training(cfg, 1)
-    b = run_training(cfg, 1)
+    a = run_training(prepare_task(cfg), cfg, 1)
+    b = run_training(prepare_task(cfg), cfg, 1)
     ra, rb = run_row(a), run_row(b)
     ra.pop("wall_seconds"), rb.pop("wall_seconds")
     assert ra == rb
@@ -184,7 +184,7 @@ def test_run_training_deterministic():
 
 def test_run_training_zero_epochs_probes_init():
     cfg = small_config(epochs=0)
-    record = run_training(cfg, 1)
+    record = run_training(prepare_task(cfg), cfg, 1)
     assert record.train_losses == []
     assert record.test_losses == []
     assert record.grad_evals == 0
@@ -194,18 +194,16 @@ def test_run_training_zero_epochs_probes_init():
 
 def test_test_split_curves_match_forward_and_accuracy():
     cfg = small_config(epochs=2)
-    record = run_training(cfg, 1)
-    train, test = build_dataset(cfg.dataset, cfg.label_noise_fraction)
-    spec = cfg.model.resolve(train)
-    batch = test.as_batch()
+    record = run_training(prepare_task(cfg), cfg, 1)
+    task = prepare_task(cfg)
     flat = record.final_params.data
-    assert record.test_losses[-1].hex() == network.forward(spec, flat, batch).hex()
-    assert record.test_accuracies[-1].hex() == network.accuracy(spec, flat, batch).hex()
+    assert record.test_losses[-1].hex() == network.forward(task.spec, flat, task.test).hex()
+    assert record.test_accuracies[-1].hex() == network.accuracy(task.spec, flat, task.test).hex()
 
 
 def test_series_lengths_equal_epochs():
     cfg = small_config(epochs=3)
-    record = run_training(cfg, 2)
+    record = run_training(prepare_task(cfg), cfg, 2)
     assert len(record.train_losses) == 3
     assert len(record.test_losses) == 3
     assert len(record.test_accuracies) == 3
@@ -222,7 +220,8 @@ def test_grad_eval_accounting_all_optimizers():
     for (kind, n), expected in expectations.items():
         opt = OptimizerConfig(kind=kind, learning_rate=0.1, momentum=0.9,
                               rho=0.05, ga_steps=n)
-        record = run_training(small_config(optimizer=opt), 1)
+        cfg = small_config(optimizer=opt)
+        record = run_training(prepare_task(cfg), cfg, 1)
         assert record.grad_evals == expected, kind
 
 
@@ -238,7 +237,7 @@ def test_reference_accuracy_floor_two_moons_sgd():
         seeds=(1,),
         label_noise_fraction=0.0,
     )
-    record = run_training(cfg, 1)
+    record = run_training(prepare_task(cfg), cfg, 1)
     assert record.final_test_accuracy > 0.85
 
 
@@ -246,12 +245,12 @@ def test_run_suite_collects_failures(monkeypatch):
     cfg = small_config(seeds=(1, 2, 3, 4))
     real = harness.run_training
 
-    def flaky(config, seed):
+    def flaky(task, config, seed):
         if seed == 2:
             raise SamLabError("synthetic blowup")
         if seed == 3:
             raise RuntimeError("synthetic bug")
-        return real(config, seed)
+        return real(task, config, seed)
 
     monkeypatch.setattr(harness, "run_training", flaky)
     for jobs in (1, 2):  # pool workers are forked, so they see the patch too
@@ -288,7 +287,7 @@ def test_compare_rejects_repeated_labels():
 
 
 def test_training_a_quadratic_model_raises_before_any_run(monkeypatch):
-    def no_run(config, seed):
+    def no_run(task, config, *seed):  # run_training, and _train with its sweep
         raise AssertionError("a run started")
 
     monkeypatch.setattr(harness, "run_training", no_run)
@@ -331,7 +330,7 @@ def test_lockstep_compare_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
     alone = [run_suite(harness._single(cfg, opt)) for opt in sweep]
     emit_outputs(tmp_path / "alone", alone)
 
-    def no_single_run(config, seed):
+    def no_single_run(task, config, seed):
         raise AssertionError("a lockstep group fell back to single runs")
 
     monkeypatch.setattr(harness, "run_training", no_single_run)  # forked workers too
@@ -348,7 +347,8 @@ def test_lockstep_compare_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
 
 
 def test_lockstep_group_shares_its_wall_time():
-    records = harness.train_group(small_config(), _sweep()[:3], 1)
+    cfg = small_config(optimizer_sweep=tuple(_sweep()[:3]))
+    records = harness.train_group(prepare_task(cfg), cfg, 1)
     assert len({r.wall_seconds for r in records}) == 1
     assert records[0].wall_seconds > 0.0
 
@@ -367,6 +367,43 @@ def test_lockstep_failing_run_fails_alone(tmp_path):
     emit_outputs(tmp_path / "alone", alone)
     emit_outputs(tmp_path / "lockstep", lockstep)
     assert _output_bytes(tmp_path / "lockstep") == _output_bytes(tmp_path / "alone")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_data_is_prepared_once_per_call_in_the_calling_process(tmp_path, monkeypatch):
+    """Each entry point builds the dataset once, in its own process, for any
+    seed count and pool size; pool workers inherit it. The pids go to a file
+    because forked workers' writes to a list would be lost."""
+    log = tmp_path / "build_dataset.pids"
+    real = harness.build_dataset
+
+    def counted(cfg, label_noise_fraction):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(cfg, label_noise_fraction)
+
+    def builders(call):
+        log.write_text("")
+        result = call()
+        return log.read_text().split(), result
+
+    monkeypatch.setattr(harness, "build_dataset", counted)
+    me = [str(os.getpid())]
+    cfg = small_config(seeds=(1, 2, 3))
+    for jobs in (1, 2):
+        pids, suites = builders(lambda: compare_optimizers(cfg, _sweep()[:3], jobs=jobs))
+        assert pids == me
+        assert [len(s.records) for s in suites] == [3, 3, 3]
+    pids, suite = builders(lambda: run_suite(cfg, jobs=2))
+    assert pids == me and len(suite.records) == 3
+    sweep = _sweep()
+    sweep[2] = OptimizerConfig(kind="rand_sam", learning_rate=1e300, rho=0.05)
+    pids, suites = builders(lambda: compare_optimizers(small_config(), sweep))
+    assert pids == me and [len(s.failures) for s in suites] == [0, 0, 2, 0, 0]
+    path = tmp_path / "w.ckpt"
+    checkpoint.save(path, suite.records[0].final_params)
+    assert builders(lambda: probe_checkpoint(path, cfg))[0] == me
+    assert builders(lambda: harness.slice_checkpoint(path, cfg))[0] == me
 
 
 # --- aggregation --------------------------------------------------------------
@@ -494,7 +531,7 @@ def test_probe_checkpoint_matches_training_report(tmp_path):
 
 def test_probe_checkpoint_twice_identical(tmp_path):
     cfg = small_config()
-    record = run_training(cfg, 1)
+    record = run_training(prepare_task(cfg), cfg, 1)
     path = tmp_path / "w.ckpt"
     checkpoint.save(path, record.final_params)
     a = probe_checkpoint(path, cfg)
@@ -506,12 +543,12 @@ def test_probe_checkpoint_evaluates_w_on_the_train_batch_once(tmp_path, monkeypa
     """One evaluation at w on the train batch gives the train loss and the
     report's base; the test split is evaluated apart."""
     cfg = small_config()
-    record = run_training(cfg, 1)
+    record = run_training(prepare_task(cfg), cfg, 1)
     path = tmp_path / "w.ckpt"
     checkpoint.save(path, record.final_params)
     want = probe_checkpoint(path, cfg)
     w = record.final_params.data
-    train_features = build_dataset(cfg.dataset, cfg.label_noise_fraction)[0].as_batch().features
+    train_features = prepare_task(cfg).train.features
     at_w = []
     for name in ("forward", "loss_and_grad"):
         def spied(spec, points, batch, _f=getattr(network, name)):
@@ -527,14 +564,13 @@ def test_probe_checkpoint_evaluates_w_on_the_train_batch_once(tmp_path, monkeypa
 
 def test_probe_checkpoint_layout_mismatch_lists_counts(tmp_path):
     cfg = small_config()
-    record = run_training(cfg, 1)
+    record = run_training(prepare_task(cfg), cfg, 1)
     path = tmp_path / "w.ckpt"
     checkpoint.save(path, record.final_params)
     bigger = small_config(model=ModelConfig(kind="mlp", hidden=(32,)))
     with pytest.raises(LayoutError) as err:
         probe_checkpoint(path, bigger)
-    assert err.value.expected_count == network.param_count(
-        bigger.model.resolve(build_dataset(bigger.dataset, 0.0)[0]))
+    assert err.value.expected_count == network.param_count(prepare_task(bigger).spec)
     assert err.value.found_count == len(record.final_params)
 
 

@@ -421,8 +421,6 @@ def test_bad_param_shapes_fail_before_any_compute(bad, monkeypatch):
                      network.accuracy):
         with pytest.raises(error):
             evaluate(spec, points, batch)
-    with pytest.raises(error):
-        network.predict_logits(spec, points, batch.features)
 
 
 @pytest.mark.parametrize("spec", [QuadraticSpec((1.0, 4.0, -2.0), 0.25),
@@ -480,7 +478,6 @@ def test_evaluation_leaves_caller_arrays_unchanged(case):
         network.forward(spec, p, batch)
         network.loss_and_grad(spec, p, batch)
         network.accuracy(spec, p, batch)
-        network.predict_logits(spec, p, batch.features)
     after = (params, vector.data, batch.features, batch.labels)
     for old, new in zip(before, after):
         assert old.tobytes() == new.tobytes()
@@ -490,7 +487,7 @@ def test_evaluation_leaves_caller_arrays_unchanged(case):
 def test_large_results_survive_later_calls(activation):
     """Returned arrays are never changed by a later call, and calls of
     growing and shrinking sizes each give their own bytes."""
-    # 3,000 rows x 10 classes: logits that the kernel kept and wrote into
+    # 3,000 rows x 10 classes: a gradient that the kernel kept and wrote into
     # again would change under the second call.
     spec, params, _ = pin_case(activation, "mse", 10, 2, "wide")
     other = network.init_params(spec, np.random.default_rng(9)).data
@@ -498,16 +495,13 @@ def test_large_results_survive_later_calls(activation):
     batches = {n: Batch(rng.standard_normal((n, 3)), rng.integers(0, 10, n)) for n in (200, 3000)}
     big = batches[3000]
     result = network.loss_and_grad(spec, params, big)
-    logits = network.predict_logits(spec, params, big.features)
-    kept = result.gradient.tobytes(), logits.tobytes()
+    kept = result.gradient.tobytes()
     network.loss_and_grad(spec, other, big)
-    network.predict_logits(spec, other, big.features)
-    assert (result.gradient.tobytes(), logits.tobytes()) == kept
+    assert result.gradient.tobytes() == kept
 
     def outputs(b):
         result = network.loss_and_grad(spec, params, b)
         return (network.forward(spec, params, b), result.value, result.gradient.tobytes(),
-                network.predict_logits(spec, params, b.features).tobytes(),
                 network.loss_and_accuracy(spec, params, b))
 
     first = {}
@@ -753,7 +747,6 @@ def test_ordinary_params_scan_no_activation(monkeypatch):
                          network.loss_and_accuracy):
             evaluate(spec, params, batch)
             evaluate(spec, rows, batch)
-        network.predict_logits(spec, rows, batch.features)
     assert seen and set(seen) == {(3,)}
 
 
