@@ -10,11 +10,12 @@ Each entry point prepares it once, in the calling process, before any run,
 so bad data fails the call before any run; pool workers inherit it.
 
 `compare_optimizers` trains a sweep's runs of each seed, which share their
-init and minibatch order, as one lockstep group (`train_group`): each step
-advances all runs through `optimizers.step_rows`, and each epoch evaluates
-them with one stacked pass per split. `run_training` is the group of one and
-`run_suite` a compare of one. A group's runs get the bytes they get alone;
-each run's wall_seconds is the group's elapsed time divided by its run count.
+init and minibatch order, as one group (`train_group`): one
+`optimizers.step_rows` call steps all its runs (several in lockstep), and
+each epoch evaluates them with one stacked pass per split. `run_training`
+is the group of one and `run_suite` a compare of one. A group's runs get
+the bytes they get alone; each run's wall_seconds is the group's elapsed
+time divided by its run count.
 
 Outputs are byte-stable: rows are ordered by seed (never completion time),
 floats are written with repr (shortest round-trip), and no timestamps enter
@@ -404,16 +405,6 @@ def require_trainable(config: ExperimentConfig) -> None:
                           "(a quadratic model can be probed and sliced, not trained)")
 
 
-def _step(spec, rows, batch, sweep, states):
-    """Step every row once: several in lockstep, one run by `optimizers.step`,
-    whose 1-D path costs 9-11 % less per step than a lockstep round of one
-    row (2-32-2, batch 32; sgd, sam and sam_ga5 interleaved in one process).
-    """
-    if len(rows) == 1:
-        return optimizers.step(spec, rows[0], batch, sweep[0], states[0])[0][None, :]
-    return optimizers.step_rows(spec, rows, batch, sweep, states)[0]
-
-
 def _evaluate(spec, rows, train_batch, test_batch) -> tuple:
     """(train losses, test losses, test accuracies) of every row, as lists:
     one pass per split over the stacked rows."""
@@ -428,8 +419,9 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
 
     The runs share the task, the init and the minibatch order (all derive
     from the config and the seed), so they step together on K parameter
-    rows. Each run keeps its own optimizer state and direction stream, and
-    its bytes are those of the same run trained alone. Each run's
+    rows, one `optimizers.step_rows` call a minibatch (its StepReports are
+    dropped). Each run keeps its own optimizer state and direction stream,
+    and its bytes are those of the same run trained alone. Each run's
     wall_seconds is the group's elapsed time divided by K.
     """
     started = time.perf_counter()
@@ -444,17 +436,15 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
     curves = []
     for epoch in range(config.epochs):
         for batch in datamod.minibatches(task.train, config.batch_size, shuffle_seed, epoch):
-            rows = _step(spec, rows, batch, sweep, states)
+            rows = optimizers.step_rows(spec, rows, batch, sweep, states)[0]
         curves.append(_evaluate(spec, rows, task.train, task.test))
     final_train, final_test, final_accuracy = (
         curves[-1] if curves else _evaluate(spec, rows, task.train, task.test))
 
     records = []
     for k, (opt, state) in enumerate(zip(sweep, states)):
-        report = probes.build_report(
-            spec, rows[k], task.train, config.probe,
-            seed=_subseed(seed, ROLE_PROBE), data_scope="train",
-            train_loss=final_train[k], test_loss=final_test[k])
+        report = probes.build_report(spec, rows[k], task.train, config.probe,
+                                     seed=_subseed(seed, ROLE_PROBE), test_loss=final_test[k])
         records.append(RunRecord(
             config_hash=config_hash(dataclasses.replace(config, optimizer=opt)),
             seed=seed,
@@ -725,7 +715,7 @@ def _summary_row(agg: AggregateResult) -> dict:
     return row
 
 
-def emit_outputs(out_dir: Union[str, Path], suites, save_checkpoints: bool = True) -> dict:
+def emit_outputs(out_dir: Union[str, Path], suites) -> dict:
     """Write runs.csv, summary.csv, summary.json, and final checkpoints.
 
     Returns {name: path} for everything written. Row order is suite order
@@ -733,14 +723,14 @@ def emit_outputs(out_dir: Union[str, Path], suites, save_checkpoints: bool = Tru
     byte-identical files apart from the wall_seconds measurement column.
     A file that cannot be written raises a SamLabError.
     """
-    out = prepare_out_dir(out_dir, checkpoints=save_checkpoints)
+    out = prepare_out_dir(out_dir, checkpoints=True)
     try:
-        return _write_outputs(out, suites, save_checkpoints)
+        return _write_outputs(out, suites)
     except OSError as exc:
         raise SamLabError(f"cannot write outputs to {out}: {exc}") from exc
 
 
-def _write_outputs(out: Path, suites, save_checkpoints: bool) -> dict:
+def _write_outputs(out: Path, suites) -> dict:
     written = {}
 
     rows = [run_row(record) for suite in suites for record in suite.records]
@@ -771,13 +761,12 @@ def _write_outputs(out: Path, suites, save_checkpoints: bool) -> dict:
     fileio.write_text(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     written["summary.json"] = json_path
 
-    if save_checkpoints:
-        ckpt_dir = out / "checkpoints"
-        for suite in suites:
-            for record in suite.records:
-                name = f"{record.optimizer_label}_seed{record.seed}.ckpt"
-                checkpoint_io.save(ckpt_dir / name, record.final_params)
-                written[f"checkpoints/{name}"] = ckpt_dir / name
+    ckpt_dir = out / "checkpoints"
+    for suite in suites:
+        for record in suite.records:
+            name = f"{record.optimizer_label}_seed{record.seed}.ckpt"
+            checkpoint_io.save(ckpt_dir / name, record.final_params)
+            written[f"checkpoints/{name}"] = ckpt_dir / name
     return written
 
 
@@ -804,8 +793,11 @@ def emit_slice(out_dir: Union[str, Path], name: str, alphas, betas, losses) -> P
 # ---------------------------------------------------------------------------
 # Checkpoint-centric entry points.
 
-def _load_checkpoint(checkpoint_path: Union[str, Path], task: Task) -> np.ndarray:
-    """A checkpoint's flat parameters, checked to fit the task's model."""
+def _at_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig) -> tuple:
+    """(task, the checkpoint's flat params checked to fit its model, their
+    `network.loss_and_grad` on the train split): a probe's and a slice's start."""
+    setup_process()
+    task = prepare_task(config)
     vector = checkpoint_io.load(checkpoint_path)
     expected = network.param_count(task.spec)
     if expected != len(vector):
@@ -821,7 +813,7 @@ def _load_checkpoint(checkpoint_path: Union[str, Path], task: Task) -> np.ndarra
             f"checkpoint layout {_layout_text(vector.layout)} does not match the "
             f"configured model's {_layout_text(layout)}",
             expected_count=expected, found_count=len(vector))
-    return vector.data
+    return task, vector.data, network.loss_and_grad(task.spec, vector.data, task.train)
 
 
 def _layout_text(layout) -> str:
@@ -836,16 +828,10 @@ def probe_checkpoint(checkpoint_path: Union[str, Path],
     file under the same config always reproduces the same report and carries
     no trace of which optimizer produced the checkpoint.
     """
-    setup_process()
-    task = prepare_task(config)
-    flat = _load_checkpoint(checkpoint_path, task)
-    # One evaluation at w gives the train loss and the report's base.
-    base = network.loss_and_grad(task.spec, flat, task.train)
-    test_loss = network.forward(task.spec, flat, task.test)
+    task, flat, base = _at_checkpoint(checkpoint_path, config)
     return probes.build_report(
-        task.spec, flat, task.train, config.probe,
-        seed=_subseed(config.seeds[0], ROLE_PROBE), data_scope="train",
-        train_loss=base.value, test_loss=test_loss, base=base)
+        task.spec, flat, task.train, config.probe, seed=_subseed(config.seeds[0], ROLE_PROBE),
+        test_loss=network.forward(task.spec, flat, task.test), base=base)
 
 
 def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig):
@@ -855,11 +841,8 @@ def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
     direction); direction b is a random direction from the probe stream.
     Returns (slice_config, alphas, betas, losses).
     """
-    setup_process()
+    task, flat, result = _at_checkpoint(checkpoint_path, config)
     slice_cfg = config.slice_plane if config.slice_plane is not None else SliceConfig()
-    task = prepare_task(config)
-    flat = _load_checkpoint(checkpoint_path, task)
-    result = network.loss_and_grad(task.spec, flat, task.train)
     rng = np.random.default_rng(_subseed(config.seeds[0], ROLE_PROBE))
     grad_norm = l2_norm(result.gradient)
     if grad_norm > 1e-12:

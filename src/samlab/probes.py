@@ -77,8 +77,8 @@ class ProbeConfig:
 class SharpnessReport:
     """Every sharpness quantity measured at one parameter point.
 
-    `data_scope` records which split the probe batch came from. The x1e3
-    scaling used in result tables is applied at serialization time, not here.
+    `data_scope` names the split the probe batch came from (the train split).
+    The x1e3 scaling used in result tables is applied at serialization time.
     """
 
     base_loss: float
@@ -91,7 +91,7 @@ class SharpnessReport:
     standardized_sharpness: float
     generalization_gap: Optional[float]
     rho: float
-    data_scope: str
+    data_scope: str = "train"
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -271,17 +271,15 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
 
 
 def build_report(model_spec, params: np.ndarray, batch, config: ProbeConfig,
-                 seed: int, data_scope: str,
-                 train_loss: Optional[float] = None,
-                 test_loss: Optional[float] = None,
+                 seed: int, test_loss: Optional[float] = None,
                  base: Optional[network.LossGradient] = None) -> SharpnessReport:
-    """Run every probe at one parameter point and collect the results.
+    """Run every probe at one parameter point on the train split `batch`.
 
-    The gap is filled in only when both split losses are supplied; a probe of
-    a bare checkpoint has no training history to compare against. The batch
-    is checked once, and w is evaluated once: its loss and gradient give the
-    base loss, the ascent direction and the first-order ascent start. `base`
-    is `network.loss_and_grad` at w on `batch`, if the caller already has it.
+    The batch is checked once, and w is evaluated once: its loss and
+    gradient give the base loss (the gap's train loss; the gap is filled in
+    only when `test_loss` is given), the ascent direction and the
+    first-order ascent start. `base` is `network.loss_and_grad` at w on
+    `batch`, if the caller already has it.
     """
     params = np.asarray(params, dtype=np.float64)
     batch = network.check_batch(model_spec, batch)
@@ -293,9 +291,7 @@ def build_report(model_spec, params: np.ndarray, batch, config: ProbeConfig,
     l_max = loss_worst_direction_estimate(
         model_spec, params, batch, config.rho,
         config.restarts, config.inner_steps, seed, base=base)
-    gap = None
-    if train_loss is not None and test_loss is not None:
-        gap = generalization_gap(train_loss, test_loss)
+    gap = None if test_loss is None else generalization_gap(base.value, test_loss)
     return SharpnessReport(
         base_loss=base.value,
         l_asc=l_asc,
@@ -307,5 +303,4 @@ def build_report(model_spec, params: np.ndarray, batch, config: ProbeConfig,
         standardized_sharpness=l_asc - base.value,
         generalization_gap=gap,
         rho=config.rho,
-        data_scope=data_scope,
     )

@@ -37,7 +37,10 @@ def test_bench_tracer_installs_records_and_uninstalls(tmp_path, monkeypatch):
 def test_traced_pool_workers_spill_a_lane_per_run(tmp_path, monkeypatch):
     """A pool worker spills its spans when `harness.run_training` returns, so
     every run a `run_suite` worker trains must end in a module-level call of
-    that name; otherwise the traced bench loses the workers' lanes."""
+    that name; otherwise the traced bench loses the workers' lanes. Each
+    minibatch of a run trained alone must be one `optimizers.step` call
+    through the module attribute, or the traced `optimizers.step.*` metrics
+    read 0."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
@@ -56,4 +59,7 @@ def test_traced_pool_workers_spill_a_lane_per_run(tmp_path, monkeypatch):
     assert [r.seed for r in suite.records] == [1, 2]
     assert len(tracer.worker_lanes) == 2
     for lane in tracer.worker_lanes:
-        assert [span[0] for span in lane].count("harness.run_training") == 1
+        names = [span[0] for span in lane]
+        assert names.count("harness.run_training") == 1
+        # 20 train rows in batches of 10, 1 epoch: 2 steps.
+        assert names.count("optimizers.step.sam") == 2

@@ -485,7 +485,7 @@ def test_emit_outputs_empty_records_headers_only(tmp_path):
     suite = harness.SuiteResult(
         config=cfg, optimizer_label="sgd", records=[], failures=[],
         aggregate=aggregate_records(config_hash(cfg), "sgd", [], 0))
-    written = emit_outputs(tmp_path, [suite], save_checkpoints=False)
+    written = emit_outputs(tmp_path, [suite])
     lines = open(written["runs.csv"]).read().splitlines()
     assert lines == [",".join(RUNS_CSV_COLUMNS)]
 
@@ -493,7 +493,7 @@ def test_emit_outputs_empty_records_headers_only(tmp_path):
 def test_emit_single_seed_summary_uses_marker(tmp_path):
     cfg = small_config(seeds=(1,))
     suite = run_suite(cfg)
-    written = emit_outputs(tmp_path, [suite], save_checkpoints=False)
+    written = emit_outputs(tmp_path, [suite])
     with open(written["summary.csv"]) as fh:
         row, = list(csv.DictReader(fh))
     assert row["test_accuracy_std"] == "n/a"

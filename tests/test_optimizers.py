@@ -368,10 +368,28 @@ def test_step_rows_keeps_each_direction_stream():
     assert stepped[0].tobytes() != stepped[1].tobytes()
 
 
-def test_step_points_yields_each_evaluated_point():
+def test_step_rows_of_one_row_is_step():
     spec, batch, configs, rows = _lockstep_case()
-    state = init_state(configs[2], rows.shape[1])
-    points = optimizers.step_points(rows[2], configs[2], state)
+    for k, cfg in enumerate(configs):
+        alone_state = _states(configs, rows.shape[1])[k]
+        row_state = _states(configs, rows.shape[1])[k]
+        alone, row = rows[k], rows[[k]]
+        for _ in range(2):
+            alone, report = optimizers.step(spec, alone, batch, cfg, alone_state)
+            row, reports = optimizers.step_rows(spec, row, batch, [cfg], [row_state])
+            assert row.shape == (1, rows.shape[1])
+            assert row[0].tobytes() == alone.tobytes()
+            assert reports == [report]
+        assert row_state.grad_evals == alone_state.grad_evals
+        assert row_state.momentum_buffer.tobytes() == alone_state.momentum_buffer.tobytes()
+
+
+@pytest.mark.parametrize("k, n_points", [(4, 1), (0, 2), (5, 2), (2, 4)],
+                         ids=["sgd", "sam", "rand_sam", "sam_ga3"])
+def test_step_points_yields_each_evaluated_point(k, n_points):
+    spec, batch, configs, rows = _lockstep_case()
+    state = _states(configs, rows.shape[1])[k]
+    points = optimizers.step_points(rows[k], configs[k], state)
     seen = []
     point = next(points)
     try:
@@ -381,10 +399,13 @@ def test_step_points_yields_each_evaluated_point():
             point = points.send(network.loss_and_grad(spec, point, batch))
     except StopIteration as done:
         new, report = done.value
-    assert len(seen) == report.grad_evals == 4
-    assert seen[0].tobytes() == rows[2].tobytes()
-    alone = optimizers.step(spec, rows[2], batch, configs[2], init_state(configs[2], rows.shape[1]))
+    assert len(seen) == report.grad_evals == n_points
+    assert seen[0].tobytes() == rows[k].tobytes()
+    alone_state = _states(configs, rows.shape[1])[k]
+    alone = optimizers.step(spec, rows[k], batch, configs[k], alone_state)
     assert new.tobytes() == alone[0].tobytes()
+    assert report == alone[1]
+    assert state.momentum_buffer.tobytes() == alone_state.momentum_buffer.tobytes()
 
 
 # --- config validation -------------------------------------------------------

@@ -154,7 +154,7 @@ def test_report_evaluates_the_unperturbed_point_once(spec, monkeypatch):
               if isinstance(spec, MlpSpec) else np.array([0.3, 0.4]))
     batch = gen_two_moons(32, 0.2, 2).as_batch()
     cfg = ProbeConfig(rho=0.05, restarts=2, inner_steps=3, n_samples=4)
-    want = build_report(spec, params, batch, cfg, seed=5, data_scope="train")
+    want = build_report(spec, params, batch, cfg, seed=5)
     at_w = []
     for name in ("forward", "loss_and_grad"):
         def spied(spec, points, batch, _f=getattr(network, name)):
@@ -162,7 +162,7 @@ def test_report_evaluates_the_unperturbed_point_once(spec, monkeypatch):
             at_w.extend(np.array_equal(p, params) for p in points.reshape(-1, params.size))
             return _f(spec, points, batch)
         monkeypatch.setattr(network, name, spied)
-    got = build_report(spec, params, batch, cfg, seed=5, data_scope="train")
+    got = build_report(spec, params, batch, cfg, seed=5)
     assert at_w.count(True) == 1
     assert len(at_w) > 1 + cfg.n_samples
     assert hexes(got.to_dict().values()) == hexes(want.to_dict().values())
@@ -204,7 +204,7 @@ def test_worst_dominates_other_probes():
     params = network.init_params(spec, np.random.default_rng(6)).data
     batch = gen_two_moons(24, 0.2, 3).as_batch()
     cfg = ProbeConfig(rho=0.05, restarts=4, inner_steps=10, n_samples=32)
-    report = build_report(spec, params, batch, cfg, seed=7, data_scope="train")
+    report = build_report(spec, params, batch, cfg, seed=7)
     assert report.l_max_estimate >= report.l_asc - 1e-9
     assert report.l_max_estimate >= report.l_avg_mean - 3 * report.l_avg_stderr
     assert report.l_max_estimate >= report.base_loss - 1e-15
@@ -237,7 +237,7 @@ def test_probe_continuity_as_rho_vanishes():
     w = np.array([0.3, 0.9])
     base = network.forward(spec, w, BATCH)
     cfg = ProbeConfig(rho=1e-12, restarts=2, inner_steps=5, n_samples=8)
-    report = build_report(spec, w, BATCH, cfg, seed=2, data_scope="train")
+    report = build_report(spec, w, BATCH, cfg, seed=2)
     assert abs(report.l_asc - base) < 1e-9
     assert abs(report.l_avg_mean - base) < 1e-9
     assert abs(report.l_max_estimate - base) < 1e-9
@@ -286,8 +286,7 @@ def test_plane_slice_parallel_directions_rejected():
 def test_report_serializes_with_exact_field_names():
     spec = QuadraticSpec(diag=(1.0, 1.0))
     cfg = ProbeConfig(rho=0.05, restarts=2, inner_steps=5, n_samples=8)
-    report = build_report(spec, np.array([1.0, 0.0]), BATCH, cfg, seed=0,
-                          data_scope="train", train_loss=0.5, test_loss=0.7)
+    report = build_report(spec, np.array([1.0, 0.0]), BATCH, cfg, seed=0, test_loss=0.7)
     d = report.to_dict()
     assert set(d) == {
         "base_loss", "l_asc", "l_avg_mean", "l_avg_stderr", "l_avg_samples",
@@ -412,14 +411,13 @@ def test_stacked_report_matches_the_one_point_loops(shape, monkeypatch):
     spec, params, batch = stacked_case(*shape)
     force_rows_per_call(monkeypatch, spec, batch, K)
     cfg = ProbeConfig(rho=0.05, restarts=K, inner_steps=4, n_samples=2 * K + 3)
-    got = build_report(spec, params, batch, cfg, seed=3, data_scope="train",
-                       train_loss=0.25, test_loss=0.5)
+    got = build_report(spec, params, batch, cfg, seed=3, test_loss=0.5)
     with monkeypatch.context() as patched:
         patched.setattr(probes, "loss_average_direction", oracle_average_direction)
         patched.setattr(probes, "loss_worst_direction_estimate", oracle_worst_direction)
-        want = build_report(spec, params, batch, cfg, seed=3, data_scope="train",
-                            train_loss=0.25, test_loss=0.5)
+        want = build_report(spec, params, batch, cfg, seed=3, test_loss=0.5)
     assert hexes(got.to_dict().values()) == hexes(want.to_dict().values())
+    assert got.generalization_gap == 0.5 - got.base_loss
 
 
 def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
