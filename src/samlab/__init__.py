@@ -26,11 +26,11 @@ from .data import (
 )
 from .params import LayoutEntry, ParameterVector, validate_layout
 from .harness import (
-    DatasetConfig, ModelConfig, ExperimentConfig, RunRecord, AggregateResult,
+    DatasetConfig, ModelConfig, ExperimentConfig, RunRecord,
     parse_config, load_config, config_hash, build_dataset, Task, prepare_task,
-    run_training, run_suite, compare_optimizers, probe_checkpoint,
-    emit_outputs, setup_process,
+    run_training, run_suite, compare_optimizers, probe_checkpoint, setup_process,
 )
+from .outputs import AggregateResult, emit_outputs
 from . import checkpoint
 
 __version__ = "0.1.0"

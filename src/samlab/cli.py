@@ -6,13 +6,15 @@ Subcommands:
              each seed's runs in lockstep
     probe    sharpness report for a saved checkpoint (JSON to stdout)
     slice    loss-plane grid around a saved checkpoint
+
+Each handler checks its output directory before any compute and writes
+through `samlab.outputs`.
 """
 
 import argparse
-import json
 import sys
 
-from . import fileio, harness
+from . import harness, outputs
 from .errors import SamLabError
 
 
@@ -66,9 +68,9 @@ def cmd_compare(args) -> int:
     if not sweep:
         raise SamLabError("compare needs an 'optimizers' list in the config")
     harness.require_trainable(config)
-    harness.prepare_out_dir(out_dir, checkpoints=True)
+    outputs.prepare_out_dir(out_dir, checkpoints=True)
     suites = harness.compare_optimizers(config, sweep, jobs=args.jobs)
-    harness.emit_outputs(out_dir, suites)
+    outputs.emit_outputs(out_dir, suites)
     for suite in suites:
         _print_suite(suite)
     print(f"wrote {out_dir}/runs.csv")
@@ -77,15 +79,12 @@ def cmd_compare(args) -> int:
 
 def cmd_probe(args) -> int:
     config = _load(args)
-    out = None if config.out_dir is None else harness.prepare_out_dir(config.out_dir)
+    if config.out_dir is not None:
+        outputs.prepare_out_dir(config.out_dir)
     report = harness.probe_checkpoint(args.checkpoint, config)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    if out is not None:
-        path = out / "probe_report.json"
-        try:
-            fileio.write_text(path, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-        except OSError as exc:
-            raise SamLabError(f"cannot write {path}: {exc}") from exc
+    print(outputs.probe_report_json(report), end="")
+    if config.out_dir is not None:
+        path = outputs.emit_probe_report(config.out_dir, report)
         print(f"wrote {path}", file=sys.stderr)
     return 0
 
@@ -93,9 +92,9 @@ def cmd_probe(args) -> int:
 def cmd_slice(args) -> int:
     config = _load(args)
     out_dir = _require_out(config)
-    harness.prepare_out_dir(out_dir)
+    outputs.prepare_out_dir(out_dir)
     slice_cfg, alphas, betas, losses = harness.slice_checkpoint(args.checkpoint, config)
-    path = harness.emit_slice(out_dir, slice_cfg.name, alphas, betas, losses)
+    path = outputs.emit_slice(out_dir, slice_cfg.name, alphas, betas, losses)
     print(f"wrote {path}")
     return 0
 

@@ -17,12 +17,10 @@ is the group of one and `run_suite` a compare of one. A group's runs get
 the bytes they get alone; each run's wall_seconds is the group's elapsed
 time divided by its run count.
 
-Outputs are byte-stable: rows are ordered by seed (never completion time),
-floats are written with repr (shortest round-trip), and no timestamps enter
-the CSV/JSON files except the wall_seconds measurement column.
+Config types and parsing live here too. Output files are `samlab.outputs`'
+(`emit_outputs` and `emit_slice` are also `harness.<name>`).
 """
 
-import concurrent.futures
 import ctypes
 import dataclasses
 import functools
@@ -39,9 +37,9 @@ import numpy as np
 
 from . import checkpoint as checkpoint_io
 from . import data as datamod
-from . import fileio
-from . import network, optimizers, probes
-from .errors import ConfigError, LayoutError, SamLabError
+from . import network, optimizers, outputs, probes
+from .errors import ConfigError, LayoutError
+from .outputs import emit_outputs, emit_slice  # noqa: F401  (called and traced as harness.<name>)
 from .params import ParameterVector
 from .vecops import l2_norm
 
@@ -55,23 +53,6 @@ ROLE_SPLIT = 0x53504C54     # "SPLT": train/test split permutation
 ROLE_NOISE = 0x4E4F4953     # "NOIS": label corruption
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-
-RUNS_CSV_COLUMNS = (
-    "config_hash", "seed", "optimizer", "rho", "ga_steps", "epochs",
-    "final_train_loss", "final_test_loss", "test_accuracy",
-    "l_asc", "l_avg_mean", "l_avg_stderr", "l_max_estimate",
-    "standardized_sharpness_x1e3", "generalization_gap_x1e3",
-    "grad_evals", "wall_seconds",
-)
-
-AGGREGATE_METRICS = (
-    "final_train_loss", "final_test_loss", "test_accuracy",
-    "l_asc", "l_avg_mean", "l_max_estimate",
-    "standardized_sharpness_x1e3", "generalization_gap_x1e3",
-)
-
-STD_NOT_APPLICABLE = "n/a"
-
 
 def _subseed(seed: int, role: int) -> int:
     return (seed ^ role) & _U64
@@ -371,21 +352,12 @@ class FailedRun:
 
 
 @dataclass
-class AggregateResult:
-    config_hash: str
-    optimizer_label: str
-    seed_count: int
-    failed_count: int
-    metrics: dict  # name -> {"mean": float, "std": float | None}
-
-
-@dataclass
 class SuiteResult:
     config: ExperimentConfig
     optimizer_label: str
     records: list
     failures: list
-    aggregate: AggregateResult
+    aggregate: outputs.AggregateResult
 
 
 def _ga_steps_used(opt: optimizers.OptimizerConfig) -> int:
@@ -496,9 +468,12 @@ def train_group(task: Task, config: ExperimentConfig, seed: int) -> list:
         try:
             outcomes.append(run_training(task, _single(config, opt), seed))
         except Exception as exc:  # one run's failure must not lose the others' results
-            outcomes.append(FailedRun(seed=seed, optimizer_label=opt.label,
-                                      error=f"{type(exc).__name__}: {exc}"))
+            outcomes.append(_failed(seed, opt, exc))
     return outcomes
+
+
+def _failed(seed: int, opt: optimizers.OptimizerConfig, exc: BaseException) -> FailedRun:
+    return FailedRun(seed=seed, optimizer_label=opt.label, error=f"{type(exc).__name__}: {exc}")
 
 
 # glibc's mallopt parameters and the values setup_process gives them. By
@@ -571,8 +546,8 @@ def _train_seed(work) -> list:
 def _suite(config: ExperimentConfig, outcomes) -> SuiteResult:
     records = sorted((o for o in outcomes if isinstance(o, RunRecord)), key=lambda r: r.seed)
     failures = sorted((o for o in outcomes if isinstance(o, FailedRun)), key=lambda f: f.seed)
-    aggregate = aggregate_records(config_hash(config), config.optimizer.label,
-                                  records, len(failures))
+    aggregate = outputs.aggregate_records(config_hash(config), config.optimizer.label,
+                                          records, len(failures))
     return SuiteResult(config=config, optimizer_label=config.optimizer.label,
                        records=records, failures=failures, aggregate=aggregate)
 
@@ -586,10 +561,18 @@ def _compare(config: ExperimentConfig, optimizer_list, jobs: int) -> list:
     config = dataclasses.replace(config, optimizer_sweep=tuple(optimizer_list))
     task = prepare_task(config)
     if jobs > 1 and len(config.seeds) > 1:
+        # Imported here: only a pool needs it, and it loads `logging`.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         # A forked worker inherits the task: it is never pickled per seed.
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=jobs, initializer=_start_worker, initargs=(task,)) as pool:
-            groups = list(pool.map(_train_seed, [(config, seed) for seed in config.seeds]))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
+                                 initargs=(task,)) as pool:
+            futures = [pool.submit(_train_seed, (config, seed)) for seed in config.seeds]
+        groups = []
+        for seed, future in zip(config.seeds, futures):
+            try:
+                groups.append(future.result())
+            except BrokenProcessPool as exc:  # a worker died: its seed and every unfinished one
+                groups.append([_failed(seed, opt, exc) for opt in config.optimizer_sweep])
     else:
         groups = [train_group(task, config, seed) for seed in config.seeds]
     return [_suite(_single(config, opt), [group[j] for group in groups])
@@ -599,9 +582,10 @@ def _compare(config: ExperimentConfig, optimizer_list, jobs: int) -> list:
 def compare_optimizers(config: ExperimentConfig, optimizer_list, jobs: int = 1) -> list:
     """One SuiteResult per optimizer of `optimizer_list`, in list order;
     failures are collected, not fatal. With jobs > 1 the seeds' lockstep
-    groups spread over a process pool. Rows are in seed order either way, so
-    each suite is byte for byte a `run_suite` of its optimizer (but for
-    wall_seconds)."""
+    groups spread over a process pool; a worker that dies (a signal, the OOM
+    killer) breaks the pool, and its seed and every seed not yet finished
+    become FailedRuns. Rows are in seed order either way, so each suite is
+    byte for byte a `run_suite` of its optimizer (but for wall_seconds)."""
     return _compare(config, optimizer_list, jobs)
 
 
@@ -609,185 +593,6 @@ def run_suite(config: ExperimentConfig, jobs: int = 1) -> SuiteResult:
     """A compare of `config.optimizer` alone. It calls `_compare`, so a
     wrapper of either public name (a perfbench span) never nests the other."""
     return _compare(config, (config.optimizer,), jobs)[0]
-
-
-# ---------------------------------------------------------------------------
-# Rows and aggregates. Aggregates are computed from exactly the values that
-# land in runs.csv (scaling included), so an independent reader recomputing
-# mean/std from the CSV reproduces summary.csv bit-for-bit.
-
-def run_row(record: RunRecord) -> dict:
-    report = record.report
-    return {
-        "config_hash": record.config_hash,
-        "seed": int(record.seed),
-        "optimizer": record.optimizer_label,
-        "rho": float(record.rho),
-        "ga_steps": int(record.ga_steps),
-        "epochs": int(record.epochs),
-        "final_train_loss": float(record.final_train_loss),
-        "final_test_loss": float(record.final_test_loss),
-        "test_accuracy": float(record.final_test_accuracy),
-        "l_asc": float(report.l_asc),
-        "l_avg_mean": float(report.l_avg_mean),
-        "l_avg_stderr": float(report.l_avg_stderr),
-        "l_max_estimate": float(report.l_max_estimate),
-        "standardized_sharpness_x1e3": float(report.standardized_sharpness * 1000.0),
-        "generalization_gap_x1e3": float(report.generalization_gap * 1000.0),
-        "grad_evals": int(record.grad_evals),
-        "wall_seconds": float(record.wall_seconds),
-    }
-
-
-def aggregate_records(hash_: str, label: str, records, failed_count: int) -> AggregateResult:
-    rows = [run_row(r) for r in records]
-    metrics = {}
-    for name in AGGREGATE_METRICS:
-        values = np.asarray([row[name] for row in rows], dtype=np.float64)
-        if len(values) == 0:
-            metrics[name] = {"mean": None, "std": None}
-        elif len(values) == 1:
-            metrics[name] = {"mean": float(values[0]), "std": None}
-        else:
-            metrics[name] = {"mean": float(np.mean(values)),
-                             "std": float(np.std(values, ddof=1))}
-    return AggregateResult(config_hash=hash_, optimizer_label=label,
-                           seed_count=len(records), failed_count=failed_count,
-                           metrics=metrics)
-
-
-# ---------------------------------------------------------------------------
-# Persistence.
-
-def _fmt(value) -> str:
-    if value is None:
-        return STD_NOT_APPLICABLE
-    if isinstance(value, bool):
-        raise TypeError("bool has no place in a results row")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def prepare_out_dir(out_dir: Union[str, Path], checkpoints: bool = False) -> Path:
-    """Create the output directory, and its `checkpoints/` directory if
-    asked, and fail fast if either cannot be made or written.
-
-    Called before any training starts; discovering an unwritable target
-    after minutes of compute is the failure mode this prevents.
-    """
-    path = Path(out_dir)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-        probe_file = path / ".write_probe"
-        probe_file.write_bytes(b"")
-        probe_file.unlink()
-        if checkpoints:
-            (path / "checkpoints").mkdir(exist_ok=True)
-    except OSError as exc:
-        raise SamLabError(f"output directory {path} is not writable: {exc}") from exc
-    return path
-
-
-def _write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
-    fileio.write_text(path, "\n".join(lines) + "\n")
-
-
-def summary_columns():
-    cols = ["config_hash", "optimizer", "seed_count", "failed_count"]
-    for name in AGGREGATE_METRICS:
-        cols.append(f"{name}_mean")
-        cols.append(f"{name}_std")
-    return cols
-
-
-def _summary_row(agg: AggregateResult) -> dict:
-    row = {"config_hash": agg.config_hash, "optimizer": agg.optimizer_label,
-           "seed_count": agg.seed_count, "failed_count": agg.failed_count}
-    for name in AGGREGATE_METRICS:
-        row[f"{name}_mean"] = agg.metrics[name]["mean"]
-        row[f"{name}_std"] = agg.metrics[name]["std"]
-    return row
-
-
-def emit_outputs(out_dir: Union[str, Path], suites) -> dict:
-    """Write runs.csv, summary.csv, summary.json, and final checkpoints.
-
-    Returns {name: path} for everything written. Row order is suite order
-    then seed order; repeated invocations with the same inputs produce
-    byte-identical files apart from the wall_seconds measurement column.
-    A file that cannot be written raises a SamLabError.
-    """
-    out = prepare_out_dir(out_dir, checkpoints=True)
-    try:
-        return _write_outputs(out, suites)
-    except OSError as exc:
-        raise SamLabError(f"cannot write outputs to {out}: {exc}") from exc
-
-
-def _write_outputs(out: Path, suites) -> dict:
-    written = {}
-
-    rows = [run_row(record) for suite in suites for record in suite.records]
-    runs_path = out / "runs.csv"
-    _write_csv(runs_path, RUNS_CSV_COLUMNS, rows)
-    written["runs.csv"] = runs_path
-
-    summary_path = out / "summary.csv"
-    _write_csv(summary_path, summary_columns(),
-               [_summary_row(s.aggregate) for s in suites])
-    written["summary.csv"] = summary_path
-
-    payload = {
-        "aggregates": [
-            {"config_hash": s.aggregate.config_hash,
-             "optimizer": s.aggregate.optimizer_label,
-             "seed_count": s.aggregate.seed_count,
-             "failed_count": s.aggregate.failed_count,
-             "metrics": s.aggregate.metrics}
-            for s in suites
-        ],
-        "failures": [
-            {"seed": f.seed, "optimizer": f.optimizer_label, "error": f.error}
-            for s in suites for f in s.failures
-        ],
-    }
-    json_path = out / "summary.json"
-    fileio.write_text(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    written["summary.json"] = json_path
-
-    ckpt_dir = out / "checkpoints"
-    for suite in suites:
-        for record in suite.records:
-            name = f"{record.optimizer_label}_seed{record.seed}.ckpt"
-            checkpoint_io.save(ckpt_dir / name, record.final_params)
-            written[f"checkpoints/{name}"] = ckpt_dir / name
-    return written
-
-
-def emit_slice(out_dir: Union[str, Path], name: str, alphas, betas, losses) -> Path:
-    """Write one slice_<name>.csv with alpha,beta,loss rows in grid order; a
-    file that cannot be written raises a SamLabError."""
-    out = prepare_out_dir(out_dir)
-    path = out / f"slice_{name}.csv"
-    # repr of each Python float, as `_write_csv` writes a float; each alpha
-    # and beta is formatted once, not once per cell.
-    betas = [repr(beta) for beta in np.asarray(betas, dtype=np.float64).tolist()]
-    lines = ["alpha,beta,loss"]
-    for alpha, row in zip(np.asarray(alphas, dtype=np.float64).tolist(),
-                          np.asarray(losses, dtype=np.float64).tolist()):
-        alpha = repr(alpha)
-        lines.extend(f"{alpha},{beta},{loss!r}" for beta, loss in zip(betas, row))
-    try:
-        fileio.write_text(path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise SamLabError(f"cannot write {path}: {exc}") from exc
-    return path
 
 
 # ---------------------------------------------------------------------------

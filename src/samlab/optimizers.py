@@ -63,7 +63,6 @@ class Perturbation:
     """
 
     epsilon: np.ndarray
-    steps_used: int = 0
     zero_gradient: bool = False
 
     @property
@@ -142,8 +141,8 @@ def epsilon_first_order(gradient: np.ndarray, rho: float) -> Perturbation:
     gradient = np.asarray(gradient, dtype=np.float64)
     norm = l2_norm(gradient)
     if norm < ZERO_GRAD_EPS:
-        return Perturbation(np.zeros_like(gradient), steps_used=0, zero_gradient=True)
-    return Perturbation(rho * gradient / norm, steps_used=1)
+        return Perturbation(np.zeros_like(gradient), zero_gradient=True)
+    return Perturbation(rho * gradient / norm)
 
 
 def epsilon_gradient_ascent(loss_and_grad_fn: Callable, w: np.ndarray,
@@ -174,9 +173,9 @@ def _ascent_points(w: np.ndarray, rho: float, n_steps: int):
             base_value = value
         norm = l2_norm(grad)
         if norm < ZERO_GRAD_EPS:
-            return Perturbation(current - w, steps_used=step, zero_gradient=True), base_value
+            return Perturbation(current - w, zero_gradient=True), base_value
         current = current + step_len * (grad / norm)
-    return Perturbation(current - w, steps_used=n_steps), base_value
+    return Perturbation(current - w), base_value
 
 
 def epsilon_random(param_len: int, rho: float, rng: np.random.Generator) -> Perturbation:
@@ -184,7 +183,7 @@ def epsilon_random(param_len: int, rho: float, rng: np.random.Generator) -> Pert
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     direction = sample_unit_direction(param_len, rng)
-    return Perturbation(rho * direction, steps_used=1)
+    return Perturbation(rho * direction)
 
 
 def _apply_update(params: np.ndarray, grad: np.ndarray, config: OptimizerConfig,

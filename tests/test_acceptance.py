@@ -20,9 +20,7 @@ from samlab.harness import (
     ExperimentConfig,
     ModelConfig,
     compare_optimizers,
-    emit_outputs,
     prepare_task,
-    run_row,
 )
 from samlab.network import (
     Batch,
@@ -37,6 +35,7 @@ from samlab.optimizers import (
     epsilon_first_order,
     epsilon_gradient_ascent,
 )
+from samlab.outputs import emit_outputs, run_row
 from samlab.probes import (
     ProbeConfig,
     loss_ascent_direction,

@@ -63,3 +63,28 @@ def test_traced_pool_workers_spill_a_lane_per_run(tmp_path, monkeypatch):
         assert names.count("harness.run_training") == 1
         # 20 train rows in batches of 10, 1 epoch: 2 steps.
         assert names.count("optimizers.step.sam") == 2
+
+
+def test_traced_emit_outputs_times_each_checkpoint_save(tmp_path, monkeypatch):
+    """The tracer rebinds `harness.emit_outputs` and `checkpoint.save`, so the
+    writers must stay reachable as `harness.emit_outputs` and call `save`
+    through the checkpoint module, or the traced `checkpoint.save.*` metrics
+    read 0."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    config = harness.ExperimentConfig(
+        dataset=harness.DatasetConfig(generator="two_moons", n=40, seed=5),
+        model=harness.ModelConfig(hidden=(4,)),
+        optimizer=optimizers.OptimizerConfig(kind="sgd", learning_rate=0.1),
+        epochs=1, batch_size=10, seeds=(1,))
+    suite = harness.run_suite(config)
+    tracer = tracing.Tracer(tmp_path / "spill")
+    try:
+        tracer.install()
+        harness.emit_outputs(tmp_path / "out", [suite])
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("harness.emit_outputs") == 1
+    assert names.count("checkpoint.save") == len(suite.records) == 1

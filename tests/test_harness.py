@@ -1,7 +1,9 @@
 import csv
 import json
+import multiprocessing
 import os
 import platform
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,15 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samlab import checkpoint, fileio, harness, network, probes
+from samlab import checkpoint, fileio, harness, network, outputs, probes
 from samlab.errors import ConfigError, LayoutError, SamLabError
 from samlab.harness import (
-    AggregateResult, DatasetConfig, ExperimentConfig, ModelConfig, RunRecord,
-    aggregate_records, build_dataset, compare_optimizers, config_hash,
-    emit_outputs, emit_slice, parse_config, prepare_task, probe_checkpoint, run_suite,
-    run_training, run_row, RUNS_CSV_COLUMNS,
+    DatasetConfig, ExperimentConfig, ModelConfig, RunRecord, build_dataset,
+    compare_optimizers, config_hash, parse_config, prepare_task, probe_checkpoint,
+    run_suite, run_training,
 )
 from samlab.optimizers import OptimizerConfig
+from samlab.outputs import (
+    aggregate_records, emit_outputs, emit_slice, run_row, RUNS_CSV_COLUMNS,
+)
 from samlab.probes import ProbeConfig, SharpnessReport
 
 
@@ -513,7 +517,7 @@ def test_unwritable_out_dir_fails_before_training(tmp_path):
     blocker = tmp_path / "a_file"
     blocker.write_text("x")
     with pytest.raises(SamLabError):
-        harness.prepare_out_dir(blocker / "sub")
+        outputs.prepare_out_dir(blocker / "sub")
 
 
 # --- checkpoint probing -----------------------------------------------------------
@@ -600,6 +604,47 @@ def test_parallel_jobs_bitwise_match_sequential():
         ra.pop("wall_seconds"), rb.pop("wall_seconds")
         assert ra == rb
         np.testing.assert_array_equal(a.final_params.data, b.final_params.data)
+
+
+_TRAIN_SEED = harness._train_seed
+
+
+def _train_seed_killed_on_seed_3(work):
+    if work[1] == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _TRAIN_SEED(work)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="only a forked worker sees the patched _train_seed")
+def test_killed_pool_worker_fails_its_seeds_and_keeps_the_finished_ones(monkeypatch):
+    """A worker killed by a signal breaks the pool. Its seed, and any seed
+    not finished by then, become FailedRuns; every finished seed keeps the
+    row it gets at jobs=1."""
+    cfg = small_config(seeds=(1, 2, 3, 4))
+    expected = {r.seed: run_row(r) for r in run_suite(cfg, jobs=1).records}
+    monkeypatch.setattr(harness, "_train_seed", _train_seed_killed_on_seed_3)
+    suite = run_suite(cfg, jobs=2)
+    assert sorted([r.seed for r in suite.records] + [f.seed for f in suite.failures]) == [1, 2, 3, 4]
+    assert 3 in [f.seed for f in suite.failures]
+    assert all(f.optimizer_label == "sgd" and f.error.startswith("BrokenProcessPool: ")
+               for f in suite.failures)
+    assert suite.aggregate.failed_count == len(suite.failures)
+    for record in suite.records:
+        row = run_row(record)
+        row.pop("wall_seconds"), expected[record.seed].pop("wall_seconds")
+        assert row == expected[record.seed]
+
+
+def test_importing_samlab_loads_no_pool_machinery():
+    """`concurrent.futures` loads `logging` too, a few ms at every start;
+    only a pool needs them, so they are imported where the pool starts."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, samlab; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 FAULTS_PER_CALL = """
