@@ -6,7 +6,7 @@ from .errors import (
     IdxFormatError, CheckpointError, LayoutError, ConfigError,
 )
 from .network import (
-    Batch, MlpSpec, QuadraticSpec, LossGradient,
+    MlpSpec, QuadraticSpec, LossGradient,
     forward, loss_and_grad, init_params, param_layout, param_count, accuracy,
     loss_and_accuracy,
 )
@@ -21,7 +21,7 @@ from .probes import (
     standardized_sharpness, generalization_gap, loss_plane_slice, build_report,
 )
 from .data import (
-    Dataset, SplitSpec, gen_two_moons, gen_gaussian_blobs, load_idx,
+    Dataset, gen_two_moons, gen_gaussian_blobs, load_idx,
     inject_label_noise, split, minibatches,
 )
 from .params import LayoutEntry, ParameterVector, validate_layout

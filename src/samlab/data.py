@@ -1,7 +1,9 @@
 """Desk-scale datasets: synthetic generators, IDX ingestion, and transforms.
 
 Everything here is a pure function of its inputs and seeds; calling twice
-with the same arguments produces identical arrays.
+with the same arguments produces identical arrays. A `Dataset` is not
+checked here: `network.check_batch` is the one check of a (features,
+labels) pair, made for the model that will read it.
 """
 
 import math
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdxFormatError, LengthError
-from .network import Batch, CheckedBatch, take_rows
+from .network import CheckedBatch, take_rows
 
 IDX_LABEL_MAGIC = 0x00000801
 IDX_IMAGE_MAGIC = 0x00000803
@@ -19,54 +21,18 @@ IDX_IMAGE_MAGIC = 0x00000803
 
 @dataclass(frozen=True)
 class Dataset:
-    """Features (n, d) float64, integer class labels (n,), and class count."""
+    """Features (n, d), integer class labels (n,), and class count.
+
+    It holds the arrays unchecked; `network.check_batch` checks them for a
+    model before any compute.
+    """
 
     features: np.ndarray
     labels: np.ndarray
     n_classes: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "features", np.asarray(self.features, dtype=np.float64))
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise LengthError(
-                f"{self.features.shape[0]} feature rows vs {self.labels.shape[0]} labels",
-                expected=self.features.shape[0],
-                found=self.labels.shape[0],
-            )
-        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
-            raise ValueError(
-                f"labels must lie in [0, {self.n_classes}), "
-                f"found range [{self.labels.min()}, {self.labels.max()}]"
-            )
-
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.features.shape[1]
-
-    def as_batch(self) -> Batch:
-        return Batch(self.features, self.labels)
-
-    def subset(self, indices) -> "Dataset":
-        idx = np.asarray(indices)
-        return Dataset(self.features[idx], self.labels[idx], self.n_classes)
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Deterministic train/test partition: fraction of examples kept for training."""
-
-    train_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 def gen_two_moons(n: int, noise_sd: float, seed: int) -> Dataset:
@@ -185,34 +151,30 @@ def inject_label_noise(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset(dataset.features, labels, dataset.n_classes)
 
 
-def split(dataset: Dataset, spec: SplitSpec):
-    """Disjoint, exhaustive train/test partition, deterministic per seed."""
+def split(dataset: Dataset, train_fraction: float, seed: int):
+    """Disjoint, exhaustive train/test partition, deterministic per seed;
+    `train_fraction` of the examples, rounded and at least one each side,
+    go to train."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n = len(dataset)
-    n_train = int(round(spec.train_fraction * n))
-    n_train = min(max(n_train, 1), n - 1)
-    perm = np.random.default_rng(_u64(spec.seed)).permutation(n)
-    return dataset.subset(perm[:n_train]), dataset.subset(perm[n_train:])
+    n_train = min(max(int(round(train_fraction * n)), 1), n - 1)
+    perm = np.random.default_rng(_u64(seed)).permutation(n)
+    return tuple(Dataset(dataset.features[idx], dataset.labels[idx], dataset.n_classes)
+                 for idx in (perm[:n_train], perm[n_train:]))
 
 
-def minibatches(dataset, batch_size: int, seed: int, epoch: int):
-    """Yield shuffled batches; order is a pure function of (seed, epoch).
-
-    `dataset` is a `Dataset` (or a raw `Batch`), whose batches are raw
-    `Batch`es, or a `network.CheckedBatch`, whose batches are its
-    `take_rows` and need no check again; the same seeds give the same rows
-    either way. The final short batch is kept.
+def minibatches(batch: CheckedBatch, batch_size: int, seed: int, epoch: int):
+    """Yield shuffled `take_rows` of a checked batch, which need no check
+    again; order is a pure function of (seed, epoch). The final short batch
+    is kept.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n = dataset.features.shape[0]
+    n = batch.features.shape[0]
     perm = np.random.default_rng([_u64(seed), _u64(epoch)]).permutation(n)
-    checked = type(dataset) is CheckedBatch
     for start in range(0, n, batch_size):
-        idx = perm[start:start + batch_size]
-        if checked:
-            yield take_rows(dataset, idx)
-        else:
-            yield Batch(dataset.features[idx], dataset.labels[idx])
+        yield take_rows(batch, perm[start:start + batch_size])
 
 
 def _u64(seed: int) -> int:

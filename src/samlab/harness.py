@@ -124,7 +124,7 @@ class ModelConfig:
     def resolve(self, train: datamod.Dataset) -> network.ModelSpec:
         if self.kind == "quadratic":
             return network.QuadraticSpec(diag=self.diag, offset=self.offset)
-        return network.MlpSpec(in_width=train.n_features, hidden=self.hidden,
+        return network.MlpSpec(in_width=train.features.shape[1], hidden=self.hidden,
                                out_width=train.n_classes, activation=self.activation,
                                head=self.head)
 
@@ -283,17 +283,16 @@ def build_dataset(cfg: DatasetConfig, label_noise_fraction: float):
     """Returns (train, test). Label noise corrupts the train split only;
     the test set stays clean so accuracy measures generalization, not noise.
     """
-    split = datamod.SplitSpec(cfg.train_fraction, _subseed(cfg.seed, ROLE_SPLIT))
     if cfg.generator == "two_moons":
-        train, test = datamod.split(datamod.gen_two_moons(cfg.n, cfg.noise_sd, cfg.seed), split)
+        data = datamod.gen_two_moons(cfg.n, cfg.noise_sd, cfg.seed)
     elif cfg.generator == "gaussian_blobs":
-        train, test = datamod.split(datamod.gen_gaussian_blobs(
-            cfg.n, cfg.centers, cfg.center_sd, cfg.seed), split)
-    elif cfg.test_images is None:
-        train, test = datamod.split(datamod.load_idx(cfg.images, cfg.labels), split)
+        data = datamod.gen_gaussian_blobs(cfg.n, cfg.centers, cfg.center_sd, cfg.seed)
     else:
-        train = datamod.load_idx(cfg.images, cfg.labels)
-        test = datamod.load_idx(cfg.test_images, cfg.test_labels)
+        data = datamod.load_idx(cfg.images, cfg.labels)
+    if cfg.generator == "idx" and cfg.test_images is not None:
+        train, test = data, datamod.load_idx(cfg.test_images, cfg.test_labels)
+    else:
+        train, test = datamod.split(data, cfg.train_fraction, _subseed(cfg.seed, ROLE_SPLIT))
     if label_noise_fraction > 0:
         train = datamod.inject_label_noise(
             train, label_noise_fraction, _subseed(cfg.seed, ROLE_NOISE))
@@ -303,8 +302,9 @@ def build_dataset(cfg: DatasetConfig, label_noise_fraction: float):
 @dataclass(frozen=True)
 class Task:
     """What every run and probe of one config shares: the model spec and the
-    train and test splits, checked for it by `network.check_batch` (a
-    quadratic, which ignores its batches, keeps them unchecked)."""
+    train and test splits, the `data.Dataset`s of `build_dataset` as
+    `network.check_batch` returns them for the spec (a quadratic, which
+    ignores its batches, keeps the unchecked `Dataset`s)."""
 
     spec: network.ModelSpec
     train: network.CheckedBatch
@@ -317,8 +317,7 @@ def prepare_task(config: ExperimentConfig) -> Task:
     SamLabError."""
     train, test = build_dataset(config.dataset, config.label_noise_fraction)
     spec = config.model.resolve(train)
-    return Task(spec, network.check_batch(spec, train.as_batch()),
-                network.check_batch(spec, test.as_batch()))
+    return Task(spec, network.check_batch(spec, train), network.check_batch(spec, test))
 
 
 # ---------------------------------------------------------------------------
@@ -563,15 +562,20 @@ def _compare(config: ExperimentConfig, optimizer_list, jobs: int) -> list:
     if jobs > 1 and len(config.seeds) > 1:
         # Imported here: only a pool needs it, and it loads `logging`.
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-        # A forked worker inherits the task: it is never pickled per seed.
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_start_worker,
-                                 initargs=(task,)) as pool:
-            futures = [pool.submit(_train_seed, (config, seed)) for seed in config.seeds]
+
+        def pooled(seeds, workers):
+            # A forked worker inherits the task: it is never pickled per seed.
+            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                                     initargs=(task,)) as pool:
+                return [pool.submit(_train_seed, (config, seed)) for seed in seeds]
+
         groups = []
-        for seed, future in zip(config.seeds, futures):
+        for seed, future in zip(config.seeds, pooled(config.seeds, jobs)):
+            if isinstance(future.exception(), BrokenProcessPool):  # a worker died: once more, alone
+                future = pooled([seed], 1)[0]
             try:
                 groups.append(future.result())
-            except BrokenProcessPool as exc:  # a worker died: its seed and every unfinished one
+            except BrokenProcessPool as exc:  # it broke a pool of its own too
                 groups.append([_failed(seed, opt, exc) for opt in config.optimizer_sweep])
     else:
         groups = [train_group(task, config, seed) for seed in config.seeds]
@@ -582,10 +586,12 @@ def _compare(config: ExperimentConfig, optimizer_list, jobs: int) -> list:
 def compare_optimizers(config: ExperimentConfig, optimizer_list, jobs: int = 1) -> list:
     """One SuiteResult per optimizer of `optimizer_list`, in list order;
     failures are collected, not fatal. With jobs > 1 the seeds' lockstep
-    groups spread over a process pool; a worker that dies (a signal, the OOM
-    killer) breaks the pool, and its seed and every seed not yet finished
-    become FailedRuns. Rows are in seed order either way, so each suite is
-    byte for byte a `run_suite` of its optimizer (but for wall_seconds)."""
+    groups spread over a process pool. A worker that dies (a signal, the OOM
+    killer) breaks the pool, and each seed left without a result is trained
+    once more, alone, in a fresh one-worker pool; only a seed that breaks
+    that pool too becomes a FailedRun. Rows are in seed order either way, so
+    each suite is byte for byte a `run_suite` of its optimizer (but for
+    wall_seconds)."""
     return _compare(config, optimizer_list, jobs)
 
 

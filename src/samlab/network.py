@@ -90,13 +90,6 @@ from .errors import LayoutError, NumericError, ShapeError
 from .params import LayoutEntry, ParameterVector
 
 
-class Batch(NamedTuple):
-    """A slice of a dataset: float features (n, d) and integer labels (n,)."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-
 class LossGradient(NamedTuple):
     """Scalar loss plus its exact gradient (flat, float64); for a stack of
     parameter rows, (K,) losses and (K, P) gradients."""
@@ -274,10 +267,11 @@ def check_batch(spec: ModelSpec, batch):
     `CheckedBatch`; a batch already checked for an equal spec is returned as
     it is, and a quadratic, which ignores its batch, gets it back unchecked.
 
-    Features must be (n, in_width) with n >= 1 and finite, labels integers
-    of shape (n,) in [0, out_width). Every kernel entry point calls this
-    first, so a caller that evaluates one batch many times checks it once by
-    passing the checked batch.
+    `batch` is a `data.Dataset` or any object with `features` and `labels`.
+    This is the one check of such a pair: features must be (n, in_width)
+    with n >= 1 and finite, labels integers of shape (n,) in [0, out_width).
+    Every kernel entry point calls this first, so a caller that evaluates
+    one batch many times checks it once by passing the checked batch.
     """
     if type(batch) is CheckedBatch and (batch.spec is spec or batch.spec == spec):
         return batch

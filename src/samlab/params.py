@@ -66,6 +66,3 @@ class ParameterVector:
         """Same layout, new values."""
         return ParameterVector(np.array(data, dtype=np.float64), self.layout)
 
-    def copy(self) -> "ParameterVector":
-        return ParameterVector(self.data.copy(), self.layout)
-

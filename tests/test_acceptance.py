@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from samlab.data import Dataset
 from samlab.harness import (
     DatasetConfig,
     ExperimentConfig,
@@ -23,7 +24,6 @@ from samlab.harness import (
     prepare_task,
 )
 from samlab.network import (
-    Batch,
     MlpSpec,
     QuadraticSpec,
     forward,
@@ -116,8 +116,8 @@ def test_gradients_match_central_differences(acceptance_line):
             head=("softmax_ce", "mse")[int(rng.integers(2))],
         )
         n = int(rng.integers(1, 6))
-        batch = Batch(rng.standard_normal((n, spec.in_width)),
-                      rng.integers(0, spec.out_width, size=n))
+        batch = Dataset(rng.standard_normal((n, spec.in_width)),
+                        rng.integers(0, spec.out_width, size=n), spec.out_width)
         flat = 0.7 * rng.standard_normal(param_count(spec))
         grad = loss_and_grad(spec, flat, batch).gradient
         h = 1e-6
@@ -158,7 +158,7 @@ def test_perturbation_norm_and_scale_invariance(acceptance_line):
 def test_multistep_reduction_and_recursion_oracle(acceptance_line):
     diag = np.array([1.0, 4.0])
     spec = QuadraticSpec(diag=tuple(diag))
-    batch = Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64))
+    batch = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), 1)
 
     def fn(w):
         return loss_and_grad(spec, w, batch)
@@ -185,7 +185,7 @@ def test_multistep_reduction_and_recursion_oracle(acceptance_line):
 
 def test_probe_closed_form_battery(acceptance_line):
     start = time.perf_counter()
-    batch = Batch(np.zeros((1, 1)), np.zeros(1, dtype=np.int64))
+    batch = Dataset(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), 1)
     rho = 0.05
     checks = []
 

@@ -9,7 +9,8 @@ import pytest
 
 from samlab import autodiff, network
 from samlab.errors import NumericError, ShapeError
-from samlab.network import Batch, MlpSpec
+from samlab.data import Dataset
+from samlab.network import MlpSpec
 
 
 def central_diff(f, x, i, h=1e-6):
@@ -54,7 +55,7 @@ def assert_backward_matches_fd(spec, flat, features, d_logits):
 
 def head_grad(head, logits, labels):
     spec = MlpSpec(in_width=1, out_width=logits.shape[1], head=head)
-    batch = network.check_batch(spec, Batch(np.zeros((logits.shape[0], 1)), labels))
+    batch = network.check_batch(spec, Dataset(np.zeros((logits.shape[0], 1)), labels, logits.shape[1]))
     return network._head(spec, logits, batch)
 
 
@@ -134,7 +135,7 @@ def test_straight_line_oracle_two_layer():
     x_val, w1_val, b1_val, w2_val, b2_val = 0.7, 1.3, -0.2, 0.5, 0.1
     spec = MlpSpec(in_width=1, hidden=(1,), out_width=1, activation="tanh", head="mse")
     flat = np.array([w1_val, b1_val, w2_val, b2_val])
-    res = network.loss_and_grad(spec, flat, Batch(np.array([[x_val]]), np.array([0])))
+    res = network.loss_and_grad(spec, flat, Dataset(np.array([[x_val]]), np.array([0]), 1))
 
     h_val = np.tanh(w1_val * x_val + b1_val)
     out_val = w2_val * h_val + b2_val
@@ -149,7 +150,7 @@ def test_matmul_shape_mismatch():
     spec = MlpSpec(in_width=2, hidden=(3,), out_width=2)
     flat = np.zeros(network.param_count(spec))
     with pytest.raises(ShapeError):
-        network.forward(spec, flat, Batch(np.zeros((4, 3)), np.zeros(4, dtype=int)))
+        network.forward(spec, flat, Dataset(np.zeros((4, 3)), np.zeros(4, dtype=int), 2))
 
 
 def test_non_finite_input_rejected():
@@ -157,7 +158,7 @@ def test_non_finite_input_rejected():
     flat = np.zeros(network.param_count(spec))
     features = np.zeros((2, 2))
     features[1, 0] = np.nan
-    batch = Batch(features, np.array([0, 1]))
+    batch = Dataset(features, np.array([0, 1]), 2)
     for evaluate in (network.forward, network.loss_and_grad, network.accuracy):
         with pytest.raises(NumericError, match="batch features"):
             evaluate(spec, flat, batch)
@@ -167,7 +168,7 @@ def test_non_finite_intermediate_rejected():
     # tanh maps the overflowed pre-activation to 1, so the logits stay finite
     spec = MlpSpec(in_width=1, hidden=(1,), out_width=2, activation="tanh")
     flat = np.array([1e308, 0.0, 1.0, 1.0, 0.0, 0.0])
-    batch = Batch(np.array([[1e308]]), np.array([0]))
+    batch = Dataset(np.array([[1e308]]), np.array([0]), 2)
     for evaluate in (network.forward, network.loss_and_grad, network.accuracy):
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="dense0"):
             evaluate(spec, flat, batch)
@@ -177,7 +178,7 @@ def test_non_finite_intermediate_hidden_by_relu_rejected():
     # relu maps the pre-activation's -inf to 0, so the logits stay finite
     spec = MlpSpec(in_width=1, hidden=(1,), out_width=2, activation="relu")
     flat = np.array([-1e308, 0.0, 1.0, 1.0, 0.0, 0.0])
-    batch = Batch(np.array([[1e308]]), np.array([0]))
+    batch = Dataset(np.array([[1e308]]), np.array([0]), 2)
     for evaluate in (network.forward, network.loss_and_grad, network.accuracy):
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="dense0"):
             evaluate(spec, flat, batch)
@@ -188,7 +189,7 @@ def test_label_out_of_range_rejected():
         spec = MlpSpec(in_width=2, hidden=(), out_width=3, head=head)
         flat = np.zeros(network.param_count(spec))
         for labels in ([0, 3], [-1, 0]):
-            batch = Batch(np.zeros((2, 2)), np.array(labels))
+            batch = Dataset(np.zeros((2, 2)), np.array(labels), 3)
             for evaluate in (network.forward, network.loss_and_grad):
                 with pytest.raises(ShapeError):
                     evaluate(spec, flat, batch)

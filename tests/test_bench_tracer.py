@@ -23,7 +23,7 @@ def test_bench_tracer_installs_records_and_uninstalls(tmp_path, monkeypatch):
         tracer.install()
         spec = network.MlpSpec(2, (3,), 2)
         params = network.init_params(spec, np.random.default_rng(0)).data
-        batch = gen_two_moons(8, 0.1, 0).as_batch()
+        batch = gen_two_moons(8, 0.1, 0)
         config = optimizers.OptimizerConfig(kind="sam", learning_rate=0.1)
         optimizers.step(spec, params, batch, config, optimizers.init_state(config, params.size))
     finally:

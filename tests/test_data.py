@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from samlab import data, network
-from samlab.errors import IdxFormatError, LengthError, SamLabError
+from samlab.errors import IdxFormatError, LengthError, SamLabError, ShapeError
 
 
 def test_two_moons_shapes_and_balance():
@@ -170,7 +170,7 @@ def test_label_noise_deterministic():
 
 def test_split_sizes_and_disjoint():
     ds = data.gen_two_moons(10, 0.1, 1)
-    train, test = data.split(ds, data.SplitSpec(0.8, 5))
+    train, test = data.split(ds, 0.8, 5)
     assert len(train) == 8 and len(test) == 2
     combined = np.vstack([train.features, test.features])
     # every original row appears exactly once
@@ -183,52 +183,68 @@ def test_split_sizes_and_disjoint():
 @given(n=st.integers(2, 1000), frac=st.floats(0.05, 0.95), seed=st.integers(0, 10**6))
 def test_split_partition_property(n, frac, seed):
     ds = data.gen_two_moons(n, 0.1, 3)
-    train, test = data.split(ds, data.SplitSpec(frac, seed))
+    train, test = data.split(ds, frac, seed)
     assert len(train) >= 1 and len(test) >= 1
     assert len(train) + len(test) == n
 
 
+def checked_moons(n):
+    """A two-moons set of n rows, checked for a 2-4-2 model."""
+    return network.check_batch(network.MlpSpec(2, (4,), 2), data.gen_two_moons(n, 0.1, 4))
+
+
 def test_minibatches_cover_everything_once():
-    ds = data.gen_two_moons(23, 0.1, 4)
-    batches = list(data.minibatches(ds, 5, seed=1, epoch=0))
+    checked = checked_moons(23)
+    batches = list(data.minibatches(checked, 5, seed=1, epoch=0))
     assert [len(b.labels) for b in batches] == [5, 5, 5, 5, 3]
     seen = np.vstack([b.features for b in batches])
     assert seen.shape == (23, 2)
-    original = ds.features[np.lexsort(ds.features.T)]
+    original = checked.features[np.lexsort(checked.features.T)]
     np.testing.assert_array_equal(original, seen[np.lexsort(seen.T)])
 
 
 def test_minibatches_single_batch_when_large():
-    ds = data.gen_two_moons(8, 0.1, 4)
-    batches = list(data.minibatches(ds, 100, seed=1, epoch=0))
+    batches = list(data.minibatches(checked_moons(8), 100, seed=1, epoch=0))
     assert len(batches) == 1
     assert len(batches[0].labels) == 8
 
 
 def test_minibatches_depend_on_epoch_not_call_order():
-    ds = data.gen_two_moons(30, 0.1, 4)
-    a0 = list(data.minibatches(ds, 10, seed=1, epoch=0))
-    b0 = list(data.minibatches(ds, 10, seed=1, epoch=0))
-    a1 = list(data.minibatches(ds, 10, seed=1, epoch=1))
+    checked = checked_moons(30)
+    a0 = list(data.minibatches(checked, 10, seed=1, epoch=0))
+    b0 = list(data.minibatches(checked, 10, seed=1, epoch=0))
+    a1 = list(data.minibatches(checked, 10, seed=1, epoch=1))
     np.testing.assert_array_equal(a0[0].features, b0[0].features)
     assert not np.array_equal(a0[0].features, a1[0].features)
 
 
 def test_minibatches_of_a_checked_split_are_its_rows_checked():
+    """Each batch is `check_batch` of the rows that the (seed, epoch)
+    permutation picks, taken by hand from the raw set: same bytes, and
+    already checked."""
     ds = data.gen_two_moons(23, 0.1, 4)
     spec = network.MlpSpec(2, (4,), 2)
-    checked = network.check_batch(spec, ds.as_batch())
-    raw = list(data.minibatches(ds, 5, seed=1, epoch=3))
+    checked = network.check_batch(spec, ds)
     taken = list(data.minibatches(checked, 5, seed=1, epoch=3))
-    assert len(taken) == len(raw) == 5
-    for r, t in zip(raw, taken):
+    perm = np.random.default_rng([1, 3]).permutation(23)
+    assert len(taken) == 5
+    for start, t in zip(range(0, 23, 5), taken):
+        idx = perm[start:start + 5]
+        want = network.check_batch(spec, data.Dataset(ds.features[idx], ds.labels[idx], 2))
         assert type(t) is network.CheckedBatch and network.check_batch(spec, t) is t
-        assert t.features.tobytes() == r.features.tobytes()
-        assert t.labels.tobytes() == r.labels.tobytes()
+        for name in ("features", "labels", "index", "one_hot"):
+            assert getattr(t, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_dataset_validation():
-    with pytest.raises(Exception):
-        data.Dataset(np.zeros((3, 2)), np.array([0, 1]), 2)  # length mismatch
-    with pytest.raises(Exception):
-        data.SplitSpec(1.5, 0)
+    """A `Dataset` is not checked when made; `check_batch` rejects a bad
+    one, and `split` a fraction outside (0, 1)."""
+    spec = network.MlpSpec(2, (), 2)
+    for bad in (data.Dataset(np.zeros((3, 2)), np.array([0, 1]), 2),      # length mismatch
+                data.Dataset(np.zeros((2, 2)), np.array([0, 2]), 2),      # label out of range
+                data.Dataset(np.zeros((2, 2)), np.array([-1, 0]), 2)):
+        with pytest.raises(ShapeError):
+            network.check_batch(spec, bad)
+    for fraction in (1.5, 0.0, 1.0):
+        with pytest.raises(ValueError):
+            data.split(data.gen_two_moons(10, 0.1, 1), fraction, 0)

@@ -12,14 +12,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from samlab import harness, network
-from samlab.data import gen_two_moons
+from samlab.data import Dataset, gen_two_moons
 from samlab.errors import LayoutError, NumericError, ShapeError
-from samlab.network import Batch, MlpSpec, QuadraticSpec
+from samlab.network import MlpSpec, QuadraticSpec
 
 
 def small_batch(n=12, seed=3):
-    ds = gen_two_moons(n, 0.15, seed)
-    return ds.as_batch()
+    return gen_two_moons(n, 0.15, seed)
 
 
 def views(vec):
@@ -114,7 +113,7 @@ def test_accuracy_perfect_and_chance():
     w = np.zeros(network.param_count(spec))
     vec = network.init_params(spec, np.random.default_rng(0)).replace(w)
     views(vec)["dense0.weight"][0, 1] = 5.0  # positive x -> class 1
-    assert network.accuracy(spec, vec.data, Batch(features, labels)) == 1.0
+    assert network.accuracy(spec, vec.data, Dataset(features, labels, 2)) == 1.0
 
 
 def test_wrong_param_count_rejected():
@@ -184,7 +183,7 @@ def pin_case(activation, head, n_classes, depth, size="small"):
     params[::7] = -0.0
     features = rng.standard_normal((rows, 3))
     features[::5, 0] = -0.0
-    return spec, params, Batch(features, rng.integers(0, n_classes, rows))
+    return spec, params, Dataset(features, rng.integers(0, n_classes, rows), n_classes)
 
 
 # (activation, head, classes, depth): (float.hex of the loss, sha256[:16] of the
@@ -372,7 +371,7 @@ def test_concurrent_threads_get_their_single_thread_bytes():
     features, labels = rng.standard_normal((200, 3)), rng.integers(0, 4, 200)
 
     for sizes in ((200,) * 4, (50, 100, 150, 200)):
-        batches = [Batch(features[:n], labels[:n]) for n in sizes]
+        batches = [Dataset(features[:n], labels[:n], 4) for n in sizes]
         alone = [_single_bytes(spec, params[k], batches[k]) for k in range(4)]
         got = [[] for _ in params]
         errors = _run_threads(
@@ -410,7 +409,7 @@ def test_bad_param_shapes_fail_before_any_compute(bad, monkeypatch):
     holds P elements, or a stack of another width, raises before the pass."""
     make, error = BAD_PARAM_SHAPES[bad]
     spec = MlpSpec(2, (4,), 3)
-    batch = gen_two_moons(5, 0.1, 0).as_batch()
+    batch = gen_two_moons(5, 0.1, 0)
     points = make(network.param_count(spec))
 
     def no_compute(*args):
@@ -427,7 +426,7 @@ def test_bad_param_shapes_fail_before_any_compute(bad, monkeypatch):
                                   QuadraticSpec((0.5,) * 37),
                                   QuadraticSpec((-1.0, 0.0, 3.0, 2.0))])
 def test_stacked_quadratic_rows_are_its_rows_one_by_one(spec):
-    batch = gen_two_moons(4, 0.1, 0).as_batch()  # a quadratic ignores it
+    batch = gen_two_moons(4, 0.1, 0)  # a quadratic ignores it
     rows = np.random.default_rng(len(spec.diag)).standard_normal((5, len(spec.diag)))
     rows[1] = -0.0
     rows[2, ::2] = 0.0
@@ -492,7 +491,8 @@ def test_large_results_survive_later_calls(activation):
     spec, params, _ = pin_case(activation, "mse", 10, 2, "wide")
     other = network.init_params(spec, np.random.default_rng(9)).data
     rng = np.random.default_rng(4)
-    batches = {n: Batch(rng.standard_normal((n, 3)), rng.integers(0, 10, n)) for n in (200, 3000)}
+    batches = {n: Dataset(rng.standard_normal((n, 3)), rng.integers(0, 10, n), 10)
+               for n in (200, 3000)}
     big = batches[3000]
     result = network.loss_and_grad(spec, params, big)
     kept = result.gradient.tobytes()
@@ -536,7 +536,7 @@ def test_checked_batch_holds_read_only_copies():
 
 def test_checked_batch_is_checked_again_for_another_width_class_count_or_head():
     spec = MlpSpec(2, (4,), 3)
-    batch = Batch(np.random.default_rng(0).standard_normal((5, 2)), np.array([0, 1, 2, 0, 2]))
+    batch = Dataset(np.random.default_rng(0).standard_normal((5, 2)), np.array([0, 1, 2, 0, 2]), 3)
     checked = network.check_batch(spec, batch)
     assert network.check_batch(spec, checked) is checked
     assert network.check_batch(MlpSpec(2, (4,), 3), checked) is checked  # an equal spec
@@ -584,7 +584,7 @@ def test_bad_batches_fail_before_any_compute(bad, head, monkeypatch):
              for points in (params, rows)]
     for evaluate, points in calls:
         with pytest.raises(error):
-            evaluate(spec, points, Batch(features, labels))
+            evaluate(spec, points, Dataset(features, labels, spec.out_width))
 
 
 @pytest.mark.parametrize("case", [("relu", "softmax_ce", 3, 2), ("tanh", "mse", 10, 2),
@@ -626,7 +626,7 @@ def test_precomputed_label_reads_match_fancy_indexing(data, stack, n, n_classes)
     values = data.draw(hnp.arrays(np.float64, lead + (n, n_classes), elements=_head_values))
     labels = data.draw(hnp.arrays(np.int64, (n,), elements=st.integers(0, n_classes - 1)))
     spec = MlpSpec(1, (), n_classes)
-    checked = network.check_batch(spec, Batch(np.zeros((n, 1)), labels))
+    checked = network.check_batch(spec, Dataset(np.zeros((n, 1)), labels, n_classes))
 
     # the softmax loss's gather, summed along each contiguous row
     old = np.ascontiguousarray(values[..., np.arange(n), labels])
@@ -674,11 +674,11 @@ def test_take_rows_is_check_batch_of_the_gathered_rows(label_dtype):
     its bound is the whole batch's."""
     spec = MlpSpec(2, (4,), 3)
     rng = np.random.default_rng(5)
-    raw = Batch(rng.standard_normal((23, 2)), rng.integers(0, 3, 23).astype(label_dtype))
+    raw = Dataset(rng.standard_normal((23, 2)), rng.integers(0, 3, 23).astype(label_dtype), 3)
     whole = network.check_batch(spec, raw)
     for idx in (rng.permutation(23)[:7], np.array([4]), np.arange(23)[::-1]):
         taken = network.take_rows(whole, idx)
-        checked = network.check_batch(spec, Batch(raw.features[idx], raw.labels[idx]))
+        checked = network.check_batch(spec, Dataset(raw.features[idx], raw.labels[idx], 3))
         assert type(taken) is network.CheckedBatch and taken.spec is spec
         for name in ("features", "labels", "index", "one_hot"):
             got, want = getattr(taken, name), getattr(checked, name)
@@ -783,7 +783,7 @@ def test_proof_keeps_the_verdict_and_bytes_of_scanning_every_layer(activation, h
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         rows = np.ldexp(rng.standard_normal((2, spec.param_count)), w_exp)
-        batch = Batch(np.ldexp(rng.standard_normal((7, 3)), x_exp), rng.integers(0, 3, 7))
+        batch = Dataset(np.ldexp(rng.standard_normal((7, 3)), x_exp), rng.integers(0, 3, 7), 3)
     calls = [(evaluate, points) for evaluate in (network.forward, network.loss_and_grad,
                                                  network.loss_and_accuracy)
              for points in (rows[0], rows)]

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from samlab import network, optimizers
-from samlab.data import gen_two_moons
+from samlab.data import Dataset, gen_two_moons
 from samlab.errors import ConfigError
 from samlab.network import QuadraticSpec, MlpSpec
 from samlab.optimizers import (
@@ -173,7 +173,7 @@ def test_sgd_plain_update():
     # gradient at w=(1,1) is (1,0)
     cfg = OptimizerConfig(kind="sgd", learning_rate=0.1)
     state = init_state(cfg, 2)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     new, report = step(spec, np.array([1.0, 1.0]), batch, cfg, state)
     np.testing.assert_allclose(new, [0.9, 1.0], rtol=1e-12)
     assert report.grad_evals == 1
@@ -186,7 +186,7 @@ def test_sgd_momentum_doubles_second_step():
     spec = QuadraticSpec(diag=(1.0,))
     cfg = OptimizerConfig(kind="sgd", learning_rate=0.01, momentum=0.9)
     state = init_state(cfg, 1)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     w0 = np.array([1.0])
     w1, _ = step(spec, w0, batch, cfg, state)
     move1 = w1 - w0
@@ -202,7 +202,7 @@ def test_sgd_weight_decay_decoupled():
     spec = QuadraticSpec(diag=(1.0, 1.0))
     cfg = OptimizerConfig(kind="sgd", learning_rate=0.1, weight_decay=0.01)
     state = init_state(cfg, 2)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     w = np.array([1.0, -2.0])
     new, _ = step(spec, w, batch, cfg, state)
     expected = w - 0.1 * (w + 0.01 * w)
@@ -216,7 +216,7 @@ def test_sam_step_hand_computed_quadratic():
     spec = QuadraticSpec(diag=(1.0, 1.0))
     cfg = OptimizerConfig(kind="sam", learning_rate=0.1, rho=0.05)
     state = init_state(cfg, 2)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     new, report = step(spec, np.array([1.0, 0.0]), batch, cfg, state)
     np.testing.assert_allclose(new, [0.895, 0.0], atol=1e-12)
     assert report.loss == pytest.approx(0.5, rel=1e-12)
@@ -229,7 +229,7 @@ def test_sam_updates_original_w_not_perturbed():
     spec = QuadraticSpec(diag=(1.0, 1.0))
     cfg = OptimizerConfig(kind="sam", learning_rate=0.1, rho=0.05)
     state = init_state(cfg, 2)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     w = np.array([2.0, 0.0])
     new, _ = step(spec, w, batch, cfg, state)
     # descending from w+eps instead would give (2.05 - 0.205) = 1.845
@@ -239,7 +239,7 @@ def test_sam_updates_original_w_not_perturbed():
 def test_rand_sam_tiny_rho_equals_sgd():
     spec = MlpSpec(in_width=2, hidden=(6,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(2)).data
-    batch = gen_two_moons(16, 0.15, 5).as_batch()
+    batch = gen_two_moons(16, 0.15, 5)
 
     sgd_cfg = OptimizerConfig(kind="sgd", learning_rate=0.1, momentum=0.9)
     sam_cfg = OptimizerConfig(kind="rand_sam", learning_rate=0.1, momentum=0.9, rho=1e-12)
@@ -256,7 +256,7 @@ def test_ga_sam_step_matches_straight_line_trace():
     spec = QuadraticSpec(diag=tuple(diag))
     cfg = OptimizerConfig(kind="sam_ga", learning_rate=0.05, rho=0.2, ga_steps=3)
     state = init_state(cfg, 2)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     w0 = np.array([1.0, 1.0])
 
     w = w0.copy()
@@ -275,7 +275,7 @@ def test_sam_zero_gradient_degrades_to_sgd():
     spec = QuadraticSpec(diag=(0.0, 0.0), offset=2.0)
     cfg = OptimizerConfig(kind="sam", learning_rate=0.1, rho=0.05)
     state = init_state(cfg, 2)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     w = np.array([1.0, 1.0])
     new, report = step(spec, w, batch, cfg, state)
     assert report.zero_gradient
@@ -285,7 +285,7 @@ def test_sam_zero_gradient_degrades_to_sgd():
 def test_rand_sam_deterministic_given_seed():
     spec = MlpSpec(in_width=2, hidden=(4,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(1)).data
-    batch = gen_two_moons(8, 0.15, 5).as_batch()
+    batch = gen_two_moons(8, 0.15, 5)
     cfg = OptimizerConfig(kind="rand_sam", learning_rate=0.1, rho=0.05)
 
     def run():
@@ -302,7 +302,7 @@ def test_rand_sam_fresh_direction_each_step():
     spec = QuadraticSpec(diag=(1.0, 1.0))
     cfg = OptimizerConfig(kind="rand_sam", learning_rate=0.0001, rho=0.05)
     state = init_state(cfg, 2, direction_seed=3)
-    batch = gen_two_moons(4, 0.1, 0).as_batch()
+    batch = gen_two_moons(4, 0.1, 0)
     w = np.array([1.0, 1.0])
     reports = []
     for _ in range(2):
@@ -321,7 +321,7 @@ def _lockstep_case():
     spec = MlpSpec(in_width=2, hidden=(6,), out_width=2)
     rng = np.random.default_rng(4)
     features = rng.standard_normal((8, 2))
-    batch = network.Batch(features, np.array([0, 1] * 4))
+    batch = Dataset(features, np.array([0, 1] * 4), 2)
     common = dict(learning_rate=0.1, momentum=0.9, rho=0.05)
     configs = [OptimizerConfig(kind="sam", **common), OptimizerConfig(kind="sam", **common),
                OptimizerConfig(kind="sam_ga", ga_steps=3, **common),

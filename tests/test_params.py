@@ -65,10 +65,3 @@ def test_replace_keeps_layout():
     assert other.layout == vec.layout
     np.testing.assert_array_equal(other.data, np.ones(12))
     np.testing.assert_array_equal(vec.data, np.zeros(12))
-
-
-def test_copy_is_independent():
-    vec = ParameterVector(np.zeros(12), layout3())
-    dup = vec.copy()
-    dup.data[0] = 5.0
-    assert vec.data[0] == 0.0

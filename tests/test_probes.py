@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from samlab import network, optimizers, probes
-from samlab.data import gen_two_moons
-from samlab.network import Batch, MlpSpec, QuadraticSpec
+from samlab.data import Dataset, gen_two_moons
+from samlab.network import MlpSpec, QuadraticSpec
 from samlab.optimizers import epsilon_first_order, ZERO_GRAD_EPS
 from samlab.vecops import sample_unit_direction
 from samlab.probes import (
@@ -14,7 +14,7 @@ from samlab.probes import (
     standardized_sharpness,
 )
 
-BATCH = gen_two_moons(8, 0.1, 0).as_batch()  # quadratics ignore it
+BATCH = gen_two_moons(8, 0.1, 0)  # quadratics ignore it
 
 
 def sphere_average(diag, w, rho, offset=0.0):
@@ -128,7 +128,7 @@ def test_worst_direction_evaluates_each_point_once(monkeypatch):
     spec = MlpSpec(in_width=2, hidden=(6,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(4)).data
     restarts, steps = 3, 5
-    loss_worst_direction_estimate(spec, params, gen_two_moons(32, 0.2, 2).as_batch(),
+    loss_worst_direction_estimate(spec, params, gen_two_moons(32, 0.2, 2),
                                   0.05, restarts=restarts, inner_steps=steps, seed=11)
     # the base point, then every step of the first-order ascent and of each restart
     assert counts["loss_and_grad"] == 1 + (restarts + 1) * steps
@@ -152,7 +152,7 @@ def test_report_evaluates_the_unperturbed_point_once(spec, monkeypatch):
     first-order ascent start; every other point is off w."""
     params = (network.init_params(spec, np.random.default_rng(4)).data
               if isinstance(spec, MlpSpec) else np.array([0.3, 0.4]))
-    batch = gen_two_moons(32, 0.2, 2).as_batch()
+    batch = gen_two_moons(32, 0.2, 2)
     cfg = ProbeConfig(rho=0.05, restarts=2, inner_steps=3, n_samples=4)
     want = build_report(spec, params, batch, cfg, seed=5)
     at_w = []
@@ -189,7 +189,7 @@ def test_worst_direction_matches_brute_force_grid():
 def test_worst_direction_monotone_in_restarts():
     spec = MlpSpec(in_width=2, hidden=(6,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(4)).data
-    batch = gen_two_moons(32, 0.2, 2).as_batch()
+    batch = gen_two_moons(32, 0.2, 2)
     estimates = [
         loss_worst_direction_estimate(spec, params, batch, 0.05,
                                       restarts=r, inner_steps=10, seed=11)
@@ -202,7 +202,7 @@ def test_worst_direction_monotone_in_restarts():
 def test_worst_dominates_other_probes():
     spec = MlpSpec(in_width=2, hidden=(8,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(6)).data
-    batch = gen_two_moons(24, 0.2, 3).as_batch()
+    batch = gen_two_moons(24, 0.2, 3)
     cfg = ProbeConfig(rho=0.05, restarts=4, inner_steps=10, n_samples=32)
     report = build_report(spec, params, batch, cfg, seed=7)
     assert report.l_max_estimate >= report.l_asc - 1e-9
@@ -226,7 +226,7 @@ def test_standardized_sharpness_pure_function_of_checkpoint():
     what optimizer metadata the caller is carrying around."""
     spec = MlpSpec(in_width=2, hidden=(4,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(10)).data
-    batch = gen_two_moons(16, 0.2, 4).as_batch()
+    batch = gen_two_moons(16, 0.2, 4)
     values = {standardized_sharpness(spec, params.copy(), batch, 0.05)
               for _ in range(3)}
     assert len(values) == 1
@@ -369,7 +369,7 @@ def stacked_case(activation, head, depth, rows=24):
     hidden = (7, 5)[:depth]
     spec = MlpSpec(2, hidden, 2, activation, head)
     params = network.init_params(spec, np.random.default_rng([depth, len(head)])).data
-    return spec, params, gen_two_moons(rows, 0.2, depth).as_batch()
+    return spec, params, gen_two_moons(rows, 0.2, depth)
 
 
 def force_rows_per_call(monkeypatch, spec, batch, k):
@@ -423,7 +423,7 @@ def test_stacked_report_matches_the_one_point_loops(shape, monkeypatch):
 def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
     spec = MlpSpec(2, (128,), 2, "tanh", "mse")
     params = network.init_params(spec, np.random.default_rng(1)).data
-    batch = gen_two_moons(520, 0.2, 1).as_batch()
+    batch = gen_two_moons(520, 0.2, 1)
     assert probes.rows_per_call(spec, batch) == 1  # 520 x 128 > STACK_ELEMENTS / 2
     counts = count_rows(monkeypatch)
     sizes = []
@@ -447,9 +447,9 @@ def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
 
 
 def test_rows_per_call_of_the_bench_shapes():
-    small = gen_two_moons(500, 0.2, 0).as_batch()
+    small = gen_two_moons(500, 0.2, 0)
     assert probes.rows_per_call(MlpSpec(2, (32,), 2), small) == 8
-    wide = Batch(np.zeros((1000, 16)), np.zeros(1000, dtype=int))
+    wide = Dataset(np.zeros((1000, 16)), np.zeros(1000, dtype=int), 8)
     assert probes.rows_per_call(MlpSpec(16, (128, 128), 8, "tanh", "mse"), wide) == 1
 
 
@@ -460,7 +460,7 @@ def test_flat_ascent_leaves_its_lockstep_alone():
     spec = MlpSpec(2, (4,), 2)
     params = np.zeros(network.param_count(spec))
     params[8:12] = -10.0  # hidden biases: every unit dead for these inputs
-    batch = Batch(np.random.default_rng(3).uniform(-1, 1, (8, 2)), np.array([0, 1] * 4))
+    batch = Dataset(np.random.default_rng(3).uniform(-1, 1, (8, 2)), np.array([0, 1] * 4), 2)
     rng = np.random.default_rng(8)
     starts = [0.05 * sample_unit_direction(params.size, rng) for _ in range(3)]
     flat_start = starts[1].copy()
