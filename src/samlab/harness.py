@@ -75,6 +75,11 @@ class DatasetConfig:
     def __post_init__(self):
         if self.generator not in ("two_moons", "gaussian_blobs", "idx"):
             raise ConfigError(f"unknown dataset generator {self.generator!r}")
+        for key in ("centers", "images", "labels", "test_images", "test_labels"):
+            owner = "gaussian_blobs" if key == "centers" else "idx"
+            if getattr(self, key) is not None and self.generator != owner:
+                raise ConfigError(f"dataset key {key!r} is read only by generator {owner!r}, "
+                                  f"not {self.generator!r}")
         if self.generator == "idx":
             if self.images is None or self.labels is None:
                 raise ConfigError("idx dataset needs both 'images' and 'labels' paths")
@@ -390,10 +395,11 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
 
     The runs share the task, the init and the minibatch order (all derive
     from the config and the seed), so they step together on K parameter
-    rows, one `optimizers.step_rows` call a minibatch (its StepReports are
-    dropped). Each run keeps its own optimizer state and direction stream,
-    and its bytes are those of the same run trained alone. Each run's
-    wall_seconds is the group's elapsed time divided by K.
+    rows, one `optimizers.step_rows` call a minibatch. A run's grad_evals is
+    the sum of its StepReports' counts. Each run keeps its own optimizer
+    state and direction stream, and its bytes are those of the same run
+    trained alone. Each run's wall_seconds is the group's elapsed time
+    divided by K.
     """
     started = time.perf_counter()
     spec = task.spec
@@ -404,16 +410,18 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
     shuffle_seed = _subseed(seed, ROLE_SHUFFLE)
 
     rows = np.tile(params.data, (len(sweep), 1))
+    grad_evals = [0] * len(sweep)
     curves = []
     for epoch in range(config.epochs):
         for batch in datamod.minibatches(task.train, config.batch_size, shuffle_seed, epoch):
-            rows = optimizers.step_rows(spec, rows, batch, sweep, states)[0]
+            rows, reports = optimizers.step_rows(spec, rows, batch, sweep, states)
+            grad_evals = [n + report.grad_evals for n, report in zip(grad_evals, reports)]
         curves.append(_evaluate(spec, rows, task.train, task.test))
     final_train, final_test, final_accuracy = (
         curves[-1] if curves else _evaluate(spec, rows, task.train, task.test))
 
     records = []
-    for k, (opt, state) in enumerate(zip(sweep, states)):
+    for k, opt in enumerate(sweep):
         report = probes.build_report(spec, rows[k], task.train, config.probe,
                                      seed=_subseed(seed, ROLE_PROBE), test_loss=final_test[k])
         records.append(RunRecord(
@@ -430,7 +438,7 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
             final_test_loss=final_test[k],
             final_test_accuracy=final_accuracy[k],
             report=report,
-            grad_evals=state.grad_evals,
+            grad_evals=grad_evals[k],
             wall_seconds=0.0,
             final_params=params.replace(rows[k]),
         ))

@@ -17,23 +17,19 @@ Weight decay is decoupled from the perturbation: epsilon is computed from the
 pure loss gradient, and decay enters only the outer update.
 
 Every kind's step is one generator (`step_points`) that yields each point
-whose loss and gradient it needs, so the evaluation is up to its caller.
-`step` answers each point with `network.loss_and_grad`. `step_rows` steps K
-runs: one by `step`, several in `lockstep` (the driver the probes' ascents
-share), which answers all pending points with one `network.loss_and_grad`
-call on their stacked rows per round. A run leaves the rounds when its step
-ends (sgd after one point, a flat batch's sam_ga ascent early), and each run
-keeps its own state, momentum buffer and direction stream, so a lockstep
-step is byte for byte the runs' single steps. Both check the step's
-minibatch once (`network.check_batch`), not once per point.
-
-At small shapes a kernel call costs mostly its fixed dispatch, not its rows,
-so a round answers a lone pending point with the vector call: it gives the
-bytes of a stack of one (which runs through the same 2-D arrays) without
-the stacking and the per-row split.
+whose loss and gradient it needs, so the evaluation is up to its caller,
+and counts them in its `StepReport`. `step` answers each point with
+`network.loss_and_grad`. `step_rows` steps K runs: one by `step`, several
+in `lockstep` (the driver the probes' ascents share), which answers all
+pending points with one `network.loss_and_grad` call on their stacked rows
+per round. A run leaves the rounds when its step ends (sgd after one point,
+a flat batch's sam_ga ascent early), and each run keeps its own state,
+momentum buffer and direction stream, so a lockstep step is byte for byte
+the runs' single steps. Both check the step's minibatch once
+(`network.check_batch`), not once per point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -102,10 +98,9 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Per-run mutable state: momentum buffer, grad evals, direction sampler."""
+    """Per-run mutable state: momentum buffer and direction sampler."""
 
     momentum_buffer: np.ndarray
-    grad_evals: int = 0
     rng: Optional[np.random.Generator] = None
 
 
@@ -120,7 +115,7 @@ def init_state(config: OptimizerConfig, param_len: int, direction_seed: Optional
 
 @dataclass
 class StepReport:
-    """Observability record for one optimizer step."""
+    """Observability record for one optimizer step, built by `step_points`."""
 
     loss: float
     perturbed_loss: Optional[float]
@@ -159,7 +154,7 @@ def epsilon_gradient_ascent(loss_and_grad_fn: Callable, w: np.ndarray,
 
 def _ascent_points(w: np.ndarray, rho: float, n_steps: int):
     """`epsilon_gradient_ascent` as a point generator (see `step_points`);
-    returns (perturbation, loss at w)."""
+    returns (perturbation, loss at w, points evaluated)."""
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")
     if n_steps < 1:
@@ -173,9 +168,9 @@ def _ascent_points(w: np.ndarray, rho: float, n_steps: int):
             base_value = value
         norm = l2_norm(grad)
         if norm < ZERO_GRAD_EPS:
-            return Perturbation(current - w, zero_gradient=True), base_value
+            return Perturbation(current - w, zero_gradient=True), base_value, step + 1
         current = current + step_len * (grad / norm)
-    return Perturbation(current - w), base_value
+    return Perturbation(current - w), base_value, n_steps
 
 
 def epsilon_random(param_len: int, rho: float, rng: np.random.Generator) -> Perturbation:
@@ -197,26 +192,26 @@ def step_points(params: np.ndarray, config: OptimizerConfig, state: OptimizerSta
     """One optimizer step as a generator that leaves the evaluation to its
     caller: it yields each point whose loss and gradient the step needs, on
     the step's one minibatch, receives them as (value, gradient), and returns
-    (new params, StepReport). The caller adds 1 to `state.grad_evals` per
-    point before it answers.
+    (new params, StepReport). The report's `grad_evals` counts the points.
 
     sgd descends from w with the gradient at w. A SAM variant (1) computes
     epsilon on this batch, (2) evaluates the gradient at w + epsilon on the
     same batch, (3) descends from the original w using that gradient. It uses
     exactly 2 gradient evaluations for the first-order and random strategies
-    and N+1 for N-step gradient ascent.
+    and N+1 for N-step gradient ascent (fewer if the ascent stops early).
     """
     params = np.asarray(params, dtype=np.float64)
-    evals_before = state.grad_evals
 
     if config.kind == SAM_GA:
-        perturbation, base_value = yield from _ascent_points(params, config.rho, config.ga_steps)
+        perturbation, base_value, ascent_evals = yield from _ascent_points(
+            params, config.rho, config.ga_steps)
     else:
         base_value, base_grad = yield params
         if config.kind == SGD:
             new_params = _apply_update(params, base_grad, config, state)
             return new_params, StepReport(loss=base_value, perturbed_loss=None, epsilon_norm=0.0,
-                                          grad_evals=state.grad_evals - evals_before)
+                                          grad_evals=1)
+        ascent_evals = 1
         if config.kind == SAM:
             perturbation = epsilon_first_order(base_grad, config.rho)
         else:
@@ -230,7 +225,7 @@ def step_points(params: np.ndarray, config: OptimizerConfig, state: OptimizerSta
     report = StepReport(loss=base_value, perturbed_loss=perturbed_value,
                         epsilon_norm=perturbation.norm,
                         zero_gradient=perturbation.zero_gradient,
-                        grad_evals=state.grad_evals - evals_before)
+                        grad_evals=ascent_evals + 1)
     return new_params, report
 
 
@@ -245,19 +240,12 @@ def _run_points(points, evaluate):
         return done.value
 
 
-def _evaluator(model_spec, batch, state: OptimizerState):
-    batch = network.check_batch(model_spec, batch)  # once per step, not per point
-
-    def evaluate(point):
-        state.grad_evals += 1
-        return network.loss_and_grad(model_spec, point, batch)
-    return evaluate
-
-
 def step(model_spec, params: np.ndarray, batch, config: OptimizerConfig,
          state: OptimizerState):
     """One step of the configured kind, evaluated by `network.loss_and_grad`."""
-    return _run_points(step_points(params, config, state), _evaluator(model_spec, batch, state))
+    batch = network.check_batch(model_spec, batch)  # once per step, not per point
+    return _run_points(step_points(params, config, state),
+                       lambda point: network.loss_and_grad(model_spec, point, batch))
 
 
 class LossOnly(NamedTuple):
@@ -273,22 +261,19 @@ def _stack(points) -> np.ndarray:
     return points[0][None, :] if len(points) == 1 else np.array(points)
 
 
-def lockstep(model_spec, batch, generators, width: Optional[int] = None,
-             on_eval: Optional[Callable] = None) -> list:
+def lockstep(model_spec, batch, generators, width: Optional[int] = None) -> list:
     """Run point generators together on one batch; returns what each returns,
     in the order given.
 
     A generator yields a point whose loss and gradient it wants and receives
     (value, gradient), or a `LossOnly` point and receives the value. Each
     round answers every live generator's pending point with one call per
-    kind, `network.loss_and_grad` and `network.forward`: on the stacked
-    points, or on the point itself when it is the kind's only one. A
-    generator leaves the rounds when it returns; at most `width` are live at
-    once (all if None), and the next one is started, and so builds its
-    points, only when a place is free.
-    `on_eval(k)` runs before generator k is answered. Rows are evaluated
-    independently, so every answer is byte for byte the call on its point
-    alone.
+    kind, `network.loss_and_grad` and `network.forward`, on the stacked
+    points (a lone point is a stack of one). A generator leaves the rounds
+    when it returns; at most `width` are live at once (all if None), and the
+    next one is started, and so builds its points, only when a place is
+    free. Rows are evaluated independently, so every answer is byte for byte
+    the call on its point alone.
     """
     batch = network.check_batch(model_spec, batch)  # once, not per round
     queue = enumerate(generators)
@@ -310,24 +295,16 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None,
         for entry in live:
             (loss_entries if type(entry[2]) is LossOnly else grad_entries).append(entry)
         answered = []
-        if len(grad_entries) == 1:
-            entry = grad_entries[0]
-            answered.append((entry, network.loss_and_grad(model_spec, entry[2], batch)))
-        elif grad_entries:
+        if grad_entries:
             values, grads = network.loss_and_grad(
                 model_spec, _stack([entry[2] for entry in grad_entries]), batch)
             answered += zip(grad_entries, zip(values.tolist(), grads))
-        if len(loss_entries) == 1:
-            entry = loss_entries[0]
-            answered.append((entry, network.forward(model_spec, entry[2].point, batch)))
-        elif loss_entries:
+        if loss_entries:
             values = network.forward(
                 model_spec, _stack([entry[2].point for entry in loss_entries]), batch)
             answered += zip(loss_entries, values.tolist())
         live = []
         for entry, answer in answered:
-            if on_eval is not None:
-                on_eval(entry[0])
             try:
                 entry[2] = entry[1].send(answer)
                 live.append(entry)
@@ -342,21 +319,15 @@ def step_rows(model_spec, rows: np.ndarray, batch, configs, states):
     `states[k]`. Returns (new rows (K, P), one StepReport per run), each row
     byte for byte what `step` gives that run alone.
 
-    One run is stepped by `step` (a global, so a rebound `optimizers.step`
-    sees the call), whose 1-D path costs 9-11 % less than a lockstep round of
-    one row (2-32-2, batch 32; sgd, sam and sam_ga5 interleaved in one
-    process). Several advance in one `lockstep`, so a flat-batch fallback or
-    an early-stopped ascent changes only its own row.
+    One run is stepped by `step`, called as a global so that a rebound
+    `optimizers.step` (the bench's tracer) sees each one-run step. Several
+    advance in one `lockstep`, so a flat-batch fallback or an early-stopped
+    ascent changes only its own row.
     """
     if len(rows) == 1:
         new, report = step(model_spec, rows[0], batch, configs[0], states[0])
         return new[None, :], [report]
-
-    def count(k):
-        states[k].grad_evals += 1
-
     results = lockstep(model_spec, batch,
                        [step_points(row, config, state)
-                        for row, config, state in zip(rows, configs, states)],
-                       on_eval=count)
+                        for row, config, state in zip(rows, configs, states)])
     return _stack([new for new, _ in results]), [report for _, report in results]

@@ -97,6 +97,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     {"dataset": {"generator": "gaussian_blobs", "centers": [[], []]}},
     {"dataset": {"generator": "gaussian_blobs", "centers": [[0.0], [1.0]],
                  "center_sd": -1}},
+    {"dataset": {"generator": "two_moons", "test_images": "missing.idx",
+                 "test_labels": "missing.idx"}},
+    {"dataset": {"generator": "two_moons", "images": "missing.idx"}},
+    {"dataset": {"generator": "two_moons", "centers": [[0.0], [1.0]]}},
+    {"dataset": {"generator": "gaussian_blobs", "centers": [[0.0], [1.0]],
+                 "labels": "missing.idx"}},
     {"model": {"kind": "quadratic", "diag": []}},
     {"optimizers": [{"kind": "sam", "learning_rate": 0.1, "rho": 0.05},
                     {"kind": "sam", "learning_rate": 0.1, "rho": 0.5}]},

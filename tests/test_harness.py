@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samlab import checkpoint, fileio, harness, network, outputs, probes
+from samlab import checkpoint, fileio, harness, network, optimizers, outputs, probes
 from samlab.errors import ConfigError, LayoutError, SamLabError
 from samlab.harness import (
     DatasetConfig, ExperimentConfig, ModelConfig, RunRecord, build_dataset,
@@ -77,6 +77,22 @@ def test_missing_required_key_rejected():
     bad = {k: v for k, v in RAW.items() if k != "model"}
     with pytest.raises(ConfigError, match="model"):
         parse_config(bad)
+
+
+@pytest.mark.parametrize("generator, key", [
+    ("two_moons", "images"), ("two_moons", "test_labels"), ("two_moons", "centers"),
+    ("gaussian_blobs", "test_images"), ("idx", "centers"),
+])
+def test_dataset_key_another_generator_reads_is_rejected(generator, key):
+    dataset = {"generator": generator, key: [[0.0], [1.0]] if key == "centers" else "x.idx"}
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        parse_config(dict(RAW, dataset=dataset))
+
+
+def test_null_keys_of_another_generator_are_accepted():
+    dataset = dict(RAW["dataset"], centers=None, images=None, labels=None,
+                   test_images=None, test_labels=None)
+    assert parse_config(dict(RAW, dataset=dataset)) == parse_config(RAW)
 
 
 def test_seeds_and_out_overrides():
@@ -227,6 +243,30 @@ def test_grad_eval_accounting_all_optimizers():
         cfg = small_config(optimizer=opt)
         record = run_training(prepare_task(cfg), cfg, 1)
         assert record.grad_evals == expected, kind
+
+
+def test_record_grad_evals_sum_their_step_reports(monkeypatch):
+    groups = []  # per training group, in call order: [its states list, each run's sum]
+    step_rows = optimizers.step_rows
+
+    def summed(spec, rows, batch, configs, states):
+        new, reports = step_rows(spec, rows, batch, configs, states)
+        if not groups or groups[-1][0] is not states:
+            groups.append([states, [0] * len(reports)])
+        groups[-1][1] = [n + report.grad_evals for n, report in zip(groups[-1][1], reports)]
+        return new, reports
+    monkeypatch.setattr(optimizers, "step_rows", summed)
+
+    common = dict(learning_rate=0.1, momentum=0.9, rho=0.05)
+    sweep = [OptimizerConfig(kind="sgd", **common), OptimizerConfig(kind="sam", **common),
+             OptimizerConfig(kind="sam_ga", ga_steps=3, **common)]
+    suites = compare_optimizers(small_config(), sweep)  # one lockstep group per seed
+    assert [[suite.records[g].grad_evals for suite in suites] for g in range(2)] == \
+        [sums for _, sums in groups] == [[6, 12, 24]] * 2
+
+    groups.clear()
+    suite = run_suite(small_config(optimizer=sweep[1]))  # one row a group: `step`
+    assert [r.grad_evals for r in suite.records] == [sums[0] for _, sums in groups] == [12, 12]
 
 
 def test_reference_accuracy_floor_two_moons_sgd():

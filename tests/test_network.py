@@ -272,12 +272,31 @@ def test_stacked_rows_match_their_2d_pins(case):
         assert [float(v).hex() for v in test_losses] == [w[0] for w in want]
 
 
-def test_one_row_stack_is_the_2d_call():
-    spec, params, batch = pin_case("tanh", "softmax_ce", 3, 2)
+@pytest.mark.parametrize("case", sorted(PINNED_KERNEL_BYTES),
+                         ids=lambda case: "-".join(map(str, case)))
+def test_one_row_stack_is_the_2d_call(case):
+    """A stack of one row (how `optimizers.lockstep` answers a lone point)
+    gives the pinned bytes of the vector call."""
+    spec, params, batch = pin_case(*case)
     result = network.loss_and_grad(spec, params[None, :], batch)
-    assert result.value.shape == (1,) and result.gradient.shape == (1, params.size)
+    losses = network.forward(spec, params[None, :], batch)
+    assert result.value.shape == losses.shape == (1,)
+    assert result.gradient.shape == (1, params.size)
     assert (float(result.value[0]).hex(), _digest(result.gradient[0])) == \
-        PINNED_KERNEL_BYTES[("tanh", "softmax_ce", 3, 2)][:2]
+        PINNED_KERNEL_BYTES[case][:2]
+    assert float(losses[0]).hex() == PINNED_KERNEL_BYTES[case][0]
+
+
+def test_one_row_stack_of_a_quadratic_is_its_vector_call():
+    spec = QuadraticSpec((1.0, 4.0, -2.0), 0.25)
+    point = np.array([0.3, -1.7, 2.1])
+    vector = network.loss_and_grad(spec, point, None)
+    stacked = network.loss_and_grad(spec, point[None, :], None)
+    losses = network.forward(spec, point[None, :], None)
+    assert stacked.gradient.shape == (1, 3) and losses.shape == (1,)
+    assert float(stacked.value[0]).hex() == float(losses[0]).hex() == vector.value.hex() \
+        == network.forward(spec, point, None).hex()
+    assert stacked.gradient[0].tobytes() == vector.gradient.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_KERNEL_BYTES),

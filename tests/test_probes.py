@@ -453,7 +453,7 @@ def test_rows_per_call_of_the_bench_shapes():
     assert probes.rows_per_call(MlpSpec(16, (128, 128), 8, "tanh", "mse"), wide) == 1
 
 
-def test_flat_ascent_leaves_its_lockstep_alone():
+def test_flat_ascent_leaves_its_lockstep_alone(monkeypatch):
     """Dead relu units and a balanced batch make w flat, and a start that
     moves no output bias stays flat: that ascent stops at its start while
     the others, stacked beside it, run every step."""
@@ -466,12 +466,9 @@ def test_flat_ascent_leaves_its_lockstep_alone():
     flat_start = starts[1].copy()
     flat_start[-2:] = 0.0
     starts.insert(1, flat_start)
-    counts = {"rows": 0}
-
-    def count(k):
-        counts["rows"] += 1
-
+    want = hexes([oracle_ascend(spec, params, batch, 0.05, 5, s) for s in starts])
+    counts = count_rows(monkeypatch)
     got = optimizers.lockstep(spec, batch, (probes._ascent(params, 0.05, 5, s) for s in starts),
-                              width=3, on_eval=count)
-    assert hexes(got) == hexes([oracle_ascend(spec, params, batch, 0.05, 5, s) for s in starts])
-    assert counts["rows"] == 1 + 3 * (5 + 1)
+                              width=3)
+    assert hexes(got) == want
+    assert counts["forward"] + counts["loss_and_grad"] == 1 + 3 * (5 + 1)
