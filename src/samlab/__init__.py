@@ -30,7 +30,7 @@ from .harness import (
     parse_config, load_config, config_hash, build_dataset, Task, prepare_task,
     run_training, run_suite, compare_optimizers, probe_checkpoint, setup_process,
 )
-from .outputs import AggregateResult, emit_outputs
+from .outputs import emit_outputs
 from . import checkpoint
 
 __version__ = "0.1.0"

@@ -28,8 +28,6 @@ def _parse_seeds(text):
 
 
 def _load(args) -> harness.ExperimentConfig:
-    if args.jobs < 1:
-        raise SamLabError(f"--jobs must be >= 1, got {args.jobs}")
     raw = harness.load_config(args.config)
     return harness.parse_config(raw, seeds_override=_parse_seeds(args.seeds),
                                 out_override=args.out)
@@ -42,19 +40,18 @@ def _require_out(config) -> str:
 
 
 def _print_suite(suite) -> None:
-    agg = suite.aggregate
-    acc = agg.metrics["test_accuracy"]
-    sharp = agg.metrics["standardized_sharpness_x1e3"]
+    entry = outputs.summary(suite)
 
-    def fmt(metric):
+    def fmt(name):
+        metric = entry["metrics"][name]
         if metric["mean"] is None:
             return "n/a"
         if metric["std"] is None:
             return f"{metric['mean']:.4f}"
         return f"{metric['mean']:.4f} +/- {metric['std']:.4f}"
 
-    print(f"{agg.optimizer_label}: seeds={agg.seed_count} failed={agg.failed_count} "
-          f"test_acc={fmt(acc)} sharpness_x1e3={fmt(sharp)}")
+    print(f"{entry['optimizer']}: seeds={entry['seed_count']} failed={entry['failed_count']} "
+          f"test_acc={fmt('test_accuracy')} sharpness_x1e3={fmt('standardized_sharpness_x1e3')}")
     for failure in suite.failures:
         print(f"  seed {failure.seed} failed: {failure.error}", file=sys.stderr)
 
@@ -62,6 +59,8 @@ def _print_suite(suite) -> None:
 def cmd_compare(args) -> int:
     """`compare` the config's `optimizers` list, or `train` its one
     optimizer as a compare of one: the two differ only in the sweep."""
+    if args.jobs < 1:
+        raise SamLabError(f"--jobs must be >= 1, got {args.jobs}")
     config = _load(args)
     out_dir = _require_out(config)
     sweep = (config.optimizer,) if args.command == "train" else config.optimizer_sweep
@@ -110,12 +109,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--seeds", help="comma-separated seeds, overrides the config")
         p.add_argument("--out", help="output directory, overrides the config")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker processes: each seed's runs go to one "
-                            "worker of a pool")
         if checkpoint:
             p.add_argument("--checkpoint", required=True,
                            help="path to a saved checkpoint")
+        else:
+            p.add_argument("--jobs", type=int, default=1,
+                           help="worker processes: each seed's runs go to one "
+                                "worker of a pool")
 
     common(sub.add_parser("train", help="train one optimizer over all seeds"))
     common(sub.add_parser("compare", help="sweep the config's optimizer list"))

@@ -17,14 +17,14 @@ is the group of one and `run_suite` a compare of one. A group's runs get
 the bytes they get alone; each run's wall_seconds is the group's elapsed
 time divided by its run count.
 
-Config types and parsing live here too. Output files are `samlab.outputs`'
-(`emit_outputs` and `emit_slice` are also `harness.<name>`).
+Config types and parsing live here too. The output files and every value
+they derive from a config are `samlab.outputs`' (`config_hash`,
+`emit_outputs` and `emit_slice` are also `harness.<name>`).
 """
 
 import ctypes
 import dataclasses
 import functools
-import hashlib
 import json
 import sys
 import time
@@ -37,9 +37,9 @@ import numpy as np
 
 from . import checkpoint as checkpoint_io
 from . import data as datamod
-from . import network, optimizers, outputs, probes
+from . import network, optimizers, probes
 from .errors import ConfigError, LayoutError
-from .outputs import emit_outputs, emit_slice  # noqa: F401  (called and traced as harness.<name>)
+from .outputs import config_hash, emit_outputs, emit_slice  # noqa: F401  (also harness.<name>)
 from .params import ParameterVector
 from .vecops import l2_norm
 
@@ -260,25 +260,23 @@ def parse_config(obj: dict, seeds_override=None, out_override=None) -> Experimen
     return from_dict(ExperimentConfig, obj, "config")
 
 
+def _json_object(pairs) -> dict:
+    obj = {}
+    for key, value in pairs:  # json.load alone keeps a repeated key's last value
+        if key in obj:
+            raise ConfigError(f"key {key!r} is given more than once in one object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: Union[str, Path]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except ValueError as exc:  # undecodable bytes or invalid JSON
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-
-
-def config_hash(config: ExperimentConfig) -> str:
-    """Hash of everything that determines a run trajectory given a seed. The
-    seeds, out_dir, sweep and slice change no trajectory and are left out, so
-    the hash survives re-running a subset of seeds elsewhere."""
-    fingerprint = dataclasses.asdict(config)
-    for name in ("seeds", "out_dir", "optimizer_sweep", "slice_plane"):
-        del fingerprint[name]
-    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +328,11 @@ def prepare_task(config: ExperimentConfig) -> Task:
 
 @dataclass
 class RunRecord:
-    config_hash: str
+    """What one run measured. The runs.csv columns its config states
+    (`outputs.run_row`) are read from its suite's config, not kept here."""
+
     seed: int
-    optimizer_label: str
-    rho: float
-    ga_steps: int
-    epochs: int
+    optimizer_label: str  # names the checkpoint file
     train_losses: list
     test_losses: list
     test_accuracies: list
@@ -357,19 +354,12 @@ class FailedRun:
 
 @dataclass
 class SuiteResult:
+    """One optimizer's runs, in seed order: `config` is that optimizer's
+    config alone (no sweep); `outputs.summary` gives its summary entry."""
+
     config: ExperimentConfig
-    optimizer_label: str
     records: list
     failures: list
-    aggregate: outputs.AggregateResult
-
-
-def _ga_steps_used(opt: optimizers.OptimizerConfig) -> int:
-    if opt.kind == optimizers.SAM_GA:
-        return opt.ga_steps
-    if opt.kind == optimizers.SAM:
-        return 1
-    return 0
 
 
 def require_trainable(config: ExperimentConfig) -> None:
@@ -425,12 +415,8 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
         report = probes.build_report(spec, rows[k], task.train, config.probe,
                                      seed=_subseed(seed, ROLE_PROBE), test_loss=final_test[k])
         records.append(RunRecord(
-            config_hash=config_hash(dataclasses.replace(config, optimizer=opt)),
             seed=seed,
             optimizer_label=opt.label,
-            rho=opt.rho if opt.kind != optimizers.SGD else 0.0,
-            ga_steps=_ga_steps_used(opt),
-            epochs=config.epochs,
             train_losses=[curve[0][k] for curve in curves],
             test_losses=[curve[1][k] for curve in curves],
             test_accuracies=[curve[2][k] for curve in curves],
@@ -553,10 +539,7 @@ def _train_seed(work) -> list:
 def _suite(config: ExperimentConfig, outcomes) -> SuiteResult:
     records = sorted((o for o in outcomes if isinstance(o, RunRecord)), key=lambda r: r.seed)
     failures = sorted((o for o in outcomes if isinstance(o, FailedRun)), key=lambda f: f.seed)
-    aggregate = outputs.aggregate_records(config_hash(config), config.optimizer.label,
-                                          records, len(failures))
-    return SuiteResult(config=config, optimizer_label=config.optimizer.label,
-                       records=records, failures=failures, aggregate=aggregate)
+    return SuiteResult(config=config, records=records, failures=failures)
 
 
 def _compare(config: ExperimentConfig, optimizer_list, jobs: int) -> list:
@@ -618,20 +601,12 @@ def _at_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig) 
     setup_process()
     task = prepare_task(config)
     vector = checkpoint_io.load(checkpoint_path)
-    expected = network.param_count(task.spec)
-    if expected != len(vector):
-        raise LayoutError(
-            f"checkpoint holds {len(vector)} parameters but the configured "
-            f"model needs {expected}",
-            expected_count=expected, found_count=len(vector))
-    # Two models can have the same count ([32] and [10, 10] on 2 inputs and
-    # 2 classes both have 162), so the layers must match too.
     layout = network.param_layout(task.spec)
     if vector.layout != layout:
         raise LayoutError(
             f"checkpoint layout {_layout_text(vector.layout)} does not match the "
             f"configured model's {_layout_text(layout)}",
-            expected_count=expected, found_count=len(vector))
+            expected_count=network.param_count(task.spec), found_count=len(vector))
     return task, vector.data, network.loss_and_grad(task.spec, vector.data, task.train)
 
 

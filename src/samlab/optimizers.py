@@ -275,6 +275,8 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None) -> list
     free. Rows are evaluated independently, so every answer is byte for byte
     the call on its point alone.
     """
+    if width is not None and width < 1:  # no generator could ever start
+        raise ValueError(f"lockstep width must be >= 1 or None, got {width}")
     batch = network.check_batch(model_spec, batch)  # once, not per round
     queue = enumerate(generators)
     results = {}

@@ -12,15 +12,16 @@ imported from them, so a rebinding of `fileio.write_text` or
 """
 
 import contextlib
+import dataclasses
+import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from . import checkpoint as checkpoint_io
-from . import fileio
+from . import fileio, optimizers
 from .errors import SamLabError
 
 RUNS_CSV_COLUMNS = (
@@ -43,30 +44,39 @@ SUMMARY_CSV_COLUMNS = ("config_hash", "optimizer", "seed_count", "failed_count")
 STD_NOT_APPLICABLE = "n/a"
 
 
-@dataclass
-class AggregateResult:
-    config_hash: str
-    optimizer_label: str
-    seed_count: int
-    failed_count: int
-    metrics: dict  # name -> {"mean": float, "std": float | None}
+def config_hash(config) -> str:
+    """Hash of everything in a `harness.ExperimentConfig` that determines a
+    run trajectory given a seed. The seeds, out_dir, sweep and slice change
+    no trajectory and are left out, so the hash survives re-running a subset
+    of seeds elsewhere."""
+    fingerprint = dataclasses.asdict(config)
+    for name in ("seeds", "out_dir", "optimizer_sweep", "slice_plane"):
+        del fingerprint[name]
+    canonical = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
 # ---------------------------------------------------------------------------
-# Rows and aggregates. Aggregates are computed from exactly the values that
-# land in runs.csv (scaling included), so an independent reader recomputing
-# mean/std from the CSV reproduces summary.csv bit-for-bit.
+# Rows and summaries. A row's config columns come from its run's config, the
+# rest from its record. A summary's metrics are computed from exactly the
+# values that land in runs.csv (scaling included), so an independent reader
+# recomputing mean/std from the CSV reproduces summary.csv bit-for-bit.
 
-def run_row(record) -> dict:
-    """A `harness.RunRecord` as its runs.csv row."""
+def run_row(config, record) -> dict:
+    """The runs.csv row of a `harness.RunRecord` trained by `config.optimizer`
+    (a suite's single-optimizer config, `SuiteResult.config`): config_hash,
+    optimizer, rho (0.0 for sgd), ga_steps (ascent steps a step: 0, 1 for
+    sam, N for sam_gaN) and epochs from the config, the rest from the
+    record."""
+    opt = config.optimizer
     report = record.report
     return {
-        "config_hash": record.config_hash,
+        "config_hash": config_hash(config),
         "seed": int(record.seed),
-        "optimizer": record.optimizer_label,
-        "rho": float(record.rho),
-        "ga_steps": int(record.ga_steps),
-        "epochs": int(record.epochs),
+        "optimizer": opt.label,
+        "rho": 0.0 if opt.kind == optimizers.SGD else float(opt.rho),
+        "ga_steps": {optimizers.SAM: 1, optimizers.SAM_GA: opt.ga_steps}.get(opt.kind, 0),
+        "epochs": int(config.epochs),
         "final_train_loss": float(record.final_train_loss),
         "final_test_loss": float(record.final_test_loss),
         "test_accuracy": float(record.final_test_accuracy),
@@ -81,21 +91,20 @@ def run_row(record) -> dict:
     }
 
 
-def aggregate_records(hash_: str, label: str, records, failed_count: int) -> AggregateResult:
-    rows = [run_row(r) for r in records]
+def summary(suite) -> dict:
+    """A `harness.SuiteResult`'s summary.json entry: config_hash, optimizer,
+    seed_count (finished runs), failed_count and `metrics`, each of
+    `AGGREGATE_METRICS` as {"mean", "std"} over the suite's runs.csv values.
+    std is the sample std, None for one run; both are None for none."""
+    rows = [run_row(suite.config, record) for record in suite.records]
     metrics = {}
     for name in AGGREGATE_METRICS:
         values = np.asarray([row[name] for row in rows], dtype=np.float64)
-        if len(values) == 0:
-            metrics[name] = {"mean": None, "std": None}
-        elif len(values) == 1:
-            metrics[name] = {"mean": float(values[0]), "std": None}
-        else:
-            metrics[name] = {"mean": float(np.mean(values)),
-                             "std": float(np.std(values, ddof=1))}
-    return AggregateResult(config_hash=hash_, optimizer_label=label,
-                           seed_count=len(records), failed_count=failed_count,
-                           metrics=metrics)
+        metrics[name] = {"mean": float(np.mean(values)) if len(values) else None,
+                         "std": float(np.std(values, ddof=1)) if len(values) > 1 else None}
+    return {"config_hash": config_hash(suite.config), "optimizer": suite.config.optimizer.label,
+            "seed_count": len(suite.records), "failed_count": len(suite.failures),
+            "metrics": metrics}
 
 
 @contextlib.contextmanager
@@ -144,15 +153,6 @@ def _write_csv(path: Path, columns, rows) -> None:
     fileio.write_text(path, "\n".join(lines) + "\n")
 
 
-def _summary_row(agg: AggregateResult) -> dict:
-    row = {"config_hash": agg.config_hash, "optimizer": agg.optimizer_label,
-           "seed_count": agg.seed_count, "failed_count": agg.failed_count}
-    for name in AGGREGATE_METRICS:
-        row[f"{name}_mean"] = agg.metrics[name]["mean"]
-        row[f"{name}_std"] = agg.metrics[name]["std"]
-    return row
-
-
 def emit_outputs(out_dir: Union[str, Path], suites) -> dict:
     """Write runs.csv, summary.csv, summary.json, and final checkpoints.
 
@@ -165,18 +165,16 @@ def emit_outputs(out_dir: Union[str, Path], suites) -> dict:
     written = {name: out / name for name in ("runs.csv", "summary.csv", "summary.json")}
     with _failing_as(f"cannot write outputs to {out}"):
         _write_csv(written["runs.csv"], RUNS_CSV_COLUMNS,
-                   [run_row(record) for suite in suites for record in suite.records])
+                   [run_row(suite.config, record) for suite in suites for record in suite.records])
+        entries = [summary(suite) for suite in suites]
+        # summary.csv flattens each entry's metrics into <metric>_<stat> columns.
         _write_csv(written["summary.csv"], SUMMARY_CSV_COLUMNS,
-                   [_summary_row(s.aggregate) for s in suites])
+                   [{**entry, **{f"{name}_{stat}": value
+                                 for name, stats in entry["metrics"].items()
+                                 for stat, value in stats.items()}}
+                    for entry in entries])
         payload = {
-            "aggregates": [
-                {"config_hash": s.aggregate.config_hash,
-                 "optimizer": s.aggregate.optimizer_label,
-                 "seed_count": s.aggregate.seed_count,
-                 "failed_count": s.aggregate.failed_count,
-                 "metrics": s.aggregate.metrics}
-                for s in suites
-            ],
+            "aggregates": entries,
             "failures": [
                 {"seed": f.seed, "optimizer": f.optimizer_label, "error": f.error}
                 for s in suites for f in s.failures

@@ -88,7 +88,7 @@ def workload(tmp_path_factory):
     seconds = time.perf_counter() - start
     for suite in suites:
         assert not suite.failures, suite.failures
-    rows = {s.optimizer_label: [run_row(r) for r in s.records] for s in suites}
+    rows = {s.config.optimizer.label: [run_row(s.config, r) for r in s.records] for s in suites}
     return {"suites": suites, "rows": rows, "out": out, "seconds": seconds}
 
 

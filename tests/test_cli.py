@@ -106,9 +106,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     {"model": {"kind": "quadratic", "diag": []}},
     {"optimizers": [{"kind": "sam", "learning_rate": 0.1, "rho": 0.05},
                     {"kind": "sam", "learning_rate": 0.1, "rho": 0.5}]},
+    # A str is JSON text put first in the config object, ahead of the valid
+    # value of the key it repeats (a dict cannot hold a key twice).
+    pytest.param('"epochs": 7', id="repeated_key"),
+    pytest.param('"probe": {"rho": 0.05, "rho": 0.05}', id="repeated_nested_key"),
 ])
 def test_bad_config_value_exits_2_before_out_dir(tmp_path, capsys, overrides):
-    config = write_config(tmp_path, **overrides)
+    if isinstance(overrides, str):
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("{", "{" + overrides + ", ", 1))
+    else:
+        config = write_config(tmp_path, **overrides)
     out = tmp_path / "o"
     code = cli.main(["train", "--config", str(config), "--out", str(out)])
     assert code == 2
@@ -218,15 +226,27 @@ def test_unwritable_out_exits_2_before_any_compute(tmp_path, capsys, monkeypatch
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
-@pytest.mark.parametrize("command", ["train", "compare", "probe", "slice"])
+@pytest.mark.parametrize("command", ["train", "compare"])
 def test_jobs_below_one_exits_2_before_out_dir(tmp_path, capsys, command, jobs):
     config = write_config(tmp_path)
     out = tmp_path / "o"
     argv = [command, "--config", str(config), "--out", str(out), "--jobs", jobs]
-    if command in ("probe", "slice"):
-        argv += ["--checkpoint", str(tmp_path / "x.ckpt")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: --jobs must be >= 1, got {jobs}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
+@pytest.mark.parametrize("command", ["probe", "slice"])
+def test_probe_and_slice_have_no_jobs_option(tmp_path, capsys, command, jobs):
+    """They run no pool, so argparse rejects --jobs at any value."""
+    config = write_config(tmp_path)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--config", str(config), "--out", str(out), "--jobs", jobs,
+                  "--checkpoint", str(tmp_path / "x.ckpt")])
+    assert exited.value.code == 2
+    assert f"unrecognized arguments: --jobs {jobs}" in capsys.readouterr().err
     assert not out.exists()
 
 

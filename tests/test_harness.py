@@ -20,7 +20,7 @@ from samlab.harness import (
 )
 from samlab.optimizers import OptimizerConfig
 from samlab.outputs import (
-    aggregate_records, emit_outputs, emit_slice, run_row, RUNS_CSV_COLUMNS,
+    emit_outputs, emit_slice, run_row, summary, RUNS_CSV_COLUMNS,
 )
 from samlab.probes import ProbeConfig, SharpnessReport
 
@@ -140,6 +140,13 @@ def test_sweep_alone_sets_the_optimizer():
 
 # --- hashing ----------------------------------------------------------------
 
+def test_load_config_rejects_a_repeated_key_naming_it(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"seeds": [1], "probe": {"rho": 0.05, "rho": 0.1}}')
+    with pytest.raises(ConfigError, match="key 'rho' is given more than once"):
+        harness.load_config(path)
+
+
 def test_config_hash_stable_and_ignores_out_dir_and_seeds():
     a = small_config()
     b = small_config(seeds=(9,), out_dir="/somewhere/else")
@@ -196,7 +203,7 @@ def test_run_training_deterministic():
     cfg = small_config()
     a = run_training(prepare_task(cfg), cfg, 1)
     b = run_training(prepare_task(cfg), cfg, 1)
-    ra, rb = run_row(a), run_row(b)
+    ra, rb = run_row(cfg, a), run_row(cfg, b)
     ra.pop("wall_seconds"), rb.pop("wall_seconds")
     assert ra == rb
     np.testing.assert_array_equal(a.final_params.data, b.final_params.data)
@@ -302,16 +309,16 @@ def test_run_suite_collects_failures(monkeypatch):
         assert [r.seed for r in suite.records] == [1, 4]
         assert [(f.seed, f.error) for f in suite.failures] == [
             (2, "SamLabError: synthetic blowup"), (3, "RuntimeError: synthetic bug")]
-        assert suite.aggregate.seed_count == 2
-        assert suite.aggregate.failed_count == 2
+        assert summary(suite)["seed_count"] == 2
+        assert summary(suite)["failed_count"] == 2
 
 
 def test_compare_single_optimizer_equals_run_suite():
     cfg = small_config()
     direct = run_suite(cfg)
     compared, = compare_optimizers(cfg, [cfg.optimizer])
-    da = [run_row(r) for r in direct.records]
-    ca = [run_row(r) for r in compared.records]
+    da = [run_row(direct.config, r) for r in direct.records]
+    ca = [run_row(compared.config, r) for r in compared.records]
     for x, y in zip(da, ca):
         x.pop("wall_seconds"), y.pop("wall_seconds")
     assert da == ca
@@ -380,7 +387,7 @@ def test_lockstep_compare_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
     monkeypatch.setattr(harness, "run_training", no_single_run)  # forked workers too
     lockstep = compare_optimizers(cfg, sweep, jobs=jobs)
     emit_outputs(tmp_path / "lockstep", lockstep)
-    assert [s.optimizer_label for s in lockstep] == [opt.label for opt in sweep]
+    assert [s.config.optimizer.label for s in lockstep] == [opt.label for opt in sweep]
     assert [s.config for s in lockstep] == [s.config for s in alone]
     assert _output_bytes(tmp_path / "lockstep") == _output_bytes(tmp_path / "alone")
     for a, b in zip(alone, lockstep):
@@ -461,31 +468,32 @@ def fabricate_record(seed, value):
     from samlab.params import LayoutEntry, ParameterVector
     vec = ParameterVector(np.zeros(1), (LayoutEntry("coords", (1,), 0),))
     return RunRecord(
-        config_hash="deadbeef", seed=seed, optimizer_label="sgd", rho=0.0,
-        ga_steps=0, epochs=1, train_losses=[value], test_losses=[value],
+        seed=seed, optimizer_label="sgd", train_losses=[value], test_losses=[value],
         test_accuracies=[value], final_train_loss=value, final_test_loss=value,
         final_test_accuracy=value, report=report, grad_evals=1,
         wall_seconds=0.0, final_params=vec)
 
 
+def fabricate_summary(records):
+    return summary(harness.SuiteResult(small_config(), records, []))
+
+
 def test_aggregate_known_mean_std():
     records = [fabricate_record(1, 96.4), fabricate_record(2, 96.6)]
-    agg = aggregate_records("deadbeef", "sgd", records, 0)
-    m = agg.metrics["test_accuracy"]
+    m = fabricate_summary(records)["metrics"]["test_accuracy"]
     assert m["mean"] == pytest.approx(96.5)
     assert m["std"] == pytest.approx(0.1414, abs=1e-3)
 
 
 def test_aggregate_single_seed_std_not_applicable():
-    agg = aggregate_records("deadbeef", "sgd", [fabricate_record(1, 5.0)], 0)
-    assert agg.metrics["test_accuracy"]["mean"] == 5.0
-    assert agg.metrics["test_accuracy"]["std"] is None
+    metrics = fabricate_summary([fabricate_record(1, 5.0)])["metrics"]
+    assert metrics["test_accuracy"]["mean"] == 5.0
+    assert metrics["test_accuracy"]["std"] is None
 
 
 def test_aggregate_constant_metrics_zero_std():
     records = [fabricate_record(s, 7.25) for s in (1, 2, 3)]
-    agg = aggregate_records("deadbeef", "sgd", records, 0)
-    assert agg.metrics["final_train_loss"]["std"] == 0.0
+    assert fabricate_summary(records)["metrics"]["final_train_loss"]["std"] == 0.0
 
 
 # --- emission -------------------------------------------------------------------
@@ -526,9 +534,7 @@ def test_every_output_file_is_written_by_replacing(tmp_path, monkeypatch):
 
 def test_emit_outputs_empty_records_headers_only(tmp_path):
     cfg = small_config()
-    suite = harness.SuiteResult(
-        config=cfg, optimizer_label="sgd", records=[], failures=[],
-        aggregate=aggregate_records(config_hash(cfg), "sgd", [], 0))
+    suite = harness.SuiteResult(config=cfg, records=[], failures=[])
     written = emit_outputs(tmp_path, [suite])
     lines = open(written["runs.csv"]).read().splitlines()
     assert lines == [",".join(RUNS_CSV_COLUMNS)]
@@ -618,6 +624,20 @@ def test_probe_checkpoint_layout_mismatch_lists_counts(tmp_path):
     assert err.value.found_count == len(record.final_params)
 
 
+def test_slice_at_a_zero_gradient_point_takes_e0_as_direction_a(tmp_path):
+    from samlab.params import LayoutEntry, ParameterVector
+    path = tmp_path / "origin.ckpt"
+    checkpoint.save(path, ParameterVector(np.zeros(2), (LayoutEntry("coords", (2,), 0),)))
+    cfg = small_config(model=ModelConfig(kind="quadratic", diag=(2.0, 3.0), offset=0.75),
+                       slice_plane=harness.SliceConfig(extent=1.0, n_points=5))
+    _, alphas, betas, losses = harness.slice_checkpoint(path, cfg)
+    centre = list(betas).index(0.0)
+    # Along e0 alone the loss is offset + 0.5 * diag[0] * alpha^2.
+    np.testing.assert_allclose(losses[:, centre], 0.75 + 0.5 * 2.0 * np.asarray(alphas) ** 2,
+                               rtol=1e-15)
+    assert losses[list(alphas).index(0.0), centre] == 0.75
+
+
 def test_probe_handwritten_quadratic_checkpoint(tmp_path):
     from samlab.params import LayoutEntry, ParameterVector
     vec = ParameterVector(np.array([1.0, 0.0]), (LayoutEntry("coords", (2,), 0),))
@@ -640,7 +660,7 @@ def test_parallel_jobs_bitwise_match_sequential():
     seq = run_suite(cfg, jobs=1)
     par = run_suite(cfg, jobs=3)
     for a, b in zip(seq.records, par.records):
-        ra, rb = run_row(a), run_row(b)
+        ra, rb = run_row(cfg, a), run_row(cfg, b)
         ra.pop("wall_seconds"), rb.pop("wall_seconds")
         assert ra == rb
         np.testing.assert_array_equal(a.final_params.data, b.final_params.data)
@@ -663,16 +683,16 @@ def test_killed_pool_worker_fails_its_seeds_and_keeps_the_finished_ones(monkeypa
     killed seed, which breaks that pool too, becomes a FailedRun; every
     other seed keeps the row it gets at jobs=1."""
     cfg = small_config(seeds=(1, 2, 3, 4))
-    expected = {r.seed: run_row(r) for r in run_suite(cfg, jobs=1).records}
+    expected = {r.seed: run_row(cfg, r) for r in run_suite(cfg, jobs=1).records}
     monkeypatch.setattr(harness, "_train_seed", _train_seed_killed_on_seed_3)
     suite = run_suite(cfg, jobs=2)
     assert [r.seed for r in suite.records] == [1, 2, 4]
     assert [f.seed for f in suite.failures] == [3]
     assert all(f.optimizer_label == "sgd" and f.error.startswith("BrokenProcessPool: ")
                for f in suite.failures)
-    assert suite.aggregate.failed_count == len(suite.failures)
+    assert summary(suite)["failed_count"] == len(suite.failures)
     for record in suite.records:
-        row = run_row(record)
+        row = run_row(cfg, record)
         row.pop("wall_seconds"), expected[record.seed].pop("wall_seconds")
         assert row == expected[record.seed]
 

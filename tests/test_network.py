@@ -15,6 +15,7 @@ from samlab import harness, network
 from samlab.data import Dataset, gen_two_moons
 from samlab.errors import LayoutError, NumericError, ShapeError
 from samlab.network import MlpSpec, QuadraticSpec
+from samlab.params import LayoutEntry
 
 
 def small_batch(n=12, seed=3):
@@ -42,6 +43,13 @@ def test_init_deterministic_and_biases_zero():
     named = views(p1)
     np.testing.assert_array_equal(named["dense0.bias"], np.zeros(8))
     np.testing.assert_array_equal(named["dense1.bias"], np.zeros(2))
+
+
+def test_init_quadratic_is_all_ones_in_one_coords_entry():
+    spec = QuadraticSpec(diag=(1.0, 4.0, -2.0), offset=0.25)
+    params = network.init_params(spec, np.random.default_rng(5))
+    np.testing.assert_array_equal(params.data, np.ones(3))
+    assert params.layout == network.param_layout(spec) == (LayoutEntry("coords", (3,), 0),)
 
 
 def test_forward_matches_manual_numpy():

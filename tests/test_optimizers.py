@@ -382,6 +382,38 @@ def test_lockstep_answers_a_lone_point_as_a_stack_of_one(monkeypatch):
     assert shapes == [(2, rows.shape[1])] + [(1, rows.shape[1])] * 3
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_lockstep_width_below_one_raises_before_any_generator_starts(width):
+    spec, batch, _, rows = _lockstep_case()
+    started = []
+
+    def one_point(k):
+        started.append(k)
+        yield rows[k]
+
+    with pytest.raises(ValueError, match="width must be >= 1"):
+        optimizers.lockstep(spec, batch, [one_point(0), one_point(1)], width=width)
+    assert started == []
+
+
+@pytest.mark.parametrize("width", [None, 1, 2])
+def test_lockstep_generator_that_returns_before_yielding_keeps_its_slot(width):
+    spec, batch, _, rows = _lockstep_case()
+
+    def no_point(value):
+        return value
+        yield  # unreachable: makes this a generator function
+
+    def one_point(k):
+        value, _ = yield rows[k]
+        return value
+
+    results = optimizers.lockstep(
+        spec, batch, [no_point("a"), one_point(0), no_point("b"), one_point(2)], width=width)
+    assert results == ["a", network.loss_and_grad(spec, rows[0], batch).value,
+                       "b", network.loss_and_grad(spec, rows[2], batch).value]
+
+
 def test_step_rows_of_one_row_is_step():
     spec, batch, configs, rows = _lockstep_case()
     for k, cfg in enumerate(configs):
