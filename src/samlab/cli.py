@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--jobs", type=int, default=1,
                            help="worker processes: each seed's runs go to one "
-                                "worker of a pool")
+                                "worker of a pool, at most one worker per seed")
 
     common(sub.add_parser("train", help="train one optimizer over all seeds"))
     common(sub.add_parser("compare", help="sweep the config's optimizer list"))

@@ -12,10 +12,11 @@ so bad data fails the call before any run; pool workers inherit it.
 `compare_optimizers` trains a sweep's runs of each seed, which share their
 init and minibatch order, as one group (`train_group`): one
 `optimizers.step_rows` call steps all its runs (several in lockstep), and
-each epoch evaluates them with one stacked pass per split. `run_training`
-is the group of one and `run_suite` a compare of one. A group's runs get
-the bytes they get alone; each run's wall_seconds is the group's elapsed
-time divided by its run count.
+each epoch evaluates them in stacked passes over each split, as many rows a
+pass as `network.rows_per_call` allows. `run_training` is the group of one
+and `run_suite` a compare of one. A group's runs get the bytes they get
+alone; each run's wall_seconds is the group's elapsed time divided by its
+run count.
 
 Config types and parsing live here too. The output files and every value
 they derive from a config are `samlab.outputs`' (`config_hash`,
@@ -58,6 +59,13 @@ def _subseed(seed: int, role: int) -> int:
     return (seed ^ role) & _U64
 
 
+# Dataset keys that only some generators read, and those generators. On any
+# other a value but the default would change config_hash and nothing else.
+_READ_ONLY_BY = {"n": ("two_moons", "gaussian_blobs"), "noise_sd": ("two_moons",),
+                 "centers": ("gaussian_blobs",), "center_sd": ("gaussian_blobs",),
+                 **dict.fromkeys(("images", "labels", "test_images", "test_labels"), ("idx",))}
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     generator: str
@@ -75,11 +83,10 @@ class DatasetConfig:
     def __post_init__(self):
         if self.generator not in ("two_moons", "gaussian_blobs", "idx"):
             raise ConfigError(f"unknown dataset generator {self.generator!r}")
-        for key in ("centers", "images", "labels", "test_images", "test_labels"):
-            owner = "gaussian_blobs" if key == "centers" else "idx"
-            if getattr(self, key) is not None and self.generator != owner:
-                raise ConfigError(f"dataset key {key!r} is read only by generator {owner!r}, "
-                                  f"not {self.generator!r}")
+        for key, readers in _READ_ONLY_BY.items():
+            if self.generator not in readers and getattr(self, key) != getattr(DatasetConfig, key):
+                raise ConfigError(f"dataset key {key!r} is read only by generator "
+                                  f"{' or '.join(map(repr, readers))}, not {self.generator!r}")
         if self.generator == "idx":
             if self.images is None or self.labels is None:
                 raise ConfigError("idx dataset needs both 'images' and 'labels' paths")
@@ -373,10 +380,15 @@ def require_trainable(config: ExperimentConfig) -> None:
 
 def _evaluate(spec, rows, train_batch, test_batch) -> tuple:
     """(train losses, test losses, test accuracies) of every row, as lists:
-    one pass per split over the stacked rows."""
-    test_losses, test_accuracies = network.loss_and_accuracy(spec, rows, test_batch)
-    return (network.forward(spec, rows, train_batch).tolist(),
-            test_losses.tolist(), test_accuracies.tolist())
+    stacked passes over each split, `network.rows_per_call` rows a pass."""
+    def passes(kernel, batch):
+        k = network.rows_per_call(spec, batch)
+        return [kernel(spec, rows[i:i + k], batch) for i in range(0, len(rows), k)]
+
+    test = passes(network.loss_and_accuracy, test_batch)
+    return (np.concatenate(passes(network.forward, train_batch)).tolist(),
+            np.concatenate([losses for losses, _ in test]).tolist(),
+            np.concatenate([accuracies for _, accuracies in test]).tolist())
 
 
 def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
@@ -554,16 +566,17 @@ def _compare(config: ExperimentConfig, optimizer_list, jobs: int) -> list:
         # Imported here: only a pool needs it, and it loads `logging`.
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
-        def pooled(seeds, workers):
+        def pooled(seeds):
             # A forked worker inherits the task: it is never pickled per seed.
-            with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+            # Forking starts every worker at once, so a pool gets at most one per seed.
+            with ProcessPoolExecutor(max_workers=min(jobs, len(seeds)), initializer=_start_worker,
                                      initargs=(task,)) as pool:
                 return [pool.submit(_train_seed, (config, seed)) for seed in seeds]
 
         groups = []
-        for seed, future in zip(config.seeds, pooled(config.seeds, jobs)):
+        for seed, future in zip(config.seeds, pooled(config.seeds)):
             if isinstance(future.exception(), BrokenProcessPool):  # a worker died: once more, alone
-                future = pooled([seed], 1)[0]
+                future = pooled([seed])[0]
             try:
                 groups.append(future.result())
             except BrokenProcessPool as exc:  # it broke a pool of its own too

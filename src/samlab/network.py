@@ -43,15 +43,18 @@ to +-1 and relu a -inf to 0, so a check after the activation would not do.
 Every entry point takes one parameter vector or a stack of K of them: a
 `ParameterVector` or a (P,) array gives scalar results, a (K, P) array
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
-is how a sweep's runs step in lockstep and how the probes evaluate their
-independent points. Every array then has a leading row axis: weights
-(K, fan_in, fan_out), activations (K, n, width), and the shared features
-broadcast against them. Matmuls and sums run over the trailing axes, and
-numpy computes each row of a stacked matmul with the BLAS call of the 2-D
-one, so row k of every result is byte for byte the call on row k alone. A
-stack of one still runs through the 2-D arrays, which cost less than a
-stack of one. A quadratic's rows take the same reductions over their last
-axis, so the probes' closed-form tests run their stacked path.
+is how a sweep's runs step in lockstep, how training evaluates them each
+epoch and how the probes evaluate their independent points. Each of these
+callers stacks at most `rows_per_call(spec, batch)` rows, so one stacked
+activation stays within STACK_ELEMENTS (512 KiB) unless it is a single row.
+Every array then has a leading row axis: weights (K, fan_in, fan_out),
+activations (K, n, width), and the shared features broadcast against them.
+Matmuls and sums run over the trailing axes, and numpy computes each row of
+a stacked matmul with the BLAS call of the 2-D one, so row k of every result
+is byte for byte the call on row k alone, whatever K a caller picks. A
+vector still runs through the 2-D arrays, which cost less than a stack of
+one. A quadratic's rows take the same reductions over their last axis, so
+the probes' closed-form tests run their stacked path.
 
 Every array a call makes is fresh and dies with the call, or is returned.
 No buffer is shared between calls, so several threads may call the kernel at
@@ -64,7 +67,7 @@ call does a few thousand multiply-adds through about 70 numpy calls, so its
 cost is almost all fixed dispatch, about 1 us per numpy call. So the kernel
 keeps the straight-line forms: one numpy call where a method wrapper
 (`.all()`, `.sum`) or a copy plus a call would do the same, a vector sliced
-without `...`, and no row axis for one vector. At the probes' shapes (8
+without `...`, and no row axis for one vector. At the probes' shapes (4
 stacked rows on 500 examples) a call's time goes on whole passes over its
 activations instead, so a loss-only call (`forward`, `loss_and_accuracy`)
 normalises only each example's picked log-probability, not all of them.
@@ -159,6 +162,20 @@ class QuadraticSpec:
 
 
 ModelSpec = Union[MlpSpec, QuadraticSpec]
+
+# Elements of one stacked activation (rows x batch rows x widest layer) that
+# every caller stacking parameter rows keeps to: 2**16 float64 values, 512 KiB.
+STACK_ELEMENTS = 2 ** 16
+
+
+def rows_per_call(spec: ModelSpec, batch) -> int:
+    """How many parameter rows one stacked call may take on `batch`: K =
+    STACK_ELEMENTS // (batch rows x widest layer), at least 1, so a single
+    row is never split. A quadratic has no activations, so its rows
+    themselves are counted."""
+    if isinstance(spec, QuadraticSpec):
+        return max(1, STACK_ELEMENTS // len(spec.diag))
+    return max(1, STACK_ELEMENTS // (batch.features.shape[0] * max(spec.widths)))
 
 
 @functools.lru_cache

@@ -20,13 +20,14 @@ Every kind's step is one generator (`step_points`) that yields each point
 whose loss and gradient it needs, so the evaluation is up to its caller,
 and counts them in its `StepReport`. `step` answers each point with
 `network.loss_and_grad`. `step_rows` steps K runs: one by `step`, several
-in `lockstep` (the driver the probes' ascents share), which answers all
-pending points with one `network.loss_and_grad` call on their stacked rows
-per round. A run leaves the rounds when its step ends (sgd after one point,
-a flat batch's sam_ga ascent early), and each run keeps its own state,
-momentum buffer and direction stream, so a lockstep step is byte for byte
-the runs' single steps. Both check the step's minibatch once
-(`network.check_batch`), not once per point.
+in `lockstep`, which the probes' ascents share: it answers the pending
+points with one `network.loss_and_grad` call on their stacked rows per
+round, at most `network.rows_per_call` runs live at once. A run
+leaves the rounds when its step ends (sgd after one point, a flat batch's
+sam_ga ascent early), and each run keeps its own state, momentum buffer and
+direction stream, so a lockstep step is byte for byte the runs' single
+steps. Both check the step's minibatch once (`network.check_batch`), not
+once per point.
 """
 
 from dataclasses import dataclass
@@ -88,6 +89,12 @@ class OptimizerConfig:
             raise ConfigError(f"rho must be > 0 for SAM variants, got {self.rho}")
         if self.ga_steps < 1:
             raise ConfigError(f"ga_steps must be >= 1, got {self.ga_steps}")
+        # A value its kind never reads would change config_hash and nothing else.
+        if self.kind == SGD and self.rho != OptimizerConfig.rho:
+            raise ConfigError("optimizer key 'rho' is not read by kind 'sgd'")
+        if self.kind != SAM_GA and self.ga_steps != OptimizerConfig.ga_steps:
+            raise ConfigError(f"optimizer key 'ga_steps' is read only by kind 'sam_ga', "
+                              f"not {self.kind!r}")
 
     @property
     def label(self) -> str:
@@ -323,13 +330,15 @@ def step_rows(model_spec, rows: np.ndarray, batch, configs, states):
 
     One run is stepped by `step`, called as a global so that a rebound
     `optimizers.step` (the bench's tracer) sees each one-run step. Several
-    advance in one `lockstep`, so a flat-batch fallback or an early-stopped
-    ascent changes only its own row.
+    advance in one `lockstep`, at most `network.rows_per_call(model_spec,
+    batch)` at once, so a flat-batch fallback or an early-stopped ascent
+    changes only its own row.
     """
     if len(rows) == 1:
         new, report = step(model_spec, rows[0], batch, configs[0], states[0])
         return new[None, :], [report]
     results = lockstep(model_spec, batch,
                        [step_points(row, config, state)
-                        for row, config, state in zip(rows, configs, states)])
+                        for row, config, state in zip(rows, configs, states)],
+                       width=network.rows_per_call(model_spec, batch))
     return _stack([new for new, _ in results]), [report for _, report in results]

@@ -17,9 +17,9 @@ The probes evaluate the loss at many independent points (a slice's grid, the
 average direction's samples, the worst-direction ascents), and they evaluate
 them as stacked rows: up to K points per `network.forward` or
 `network.loss_and_grad` call, each row byte for byte the call on its point
-alone. K = STACK_ELEMENTS // (batch rows x widest layer), at least 1, so one
-stacked activation stays within 1 MiB: 8 points for a 500-row batch through
-32 units, 1 (one point a call) for a 1000-row batch through 128. Points are
+alone. K is `network.rows_per_call`, so one stacked activation stays within
+the kernel's budget of 512 KiB: 4 points for a 500-row batch through 32
+units, 1 (one point a call) for a 1000-row batch through 128. Points are
 built one chunk at a time in the order the one-point loops drew them, never
 all at once, and the worst direction's ascents advance in `lockstep` with at
 most K live, so the extra memory is about K points and their activations.
@@ -32,7 +32,6 @@ from typing import Optional
 import numpy as np
 
 from . import network
-from .network import QuadraticSpec
 from .optimizers import epsilon_first_order, lockstep, LossOnly, ZERO_GRAD_EPS
 from .vecops import l2_norm, sample_unit_direction
 from .errors import SamLabError
@@ -40,19 +39,6 @@ from .errors import SamLabError
 DEFAULT_RESTARTS = 8
 DEFAULT_INNER_STEPS = 20
 DEFAULT_SAMPLES = 64
-
-# Elements of one stacked activation (rows x batch rows x layer width) the
-# probes allow: 2**17 float64 values, 1 MiB.
-STACK_ELEMENTS = 2 ** 17
-
-
-def rows_per_call(model_spec, batch) -> int:
-    """How many parameter points one stacked probe call evaluates: K =
-    STACK_ELEMENTS // (batch rows x widest layer), at least 1. A quadratic
-    has no activations, so its rows themselves are counted."""
-    if isinstance(model_spec, QuadraticSpec):
-        return max(1, STACK_ELEMENTS // len(model_spec.diag))
-    return max(1, STACK_ELEMENTS // (batch.features.shape[0] * max(model_spec.widths)))
 
 
 @dataclass(frozen=True)
@@ -125,7 +111,7 @@ def loss_average_direction(model_spec, params: np.ndarray, batch, rho: float,
     params = np.asarray(params, dtype=np.float64)
     batch = network.check_batch(model_spec, batch)
     losses = np.empty(n_samples, dtype=np.float64)
-    chunk = rows_per_call(model_spec, batch)
+    chunk = network.rows_per_call(model_spec, batch)
     for start in range(0, n_samples, chunk):
         rows = np.empty((min(chunk, n_samples - start), params.shape[0]))
         for row in rows:
@@ -177,8 +163,8 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     is a visited point of the first ascent whenever the gradient vanishes,
     and otherwise the first-order start dominates it in practice; we still
     clamp against the center explicitly to make the lower bound exact. The
-    ascents run in `lockstep`, at most `rows_per_call` at once, each starting
-    point drawn only when its ascent starts. `base` is
+    ascents run in `lockstep`, at most `network.rows_per_call` at once, each
+    starting point drawn only when its ascent starts. `base` is
     `network.loss_and_grad` at w, if the caller already has it.
     """
     if restarts < 1:
@@ -202,7 +188,7 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
             yield radius * sample_unit_direction(dim, rng)
 
     ascents = (_ascent(params, rho, inner_steps, start) for start in starts())
-    width = rows_per_call(model_spec, batch)
+    width = network.rows_per_call(model_spec, batch)
     for ascent_best in lockstep(model_spec, batch, ascents, width=width):
         best = max(best, ascent_best)
     return best
@@ -262,7 +248,7 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
     grid_alphas = np.repeat(alphas, n_points)[:, None]
     grid_betas = np.tile(betas, n_points)[:, None]
     losses = np.empty(n_points * n_points, dtype=np.float64)
-    chunk = rows_per_call(model_spec, batch)
+    chunk = network.rows_per_call(model_spec, batch)
     for start in range(0, losses.size, chunk):
         cells = slice(start, start + chunk)
         rows = (params + grid_alphas[cells] * a) + grid_betas[cells] * b

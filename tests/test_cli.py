@@ -106,6 +106,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     {"model": {"kind": "quadratic", "diag": []}},
     {"optimizers": [{"kind": "sam", "learning_rate": 0.1, "rho": 0.05},
                     {"kind": "sam", "learning_rate": 0.1, "rho": 0.5}]},
+    {"dataset": {"generator": "gaussian_blobs", "centers": [[0.0], [1.0]], "noise_sd": 5.0}},
+    {"optimizer": {"kind": "sgd", "learning_rate": 0.1, "rho": 0.3}},
     # A str is JSON text put first in the config object, ahead of the valid
     # value of the key it repeats (a dict cannot hold a key twice).
     pytest.param('"epochs": 7', id="repeated_key"),

@@ -6,6 +6,7 @@ import platform
 import signal
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -82,11 +83,37 @@ def test_missing_required_key_rejected():
 @pytest.mark.parametrize("generator, key", [
     ("two_moons", "images"), ("two_moons", "test_labels"), ("two_moons", "centers"),
     ("gaussian_blobs", "test_images"), ("idx", "centers"),
+    ("gaussian_blobs", "noise_sd"), ("idx", "noise_sd"), ("two_moons", "center_sd"),
+    ("idx", "center_sd"), ("idx", "n"),
 ])
 def test_dataset_key_another_generator_reads_is_rejected(generator, key):
-    dataset = {"generator": generator, key: [[0.0], [1.0]] if key == "centers" else "x.idx"}
-    with pytest.raises(ConfigError, match=f"'{key}'"):
+    value = {"centers": [[0.0], [1.0]], "noise_sd": 5.0, "center_sd": 2.0, "n": 100}
+    dataset = {"generator": generator, key: value.get(key, "x.idx")}
+    with pytest.raises(ConfigError, match=f"'{key}' is read only by .*, not '{generator}'"):
         parse_config(dict(RAW, dataset=dataset))
+
+
+def test_default_values_of_keys_another_generator_reads_are_accepted():
+    """Spelling out a default changes no config_hash, so it is allowed."""
+    blobs = {"generator": "gaussian_blobs", "centers": [[0.0], [1.0]]}
+    assert parse_config(dict(RAW, dataset=dict(blobs, noise_sd=0.2))) == \
+        parse_config(dict(RAW, dataset=blobs))
+    moons = dict(RAW["dataset"], center_sd=1.0)
+    assert parse_config(dict(RAW, dataset=moons)) == parse_config(RAW)
+
+
+@pytest.mark.parametrize("kind, key", [
+    ("sgd", "rho"), ("sam", "ga_steps"), ("rand_sam", "ga_steps"), ("sgd", "ga_steps"),
+])
+def test_optimizer_key_its_kind_never_reads_is_rejected(kind, key):
+    def parsed(value):
+        optimizer = {"kind": kind, "learning_rate": 0.1, key: value}
+        return parse_config(dict(RAW, optimizer=optimizer)).optimizer
+
+    with pytest.raises(ConfigError, match=f"config.optimizer: optimizer key '{key}' .*'{kind}'"):
+        parsed({"rho": 0.3, "ga_steps": 5}[key])
+    default = {"rho": 0.05, "ga_steps": 1}[key]  # changes no config_hash, so it is allowed
+    assert parsed(default) == OptimizerConfig(kind=kind, learning_rate=0.1)
 
 
 def test_null_keys_of_another_generator_are_accepted():
@@ -457,6 +484,55 @@ def test_data_is_prepared_once_per_call_in_the_calling_process(tmp_path, monkeyp
     assert builders(lambda: harness.slice_checkpoint(path, cfg))[0] == me
 
 
+# --- stacking budget ------------------------------------------------------------
+
+def _record_stack_sizes(monkeypatch):
+    """Wrap the kernel's evaluation entry points to record, per call, (rows,
+    rows x batch rows x widest layer); a vector is one row."""
+    sizes = []
+    for name in ("forward", "loss_and_grad", "loss_and_accuracy"):
+        def sized(spec, params, batch, _f=getattr(network, name)):
+            rows = len(params) if getattr(params, "ndim", 1) == 2 else 1
+            sizes.append((rows, rows * batch.features.shape[0] * max(spec.widths)))
+            return _f(spec, params, batch)
+        monkeypatch.setattr(network, name, sized)
+    return sizes
+
+
+def test_every_stacked_kernel_call_keeps_to_the_budget(tmp_path, monkeypatch):
+    """A compare of 5 runs on 500 train and 1,500 test rows, then a probe and
+    a slice of one of its checkpoints: every kernel call holds at most
+    network.STACK_ELEMENTS activation elements, or is a single row."""
+    cfg = small_config(dataset=DatasetConfig(generator="two_moons", n=2000, noise_sd=0.2,
+                                             seed=5, train_fraction=0.25),
+                       model=ModelConfig(kind="mlp", hidden=(32,)), epochs=1, batch_size=32,
+                       seeds=(1,))
+    sizes = _record_stack_sizes(monkeypatch)
+    emit_outputs(tmp_path, compare_optimizers(cfg, _sweep()))
+    probe_checkpoint(tmp_path / "checkpoints" / "sam_seed1.ckpt", cfg)
+    harness.slice_checkpoint(tmp_path / "checkpoints" / "sam_seed1.ckpt", cfg)
+    assert [(rows, n) for rows, n in sizes if rows > 1 and n > network.STACK_ELEMENTS] == []
+    assert {1, 4, 5} <= {rows for rows, _ in sizes}  # 5 runs a step, 4 probe points a call
+
+
+@pytest.mark.parametrize("budget, k", [(2 * 20 * 6, 2), (3 * 60 * 6, 3)],
+                         ids=["steps_of_2", "passes_of_3"])
+def test_compare_under_a_tight_budget_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
+                                                                     budget, k):
+    """The budget caps a lockstep step at 2 of the 5 runs (20-row minibatches
+    through 6 units), or each epoch's evaluation at 3 rows a pass (60-row
+    splits); the runs keep the bytes they get alone."""
+    cfg = small_config(model=ModelConfig(kind="mlp", hidden=(6, 5)), epochs=3)
+    sweep = _sweep()
+    emit_outputs(tmp_path / "alone", [run_suite(harness._single(cfg, opt)) for opt in sweep])
+    monkeypatch.setattr(network, "STACK_ELEMENTS", budget)
+    sizes = _record_stack_sizes(monkeypatch)
+    emit_outputs(tmp_path / "tight", compare_optimizers(cfg, sweep))
+    assert _output_bytes(tmp_path / "tight") == _output_bytes(tmp_path / "alone")
+    assert [(rows, n) for rows, n in sizes if rows > 1 and n > budget] == []
+    assert k in {rows for rows, _ in sizes}
+
+
 # --- aggregation --------------------------------------------------------------
 
 def fabricate_record(seed, value):
@@ -664,6 +740,38 @@ def test_parallel_jobs_bitwise_match_sequential():
         ra.pop("wall_seconds"), rb.pop("wall_seconds")
         assert ra == rb
         np.testing.assert_array_equal(a.final_params.data, b.final_params.data)
+
+
+def test_jobs_start_at_most_one_worker_per_seed(tmp_path, monkeypatch):
+    """A forked pool starts all its workers at once, so a --jobs far above the
+    seed count must not become that many processes. An in-process stand-in
+    for the pool records its size and starts none."""
+    workers = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr("concurrent.futures.process.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(harness, "_worker_task", None)
+    cfg = small_config()
+    emit_outputs(tmp_path / "many", compare_optimizers(cfg, _sweep()[:2], jobs=10 ** 6))
+    assert workers == [2]
+    emit_outputs(tmp_path / "one", compare_optimizers(cfg, _sweep()[:2], jobs=1))
+    assert workers == [2]
+    assert _output_bytes(tmp_path / "many") == _output_bytes(tmp_path / "one")
 
 
 _TRAIN_SEED = harness._train_seed

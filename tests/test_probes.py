@@ -373,8 +373,8 @@ def stacked_case(activation, head, depth, rows=24):
 
 
 def force_rows_per_call(monkeypatch, spec, batch, k):
-    monkeypatch.setattr(probes, "STACK_ELEMENTS", k * batch.features.shape[0] * max(spec.widths))
-    assert probes.rows_per_call(spec, batch) == k
+    monkeypatch.setattr(network, "STACK_ELEMENTS", k * batch.features.shape[0] * max(spec.widths))
+    assert network.rows_per_call(spec, batch) == k
 
 
 def hexes(values):
@@ -424,7 +424,7 @@ def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
     spec = MlpSpec(2, (128,), 2, "tanh", "mse")
     params = network.init_params(spec, np.random.default_rng(1)).data
     batch = gen_two_moons(520, 0.2, 1)
-    assert probes.rows_per_call(spec, batch) == 1  # 520 x 128 > STACK_ELEMENTS / 2
+    assert network.rows_per_call(spec, batch) == 1  # 520 x 128 > network.STACK_ELEMENTS
     counts = count_rows(monkeypatch)
     sizes = []
     for name in ("forward", "loss_and_grad"):
@@ -447,10 +447,12 @@ def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
 
 
 def test_rows_per_call_of_the_bench_shapes():
-    small = gen_two_moons(500, 0.2, 0)
-    assert probes.rows_per_call(MlpSpec(2, (32,), 2), small) == 8
+    small = MlpSpec(2, (32,), 2)
+    assert network.rows_per_call(small, gen_two_moons(500, 0.2, 0)) == 4  # probe batch
+    assert network.rows_per_call(small, gen_two_moons(1500, 0.2, 0)) == 1  # test split
+    assert network.rows_per_call(small, gen_two_moons(32, 0.2, 0)) == 64  # minibatch
     wide = Dataset(np.zeros((1000, 16)), np.zeros(1000, dtype=int), 8)
-    assert probes.rows_per_call(MlpSpec(16, (128, 128), 8, "tanh", "mse"), wide) == 1
+    assert network.rows_per_call(MlpSpec(16, (128, 128), 8, "tanh", "mse"), wide) == 1
 
 
 def test_flat_ascent_leaves_its_lockstep_alone(monkeypatch):
