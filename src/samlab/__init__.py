@@ -18,7 +18,7 @@ from .optimizers import (
 from .probes import (
     ProbeConfig, SharpnessReport,
     loss_ascent_direction, loss_average_direction, loss_worst_direction_estimate,
-    standardized_sharpness, generalization_gap, loss_plane_slice, build_report,
+    generalization_gap, loss_plane_slice, build_report,
 )
 from .data import (
     Dataset, gen_two_moons, gen_gaussian_blobs, load_idx,

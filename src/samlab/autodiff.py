@@ -9,9 +9,15 @@ and its weight view into the flat parameter array. A layer's input
 is the previous layer's activation output `a`, and both derivatives are
 written in terms of it: relu'(z) = (a > 0) and tanh'(z) = 1 - a**2.
 
-Every array the pass makes is fresh and dies with the call. Freed heap memory
-is reused by the next call with no page faults, as long as glibc's malloc
-keeps large arrays off `mmap`, which `harness.setup_process` arranges.
+The pass keeps each hidden activation only until its derivative has been
+applied, and lets the caller's list of them go as it goes. A relu layer's
+derivative is a one-byte mask, and its input gradient is written over the
+activation itself, so a relu pass makes no activation-sized float array of
+its own; a tanh layer's input gradient is a fresh array, and the activation
+is freed once 1 - a**2 has been applied to it. The gradient is the one array
+that outlives the call. Freed heap memory is reused by the next call with no
+page faults, as long as glibc's malloc keeps large arrays off `mmap`, which
+`harness.setup_process` arranges.
 
 At small shapes each numpy call costs more than its arithmetic, so every
 gradient slice is written once, straight from its sum or product, into one
@@ -36,8 +42,9 @@ def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) 
     of its own 2-D pass. `inputs[0]`, the caller's features, may stay 2-D.
 
     `inputs[1:]` must be the forward pass's own activations: the pass
-    overwrites each with its derivative once it has used it. `inputs[0]` is
-    only read.
+    overwrites each (with the layer's input gradient or its derivative) and
+    sets its list entry to None once it has used it. `inputs[0]` is only
+    read.
     """
     lead = d_logits.shape[:-2]
     grad = np.empty(lead + (size,))
@@ -55,15 +62,19 @@ def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) 
         np.matmul(x.swapaxes(-1, -2), d, out=w_grad)
         end -= fan_in * fan_out
         if i > 0:
-            d = d @ w.swapaxes(-1, -2)
-            # The derivative overwrites the activation, which nothing reads
-            # again; the products equal (x > 0) * d and (1 - x**2) * d.
+            # Nothing reads the activation again once its derivative is
+            # taken, so the list lets it go. The products equal (x > 0) * d,
+            # the mask read as 1.0 or 0.0, and (1 - x**2) * d.
+            inputs[i] = None
             if activation == "relu":
-                np.greater(x, 0.0, out=x)
+                mask = np.greater(x, 0.0)
+                d = np.matmul(d, w.swapaxes(-1, -2), out=x)
+                d *= mask
             else:
+                d = d @ w.swapaxes(-1, -2)
                 np.multiply(x, x, out=x)
                 np.subtract(1.0, x, out=x)
-            d *= x
+                d *= x
     # Adding 0.0 turns a -0.0 entry into +0.0 and leaves every other entry's
     # bytes as they are, as the sums into a zero-filled gradient did.
     grad += 0.0

@@ -59,11 +59,25 @@ def _subseed(seed: int, role: int) -> int:
     return (seed ^ role) & _U64
 
 
-# Dataset keys that only some generators read, and those generators. On any
-# other a value but the default would change config_hash and nothing else.
+# Dataset keys that only some generators read, and those generators; and
+# model keys that only one kind reads. On any other a value but the default
+# would change config_hash and nothing else.
 _READ_ONLY_BY = {"n": ("two_moons", "gaussian_blobs"), "noise_sd": ("two_moons",),
                  "centers": ("gaussian_blobs",), "center_sd": ("gaussian_blobs",),
                  **dict.fromkeys(("images", "labels", "test_images", "test_labels"), ("idx",))}
+_MODEL_READ_ONLY_BY = {**dict.fromkeys(("hidden", "activation", "head"), ("mlp",)),
+                       **dict.fromkeys(("diag", "offset"), ("quadratic",))}
+
+
+def _reject_unread(config, section: str, selector: str, read_only_by: dict) -> None:
+    """Raise ConfigError for a key of `config` that holds a value but its
+    default while its `selector` field (the generator or the kind) is not
+    among the key's readers in `read_only_by`."""
+    chosen = getattr(config, selector)
+    for key, readers in read_only_by.items():
+        if chosen not in readers and getattr(config, key) != getattr(type(config), key):
+            raise ConfigError(f"{section} key {key!r} is read only by {selector} "
+                              f"{' or '.join(map(repr, readers))}, not {chosen!r}")
 
 
 @dataclass(frozen=True)
@@ -83,15 +97,16 @@ class DatasetConfig:
     def __post_init__(self):
         if self.generator not in ("two_moons", "gaussian_blobs", "idx"):
             raise ConfigError(f"unknown dataset generator {self.generator!r}")
-        for key, readers in _READ_ONLY_BY.items():
-            if self.generator not in readers and getattr(self, key) != getattr(DatasetConfig, key):
-                raise ConfigError(f"dataset key {key!r} is read only by generator "
-                                  f"{' or '.join(map(repr, readers))}, not {self.generator!r}")
+        _reject_unread(self, "dataset", "generator", _READ_ONLY_BY)
         if self.generator == "idx":
             if self.images is None or self.labels is None:
                 raise ConfigError("idx dataset needs both 'images' and 'labels' paths")
             if (self.test_images is None) != (self.test_labels is None):
                 raise ConfigError("idx test set needs both 'test_images' and 'test_labels'")
+            # `build_dataset` splits only an idx set that has no test files.
+            if self.test_images is not None and self.train_fraction != DatasetConfig.train_fraction:
+                raise ConfigError("dataset key 'train_fraction' is not read by an idx dataset "
+                                  "with 'test_images' and 'test_labels'")
             for key in ("images", "labels", "test_images", "test_labels"):
                 path = getattr(self, key)
                 if path is not None and not Path(path).is_file():
@@ -123,6 +138,7 @@ class ModelConfig:
     def __post_init__(self):
         if self.kind not in ("mlp", "quadratic"):
             raise ConfigError(f"unknown model kind {self.kind!r}")
+        _reject_unread(self, "model", "kind", _MODEL_READ_ONLY_BY)
         if self.activation not in network.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}, "
                               f"expected one of {network.ACTIVATIONS}")

@@ -8,8 +8,9 @@ rho-ball around w, but they answer different questions:
 * ascent direction: loss one first-order step away, L(w + rho g/||g||).
 * average direction: expected loss over uniform random unit directions.
 
-Standardized sharpness is the ascent-direction rise L(w + e1) - L(w) with e1
-always the FIRST-ORDER perturbation, regardless of how the model was trained.
+Standardized sharpness (`build_report`'s `standardized_sharpness`) is the
+ascent-direction rise L(w + e1) - L(w) with e1 always the FIRST-ORDER
+perturbation, regardless of how the model was trained.
 Comparing optimizers by their own training perturbation would conflate the
 measurement instrument with the thing measured.
 
@@ -192,16 +193,6 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     for ascent_best in lockstep(model_spec, batch, ascents, width=width):
         best = max(best, ascent_best)
     return best
-
-
-def standardized_sharpness(model_spec, params: np.ndarray, batch, rho: float) -> float:
-    """L(w + e1) - L(w) with e1 the first-order perturbation.
-
-    Zero when the gradient vanishes (e1 = 0 by the flat-batch fallback).
-    """
-    batch = network.check_batch(model_spec, batch)
-    base = network.loss_and_grad(model_spec, params, batch)
-    return loss_ascent_direction(model_spec, params, batch, rho, base=base) - base.value
 
 
 def generalization_gap(train_loss: float, test_loss: float) -> float:

@@ -102,6 +102,43 @@ def test_default_values_of_keys_another_generator_reads_are_accepted():
     assert parse_config(dict(RAW, dataset=moons)) == parse_config(RAW)
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("mlp", "diag", [2.0]), ("mlp", "offset", 0.5), ("quadratic", "hidden", [7]),
+    ("quadratic", "activation", "tanh"), ("quadratic", "head", "mse"),
+])
+def test_model_key_another_kind_reads_is_rejected(kind, key, value):
+    model = {"kind": kind, key: value}
+    with pytest.raises(ConfigError,
+                       match=f"config.model: model key '{key}' is read only by kind .*, not '{kind}'"):
+        parse_config(dict(RAW, model=model))
+
+
+def test_default_values_of_model_keys_another_kind_reads_are_accepted():
+    """Spelling out a default changes no config_hash, so it is allowed."""
+    mlp = dict(RAW["model"], diag=[1.0, 1.0], offset=0.0)
+    assert parse_config(dict(RAW, model=mlp)) == parse_config(RAW)
+    quadratic = {"kind": "quadratic", "diag": [2.0]}
+    spelled = dict(quadratic, hidden=[32], activation="relu", head="softmax_ce")
+    assert parse_config(dict(RAW, model=spelled)) == parse_config(dict(RAW, model=quadratic))
+
+
+def test_idx_train_fraction_is_rejected_only_beside_a_test_set(tmp_path):
+    """`build_dataset` splits an idx set only when it has no test files."""
+    paths = {}
+    for key in ("images", "labels", "test_images", "test_labels"):
+        (tmp_path / key).touch()  # the config checks only that each is a file
+        paths[key] = str(tmp_path / key)
+    with_test = dict(paths, generator="idx")
+    with pytest.raises(ConfigError, match="config.dataset: dataset key 'train_fraction' "
+                                          "is not read by an idx dataset with 'test_images'"):
+        parse_config(dict(RAW, dataset=dict(with_test, train_fraction=0.8)))
+    assert parse_config(dict(RAW, dataset=dict(with_test, train_fraction=0.5))).dataset == \
+        DatasetConfig(**with_test)
+    alone = {"generator": "idx", "images": paths["images"], "labels": paths["labels"]}
+    assert parse_config(dict(RAW, dataset=dict(alone, train_fraction=0.8))).dataset == \
+        DatasetConfig(**alone, train_fraction=0.8)
+
+
 @pytest.mark.parametrize("kind, key", [
     ("sgd", "rho"), ("sam", "ga_steps"), ("rand_sam", "ga_steps"), ("sgd", "ga_steps"),
 ])

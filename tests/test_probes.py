@@ -11,7 +11,6 @@ from samlab.vecops import sample_unit_direction
 from samlab.probes import (
     ProbeConfig, build_report, generalization_gap, loss_ascent_direction,
     loss_average_direction, loss_plane_slice, loss_worst_direction_estimate,
-    standardized_sharpness,
 )
 
 BATCH = gen_two_moons(8, 0.1, 0)  # quadratics ignore it
@@ -212,13 +211,15 @@ def test_worst_dominates_other_probes():
 
 def test_standardized_sharpness_quadratic():
     spec = QuadraticSpec(diag=(1.0, 1.0))
-    s = standardized_sharpness(spec, np.array([1.0, 0.0]), BATCH, 0.05)
-    assert s == pytest.approx(0.05125, rel=1e-12)
+    cfg = ProbeConfig(rho=0.05, restarts=2, inner_steps=5, n_samples=8)
+    report = build_report(spec, np.array([1.0, 0.0]), BATCH, cfg, seed=0)
+    assert report.standardized_sharpness == pytest.approx(0.05125, rel=1e-12)
 
 
 def test_standardized_sharpness_constant_loss_zero():
     spec = QuadraticSpec(diag=(0.0, 0.0), offset=9.0)
-    assert standardized_sharpness(spec, np.ones(2), BATCH, 0.05) == 0.0
+    cfg = ProbeConfig(rho=0.05, restarts=2, inner_steps=5, n_samples=8)
+    assert build_report(spec, np.ones(2), BATCH, cfg, seed=0).standardized_sharpness == 0.0
 
 
 def test_standardized_sharpness_pure_function_of_checkpoint():
@@ -227,8 +228,8 @@ def test_standardized_sharpness_pure_function_of_checkpoint():
     spec = MlpSpec(in_width=2, hidden=(4,), out_width=2)
     params = network.init_params(spec, np.random.default_rng(10)).data
     batch = gen_two_moons(16, 0.2, 4)
-    values = {standardized_sharpness(spec, params.copy(), batch, 0.05)
-              for _ in range(3)}
+    values = {loss_ascent_direction(spec, params.copy(), batch, 0.05)
+              - network.forward(spec, params, batch) for _ in range(3)}
     assert len(values) == 1
 
 
