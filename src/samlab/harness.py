@@ -12,8 +12,8 @@ so bad data fails the call before any run; pool workers inherit it.
 `compare_optimizers` trains a sweep's runs of each seed, which share their
 init and minibatch order, as one group (`train_group`): one
 `optimizers.step_rows` call steps all its runs (several in lockstep), and
-each epoch evaluates them in stacked passes over each split, as many rows a
-pass as `network.rows_per_call` allows. `run_training` is the group of one
+each epoch evaluates them in the stacked passes `network.passes` cuts for
+each split. `run_training` is the group of one
 and `run_suite` a compare of one. A group's runs get the bytes they get
 alone; each run's wall_seconds is the group's elapsed time divided by its
 run count.
@@ -207,6 +207,12 @@ class ExperimentConfig:
         if not 0.0 <= self.label_noise_fraction < 1.0:
             raise ConfigError(
                 f"label_noise_fraction must be in [0, 1), got {self.label_noise_fraction}")
+        # `build_dataset` reads an idx set's seed to split it or to corrupt labels.
+        data = self.dataset
+        if (data.generator == "idx" and data.test_images is not None
+                and self.label_noise_fraction == 0 and data.seed != DatasetConfig.seed):
+            raise ConfigError("dataset key 'seed' is not read by an idx dataset with "
+                              "'test_images' and 'test_labels' and no label noise")
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +402,9 @@ def require_trainable(config: ExperimentConfig) -> None:
 
 def _evaluate(spec, rows, train_batch, test_batch) -> tuple:
     """(train losses, test losses, test accuracies) of every row, as lists:
-    stacked passes over each split, `network.rows_per_call` rows a pass."""
+    stacked passes over each split, as `network.passes` cuts them."""
     def passes(kernel, batch):
-        k = network.rows_per_call(spec, batch)
-        return [kernel(spec, rows[i:i + k], batch) for i in range(0, len(rows), k)]
+        return [kernel(spec, rows[cut], batch) for cut in network.passes(spec, batch, len(rows))]
 
     test = passes(network.loss_and_accuracy, test_batch)
     return (np.concatenate(passes(network.forward, train_batch)).tolist(),
@@ -668,11 +673,11 @@ def slice_checkpoint(checkpoint_path: Union[str, Path], config: ExperimentConfig
     slice_cfg = config.slice_plane if config.slice_plane is not None else SliceConfig()
     rng = np.random.default_rng(_subseed(config.seeds[0], ROLE_PROBE))
     grad_norm = l2_norm(result.gradient)
-    if grad_norm > 1e-12:
-        dir_a = result.gradient / grad_norm
-    else:
+    if grad_norm < optimizers.ZERO_GRAD_EPS:
         dir_a = np.zeros(len(flat))
         dir_a[0] = 1.0
+    else:
+        dir_a = result.gradient / grad_norm
     dir_b = rng.standard_normal(len(flat))
     alphas, betas, losses = probes.loss_plane_slice(
         task.spec, flat, task.train, dir_a, dir_b, slice_cfg.extent, slice_cfg.n_points)

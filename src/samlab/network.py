@@ -44,9 +44,19 @@ Every entry point takes one parameter vector or a stack of K of them: a
 `ParameterVector` or a (P,) array gives scalar results, a (K, P) array
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
 is how a sweep's runs step in lockstep, how training evaluates them each
-epoch and how the probes evaluate their independent points. Each of these
-callers stacks at most `rows_per_call(spec, batch)` rows, so one stacked
-activation stays within STACK_ELEMENTS (512 KiB) unless it is a single row.
+epoch and how the probes evaluate their independent points. The stacking
+budget is applied here: `optimizers.lockstep`'s live bound and each
+chunked caller's `passes` are `rows_per_call(spec, batch)` rows, so one
+stacked activation stays within STACK_ELEMENTS (512 KiB) unless it is a
+single row. Where one row's would pass it, a loss-only call (`forward`,
+`loss_and_accuracy`) runs its batch in blocks of rows (`_loss_only`) and
+reduces its loss once over the whole batch, as one pass would. A gradient
+call never splits (its weight gradient sums the batch rows inside BLAS),
+so only a one-row gradient call can pass the budget. A block gets one
+pass's bytes where BLAS rounds each row of a product alike whatever the
+product's row count. The bundled OpenBLAS does so on the bench's shapes,
+but not on every shape: 3,000 rows through 128 tanh units into 10 classes
+lose the last bit of their cross-entropy in blocks.
 Every array then has a leading row axis: weights (K, fan_in, fan_out),
 activations (K, n, width), and the shared features broadcast against them.
 Matmuls and sums run over the trailing axes, and numpy computes each row of
@@ -184,6 +194,13 @@ def rows_per_call(spec: ModelSpec, batch) -> int:
     if isinstance(spec, QuadraticSpec):
         return max(1, STACK_ELEMENTS // len(spec.diag))
     return max(1, STACK_ELEMENTS // (batch.features.shape[0] * max(spec.widths)))
+
+
+def passes(spec: ModelSpec, batch, n: int) -> list:
+    """The row slices of the stacked calls that evaluate n points on `batch`,
+    `rows_per_call(spec, batch)` rows each but the last."""
+    k = rows_per_call(spec, batch)
+    return [slice(i, min(i + k, n)) for i in range(0, n, k)]
 
 
 @functools.lru_cache
@@ -464,40 +481,43 @@ def _labelled(a: np.ndarray, batch: CheckedBatch) -> np.ndarray:
     return a.reshape(a.shape[:-2] + (-1,)).take(batch.index, axis=-1)
 
 
-def _mean_square(residual: np.ndarray):
-    """The mean of the squared residuals (..., n, out), over the last two
-    axes; np.add.reduce(v) / v.size is np.mean's own arithmetic, without its
-    overhead, and each row's sum runs over one contiguous row."""
-    n, n_classes = residual.shape[-2:]
-    squares = residual ** 2
-    return np.add.reduce(squares.reshape(residual.shape[:-2] + (-1,)), axis=-1) / (n * n_classes)
+def _mean_loss(spec: MlpSpec, terms: np.ndarray):
+    """The head's mean loss from every example's terms (`_loss_terms`): a
+    float, or a (K,) array for a stack. np.add.reduce(v) / v.size is
+    np.mean's own arithmetic, without its overhead, and each row's sum runs
+    over one contiguous row."""
+    if spec.head == "softmax_ce":
+        return _finite_loss(spec, -(np.add.reduce(terms, axis=-1) / terms.shape[-1]))
+    n, n_classes = terms.shape[-2:]
+    return _finite_loss(spec, np.add.reduce(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
+                        / (n * n_classes))
 
 
-def _head_loss(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch):
-    """Mean loss of the head on a checked batch: a float, or for stacked
-    logits (K, n, out) a (K,) array, one mean per row.
+def _loss_terms(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> np.ndarray:
+    """Each example's terms of the head's mean loss on a checked batch: its
+    log-probability at its label (..., n) under softmax_ce, its squared
+    residuals (..., n, out) under mse.
 
-    The loss reads only each example's log-probability at its label, so only
-    those n are formed: the label's shifted logit less the log of the sum,
-    the same subtraction on the same operands as `_head`'s full
-    log-probabilities, so the same bytes.
+    Only the n picked log-probabilities are formed: the label's shifted
+    logit less the log of the sum, the same subtraction on the same operands
+    as `_head`'s full log-probabilities, so the same bytes.
     """
     if spec.head == "softmax_ce":
         shifted, log_sum = _softmax_parts(logits)
         picked = _labelled(shifted, batch)
         picked -= log_sum.reshape(picked.shape)
-        return _finite_loss(spec, -(np.add.reduce(picked, axis=-1) / logits.shape[-2]))
-    return _finite_loss(spec, _mean_square(logits - batch.one_hot))
+        return picked
+    return (logits - batch.one_hot) ** 2
 
 
 def _head(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
-    """Mean loss of the head, as `_head_loss`, and its gradient w.r.t. the
+    """Mean loss of the head, as `_mean_loss`, and its gradient w.r.t. the
     logits."""
     n, n_classes = logits.shape[-2:]
     if spec.head == "softmax_ce":
         log_probs, log_sum = _softmax_parts(logits)
         log_probs -= log_sum
-        loss = _finite_loss(spec, -(np.add.reduce(_labelled(log_probs, batch), axis=-1) / n))
+        loss = _mean_loss(spec, _labelled(log_probs, batch))
         # p - one_hot: each label's entry less 1.0, every other entry less
         # 0.0, which leaves its bytes as they are.
         probs = np.exp(log_probs)
@@ -505,7 +525,55 @@ def _head(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
         probs /= n
         return loss, probs
     residual = logits - batch.one_hot
-    return _finite_loss(spec, _mean_square(residual)), (2.0 / (n * n_classes)) * residual
+    return _mean_loss(spec, residual ** 2), (2.0 / (n * n_classes)) * residual
+
+
+# A block of batch rows holds a multiple of this many rows. OpenBLAS's dgemm
+# kernels compute a product's rows in groups of up to 16, and a row's
+# rounding can depend on its place in its group.
+_BLOCK_UNIT = 16
+
+
+def _row_blocks(n: int, size: int) -> list:
+    """Slices of n > size batch rows in consecutive blocks of `size` rows, a
+    multiple of _BLOCK_UNIT. A last block of one row takes _BLOCK_UNIT rows
+    from the block before (all of a one-unit block): numpy sends a one-row
+    product to gemv, which rounds otherwise than gemm's own last row."""
+    cuts = list(range(0, n, size)) + [n]
+    if n - cuts[-2] == 1:
+        cuts[-2] -= _BLOCK_UNIT
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _loss_only(spec: MlpSpec, flat: np.ndarray, w_bound: float, batch: CheckedBatch,
+               hits: bool) -> tuple:
+    """The mean loss of a loss-only call on a checked batch, and each
+    example's argmax hit (..., n) if `hits` (else None).
+
+    Where the call's stacked activation (rows x batch rows x widest layer)
+    would pass STACK_ELEMENTS, the batch runs in consecutive blocks of as
+    many rows as fit (`_row_blocks`), each a set of views of the checked
+    batch with its label index shifted. The blocks' loss terms and hits are
+    collected in row order and the loss is reduced once over the whole
+    batch, so blocking adds no rounding of its own.
+    """
+    n = batch.features.shape[0]
+    fit = STACK_ELEMENTS // ((len(flat) if flat.ndim == 2 else 1) * max(spec.widths))
+    if fit >= n:
+        logits = _pass(spec, flat, w_bound, batch)[2]
+        return (_mean_loss(spec, _loss_terms(spec, logits, batch)),
+                np.argmax(logits, axis=-1) == batch.labels if hits else None)
+    terms, hit = [], []
+    for rows in _row_blocks(n, max(_BLOCK_UNIT, fit - fit % _BLOCK_UNIT)):
+        block = batch._replace(features=batch.features[rows], labels=batch.labels[rows],
+                               index=batch.index[rows] - rows.start * spec.out_width,
+                               one_hot=batch.one_hot[rows])
+        logits = _pass(spec, flat, w_bound, block)[2]
+        terms.append(_loss_terms(spec, logits, block))
+        if hits:
+            hit.append(np.argmax(logits, axis=-1) == block.labels)
+    terms = np.concatenate(terms, axis=-1 if spec.head == "softmax_ce" else -2)
+    return _mean_loss(spec, terms), np.concatenate(hit, axis=-1) if hits else None
 
 
 def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:
@@ -525,8 +593,7 @@ def forward(spec: ModelSpec, params, batch):
     flat, bound = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat).value
-    _, _, logits = _pass(spec, flat, bound, batch)
-    return _per_row(flat, _head_loss(spec, logits, batch))
+    return _per_row(flat, _loss_only(spec, flat, bound, batch, False)[0])
 
 
 def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
@@ -565,6 +632,5 @@ def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:
     _require_mlp(spec, "loss_and_accuracy")
     batch = check_batch(spec, batch)
     flat, bound = _check_params(spec, params)
-    _, _, logits = _pass(spec, flat, bound, batch)
-    return (_per_row(flat, _head_loss(spec, logits, batch)),
-            _per_row(flat, _accuracy(logits, batch.labels)))
+    loss, hits = _loss_only(spec, flat, bound, batch, True)
+    return _per_row(flat, loss), _per_row(flat, np.mean(hits, axis=-1))

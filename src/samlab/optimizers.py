@@ -22,7 +22,7 @@ and counts them in its `StepReport`. `step` answers each point with
 `network.loss_and_grad`. `step_rows` steps K runs: one by `step`, several
 in `lockstep`, which the probes' ascents share: it answers the pending
 points with one `network.loss_and_grad` call on their stacked rows per
-round, at most `network.rows_per_call` runs live at once. A run
+round, with as many runs live as network's stacking budget allows. A run
 leaves the rounds when its step ends (sgd after one point, a flat batch's
 sam_ga ascent early), and each run keeps its own state, momentum buffer and
 direction stream, so a lockstep step is byte for byte the runs' single
@@ -268,7 +268,7 @@ def _stack(points) -> np.ndarray:
     return points[0][None, :] if len(points) == 1 else np.array(points)
 
 
-def lockstep(model_spec, batch, generators, width: Optional[int] = None) -> list:
+def lockstep(model_spec, batch, generators) -> list:
     """Run point generators together on one batch; returns what each returns,
     in the order given.
 
@@ -277,19 +277,18 @@ def lockstep(model_spec, batch, generators, width: Optional[int] = None) -> list
     round answers every live generator's pending point with one call per
     kind, `network.loss_and_grad` and `network.forward`, on the stacked
     points (a lone point is a stack of one). A generator leaves the rounds
-    when it returns; at most `width` are live at once (all if None), and the
-    next one is started, and so builds its points, only when a place is
-    free. Rows are evaluated independently, so every answer is byte for byte
-    the call on its point alone.
+    when it returns; at most `network.rows_per_call(model_spec, batch)` are
+    live at once, and the next one is started, and so builds its points,
+    only when a place is free. Rows are evaluated independently, so every
+    answer is byte for byte the call on its point alone.
     """
-    if width is not None and width < 1:  # no generator could ever start
-        raise ValueError(f"lockstep width must be >= 1 or None, got {width}")
     batch = network.check_batch(model_spec, batch)  # once, not per round
+    width = network.rows_per_call(model_spec, batch)
     queue = enumerate(generators)
     results = {}
     live = []  # [index, generator, pending point]
     while True:
-        while width is None or len(live) < width:
+        while len(live) < width:
             entry = next(queue, None)
             if entry is None:
                 break
@@ -330,15 +329,13 @@ def step_rows(model_spec, rows: np.ndarray, batch, configs, states):
 
     One run is stepped by `step`, called as a global so that a rebound
     `optimizers.step` (the bench's tracer) sees each one-run step. Several
-    advance in one `lockstep`, at most `network.rows_per_call(model_spec,
-    batch)` at once, so a flat-batch fallback or an early-stopped ascent
-    changes only its own row.
+    advance in one `lockstep`, so a flat-batch fallback or an early-stopped
+    ascent changes only its own row.
     """
     if len(rows) == 1:
         new, report = step(model_spec, rows[0], batch, configs[0], states[0])
         return new[None, :], [report]
     results = lockstep(model_spec, batch,
                        [step_points(row, config, state)
-                        for row, config, state in zip(rows, configs, states)],
-                       width=network.rows_per_call(model_spec, batch))
+                        for row, config, state in zip(rows, configs, states)])
     return _stack([new for new, _ in results]), [report for _, report in results]

@@ -18,11 +18,11 @@ The probes evaluate the loss at many independent points (a slice's grid, the
 average direction's samples, the worst-direction ascents), and they evaluate
 them as stacked rows: up to K points per `network.forward` or
 `network.loss_and_grad` call, each row byte for byte the call on its point
-alone. K is `network.rows_per_call`, so one stacked activation stays within
-the kernel's budget of 512 KiB: 4 points for a 500-row batch through 32
-units, 1 (one point a call) for a 1000-row batch through 128. Points are
-built one chunk at a time in the order the one-point loops drew them, never
-all at once, and the worst direction's ascents advance in `lockstep` with at
+alone. K comes from the kernel's 512 KiB stacking budget: 4 points for a
+500-row batch through 32 units, 1 (one point a call) for a 1000-row batch
+through 128. The slice and the average direction build each of the passes
+`network.passes` cuts in the order the one-point loops drew its points,
+and the worst direction's ascents advance in `lockstep`, which keeps at
 most K live, so the extra memory is about K points and their activations.
 """
 
@@ -112,12 +112,11 @@ def loss_average_direction(model_spec, params: np.ndarray, batch, rho: float,
     params = np.asarray(params, dtype=np.float64)
     batch = network.check_batch(model_spec, batch)
     losses = np.empty(n_samples, dtype=np.float64)
-    chunk = network.rows_per_call(model_spec, batch)
-    for start in range(0, n_samples, chunk):
-        rows = np.empty((min(chunk, n_samples - start), params.shape[0]))
+    for cut in network.passes(model_spec, batch, n_samples):
+        rows = np.empty((cut.stop - cut.start, params.shape[0]))
         for row in rows:
             np.add(params, rho * sample_unit_direction(params.shape[0], rng), out=row)
-        losses[start:start + len(rows)] = network.forward(model_spec, rows, batch)
+        losses[cut] = network.forward(model_spec, rows, batch)
     mean = float(np.mean(losses))
     stderr = float(np.std(losses, ddof=1) / np.sqrt(n_samples))
     return mean, stderr, n_samples
@@ -164,8 +163,8 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     is a visited point of the first ascent whenever the gradient vanishes,
     and otherwise the first-order start dominates it in practice; we still
     clamp against the center explicitly to make the lower bound exact. The
-    ascents run in `lockstep`, at most `network.rows_per_call` at once, each
-    starting point drawn only when its ascent starts. `base` is
+    ascents run in `lockstep`, each starting point drawn only when its
+    ascent starts. `base` is
     `network.loss_and_grad` at w, if the caller already has it.
     """
     if restarts < 1:
@@ -189,8 +188,7 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
             yield radius * sample_unit_direction(dim, rng)
 
     ascents = (_ascent(params, rho, inner_steps, start) for start in starts())
-    width = network.rows_per_call(model_spec, batch)
-    for ascent_best in lockstep(model_spec, batch, ascents, width=width):
+    for ascent_best in lockstep(model_spec, batch, ascents):
         best = max(best, ascent_best)
     return best
 
@@ -239,9 +237,7 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
     grid_alphas = np.repeat(alphas, n_points)[:, None]
     grid_betas = np.tile(betas, n_points)[:, None]
     losses = np.empty(n_points * n_points, dtype=np.float64)
-    chunk = network.rows_per_call(model_spec, batch)
-    for start in range(0, losses.size, chunk):
-        cells = slice(start, start + chunk)
+    for cells in network.passes(model_spec, batch, losses.size):
         rows = (params + grid_alphas[cells] * a) + grid_betas[cells] * b
         losses[cells] = network.forward(model_spec, rows, batch)
     return alphas, betas, losses.reshape(n_points, n_points)

@@ -139,6 +139,26 @@ def test_idx_train_fraction_is_rejected_only_beside_a_test_set(tmp_path):
         DatasetConfig(**alone, train_fraction=0.8)
 
 
+def test_idx_seed_is_rejected_only_beside_a_test_set_and_no_label_noise(tmp_path):
+    """With its own test files and no label noise, `build_dataset` never
+    reads an idx set's seed."""
+    paths = {}
+    for key in ("images", "labels", "test_images", "test_labels"):
+        (tmp_path / key).touch()  # the config checks only that each is a file
+        paths[key] = str(tmp_path / key)
+    with_test = dict(paths, generator="idx")
+    with pytest.raises(ConfigError, match="dataset key 'seed' is not read by an idx dataset "
+                                          "with 'test_images' and 'test_labels' and no label"):
+        parse_config(dict(RAW, dataset=dict(with_test, seed=3), label_noise_fraction=0.0))
+    assert parse_config(dict(RAW, dataset=dict(with_test, seed=3))).dataset == \
+        DatasetConfig(**with_test, seed=3)  # RAW's label noise reads it
+    assert parse_config(dict(RAW, dataset=dict(with_test, seed=0),
+                             label_noise_fraction=0.0)).dataset == DatasetConfig(**with_test)
+    alone = {"generator": "idx", "images": paths["images"], "labels": paths["labels"]}
+    assert parse_config(dict(RAW, dataset=dict(alone, seed=3),
+                             label_noise_fraction=0.0)).dataset == DatasetConfig(**alone, seed=3)
+
+
 @pytest.mark.parametrize("kind, key", [
     ("sgd", "rho"), ("sam", "ga_steps"), ("rand_sam", "ga_steps"), ("sgd", "ga_steps"),
 ])
@@ -524,22 +544,41 @@ def test_data_is_prepared_once_per_call_in_the_calling_process(tmp_path, monkeyp
 # --- stacking budget ------------------------------------------------------------
 
 def _record_stack_sizes(monkeypatch):
-    """Wrap the kernel's evaluation entry points to record, per call, (rows,
-    rows x batch rows x widest layer); a vector is one row."""
-    sizes = []
+    """Wrap the kernel's evaluation entry points and its forward pass to
+    record, per pass, (entry point, rows, rows x pass batch rows x widest
+    layer); a vector is one row. A loss-only call over the budget makes one
+    pass per block of batch rows."""
+    sizes, calls = [], []
+
+    def recorded(spec, flat, w_bound, batch, _f=network._pass):
+        rows = len(flat) if flat.ndim == 2 else 1
+        sizes.append((calls[-1], rows, rows * batch.features.shape[0] * max(spec.widths)))
+        return _f(spec, flat, w_bound, batch)
+    monkeypatch.setattr(network, "_pass", recorded)
     for name in ("forward", "loss_and_grad", "loss_and_accuracy"):
-        def sized(spec, params, batch, _f=getattr(network, name)):
-            rows = len(params) if getattr(params, "ndim", 1) == 2 else 1
-            sizes.append((rows, rows * batch.features.shape[0] * max(spec.widths)))
-            return _f(spec, params, batch)
-        monkeypatch.setattr(network, name, sized)
+        def entry(spec, params, batch, _f=getattr(network, name), _name=name):
+            calls.append(_name)
+            try:
+                return _f(spec, params, batch)
+            finally:
+                calls.pop()
+        monkeypatch.setattr(network, name, entry)
     return sizes
+
+
+def _over_budget(sizes, budget):
+    """The recorded passes above `budget` that the budget allows none of:
+    only a one-row gradient call may pass it, since a gradient call never
+    splits its batch rows."""
+    return [(name, rows, n) for name, rows, n in sizes
+            if n > budget and (rows > 1 or name != "loss_and_grad")]
 
 
 def test_every_stacked_kernel_call_keeps_to_the_budget(tmp_path, monkeypatch):
     """A compare of 5 runs on 500 train and 1,500 test rows, then a probe and
-    a slice of one of its checkpoints: every kernel call holds at most
-    network.STACK_ELEMENTS activation elements, or is a single row."""
+    a slice of one of its checkpoints: every kernel pass holds at most
+    network.STACK_ELEMENTS activation elements, or is a one-row gradient
+    call."""
     cfg = small_config(dataset=DatasetConfig(generator="two_moons", n=2000, noise_sd=0.2,
                                              seed=5, train_fraction=0.25),
                        model=ModelConfig(kind="mlp", hidden=(32,)), epochs=1, batch_size=32,
@@ -548,8 +587,27 @@ def test_every_stacked_kernel_call_keeps_to_the_budget(tmp_path, monkeypatch):
     emit_outputs(tmp_path, compare_optimizers(cfg, _sweep()))
     probe_checkpoint(tmp_path / "checkpoints" / "sam_seed1.ckpt", cfg)
     harness.slice_checkpoint(tmp_path / "checkpoints" / "sam_seed1.ckpt", cfg)
-    assert [(rows, n) for rows, n in sizes if rows > 1 and n > network.STACK_ELEMENTS] == []
-    assert {1, 4, 5} <= {rows for rows, _ in sizes}  # 5 runs a step, 4 probe points a call
+    assert _over_budget(sizes, network.STACK_ELEMENTS) == []
+    assert {1, 4, 5} <= {rows for _, rows, _ in sizes}  # 5 runs a step, 4 probe points a call
+
+
+def test_loss_only_calls_keep_to_the_budget_on_a_wide_split(tmp_path, monkeypatch):
+    """A [128, 128] model on 1,000 train and 3,000 test rows: one row of the
+    test split is 5.9 times network.STACK_ELEMENTS, so every loss-only call
+    runs in blocks of 512 batch rows, and only the one-row gradient calls on
+    the train split (the probes' and the slice's) pass the budget."""
+    cfg = small_config(dataset=DatasetConfig(generator="two_moons", n=4000, noise_sd=0.2,
+                                             seed=5, train_fraction=0.25),
+                       model=ModelConfig(kind="mlp", hidden=(128, 128)), epochs=1,
+                       batch_size=100, seeds=(1,),
+                       probe=ProbeConfig(rho=0.05, restarts=1, inner_steps=2, n_samples=2),
+                       slice_plane=harness.SliceConfig(n_points=2))
+    sizes = _record_stack_sizes(monkeypatch)
+    emit_outputs(tmp_path, compare_optimizers(cfg, _sweep()[:2]))
+    harness.slice_checkpoint(tmp_path / "checkpoints" / "sam_seed1.ckpt", cfg)
+    assert _over_budget(sizes, network.STACK_ELEMENTS) == []
+    assert ("loss_and_accuracy", 1, 512 * 128) in sizes
+    assert ("loss_and_grad", 1, 1000 * 128) in sizes
 
 
 @pytest.mark.parametrize("budget, k", [(2 * 20 * 6, 2), (3 * 60 * 6, 3)],
@@ -566,8 +624,8 @@ def test_compare_under_a_tight_budget_equals_one_suite_per_optimizer(tmp_path, m
     sizes = _record_stack_sizes(monkeypatch)
     emit_outputs(tmp_path / "tight", compare_optimizers(cfg, sweep))
     assert _output_bytes(tmp_path / "tight") == _output_bytes(tmp_path / "alone")
-    assert [(rows, n) for rows, n in sizes if rows > 1 and n > budget] == []
-    assert k in {rows for rows, _ in sizes}
+    assert _over_budget(sizes, budget) == []
+    assert k in {rows for _, rows, _ in sizes}
 
 
 # --- aggregation --------------------------------------------------------------

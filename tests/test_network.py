@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from samlab import harness, network
@@ -207,6 +207,70 @@ def test_gradient_peak_heap_in_stacked_activations(case):
     finally:
         tracemalloc.stop()
     assert peak / (rows * n * max(widths) * 8) <= PEAK_ACTIVATIONS[case]
+
+
+def test_wide_loss_only_call_peak_heap_keeps_to_the_budget():
+    """One warm `loss_and_accuracy` on train_wide's 3,000-row test split
+    through [128, 128] runs in blocks of 512 batch rows, so its traced peak
+    stays within 4 budgets (STACK_ELEMENTS x 8 bytes); one whole pass held
+    12.2."""
+    spec = MlpSpec(16, (128, 128), 8, "tanh", "mse")
+    rng = np.random.default_rng(5)
+    params = network.init_params(spec, rng).data
+    batch = network.check_batch(spec, Dataset(rng.standard_normal((3000, 16)),
+                                              rng.integers(0, 8, 3000), 8))
+    network.loss_and_accuracy(spec, params, batch)
+    tracemalloc.start()
+    try:
+        network.loss_and_accuracy(spec, params, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (network.STACK_ELEMENTS * 8) <= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(activation=st.sampled_from(network.ACTIVATIONS), head=st.sampled_from(network.HEADS),
+       widths=st.lists(st.integers(1, 40), min_size=1, max_size=3), n_classes=st.integers(2, 5),
+       stack=st.integers(0, 3), size=st.integers(16, 70), extra=st.integers(1, 90),
+       seed=st.integers(0, 2 ** 16))
+@example("relu", "softmax_ce", [2, 32], 2, 0, 16, 17, 1)  # a last row alone, one-unit blocks
+@example("tanh", "mse", [32, 9], 3, 2, 32, 33, 2)  # a last row alone, two-unit blocks
+@example("relu", "softmax_ce", [2, 32], 2, 0, 21, 40, 3)  # 21 rows fit: blocks of 16
+def test_blocked_loss_only_calls_equal_one_whole_pass(activation, head, widths, n_classes,
+                                                      stack, size, extra, seed):
+    """A loss-only call whose activations pass the budget runs its batch in
+    blocks of rows, and gets the bytes of one pass over the whole batch (the
+    budget raised), down to each logit: `size` rows fit, and `extra` more are
+    in the batch. Like the pins above, this holds for numpy's bundled
+    OpenBLAS, whose products at these sizes round each row alike whatever
+    their row count, once the blocks keep to its 16-row groups and leave no
+    row alone."""
+    spec = MlpSpec(widths[0], tuple(widths[1:]), n_classes, activation, head)
+    rng = np.random.default_rng(seed)
+    params = np.stack([network.init_params(spec, rng).data for _ in range(max(stack, 1))])
+    params = params if stack else params[0]
+    n = size + extra
+    batch = network.check_batch(spec, Dataset(rng.standard_normal((n, widths[0])),
+                                              rng.integers(0, n_classes, n), n_classes))
+
+    def results():
+        logits = []
+
+        def recorded(*args, _f=network._pass):
+            out = _f(*args)
+            logits.append(out[2])
+            return out
+        with mock.patch.object(network, "_pass", recorded):
+            loss, accuracy = network.loss_and_accuracy(spec, params, batch)
+        return [np.asarray(v).tobytes() for v in (np.concatenate(logits, axis=-2), loss, accuracy,
+                                                  network.forward(spec, params, batch))]
+
+    with mock.patch.object(network, "STACK_ELEMENTS", max(stack, 1) * size * max(spec.widths)):
+        blocked = results()
+    with mock.patch.object(network, "STACK_ELEMENTS", 2 ** 62):
+        whole = results()
+    assert blocked == whole
 
 
 # (hidden widths, rows) per pin case size. A "wide" hidden layer and its

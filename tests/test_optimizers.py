@@ -382,23 +382,31 @@ def test_lockstep_answers_a_lone_point_as_a_stack_of_one(monkeypatch):
     assert shapes == [(2, rows.shape[1])] + [(1, rows.shape[1])] * 3
 
 
-@pytest.mark.parametrize("width", [0, -1])
-def test_lockstep_width_below_one_raises_before_any_generator_starts(width):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lockstep_keeps_at_most_rows_per_call_generators_live(k, force_rows_per_call):
     spec, batch, _, rows = _lockstep_case()
-    started = []
+    force_rows_per_call(spec, batch, k)
+    live, seen = set(), []
 
-    def one_point(k):
-        started.append(k)
-        yield rows[k]
+    def points(i):
+        live.add(i)
+        seen.append(len(live))
+        for _ in range(1 + i % 3):
+            yield rows[i % len(rows)]
+        live.discard(i)
+        return i
 
-    with pytest.raises(ValueError, match="width must be >= 1"):
-        optimizers.lockstep(spec, batch, [one_point(0), one_point(1)], width=width)
-    assert started == []
+    assert optimizers.lockstep(spec, batch, [points(i) for i in range(7)]) == list(range(7))
+    assert max(seen) == k
 
 
+# None: the budget as it is, which stacks every point of this batch.
 @pytest.mark.parametrize("width", [None, 1, 2])
-def test_lockstep_generator_that_returns_before_yielding_keeps_its_slot(width):
+def test_lockstep_generator_that_returns_before_yielding_keeps_its_slot(width,
+                                                                        force_rows_per_call):
     spec, batch, _, rows = _lockstep_case()
+    if width is not None:
+        force_rows_per_call(spec, batch, width)
 
     def no_point(value):
         return value
@@ -409,7 +417,7 @@ def test_lockstep_generator_that_returns_before_yielding_keeps_its_slot(width):
         return value
 
     results = optimizers.lockstep(
-        spec, batch, [no_point("a"), one_point(0), no_point("b"), one_point(2)], width=width)
+        spec, batch, [no_point("a"), one_point(0), no_point("b"), one_point(2)])
     assert results == ["a", network.loss_and_grad(spec, rows[0], batch).value,
                        "b", network.loss_and_grad(spec, rows[2], batch).value]
 

@@ -373,11 +373,6 @@ def stacked_case(activation, head, depth, rows=24):
     return spec, params, gen_two_moons(rows, 0.2, depth)
 
 
-def force_rows_per_call(monkeypatch, spec, batch, k):
-    monkeypatch.setattr(network, "STACK_ELEMENTS", k * batch.features.shape[0] * max(spec.widths))
-    assert network.rows_per_call(spec, batch) == k
-
-
 def hexes(values):
     return [v.hex() if isinstance(v, float) else v for v in values]
 
@@ -388,9 +383,9 @@ STACKED_SHAPES = [("relu", "softmax_ce", 0), ("tanh", "mse", 0), ("relu", "mse",
 
 
 @pytest.mark.parametrize("shape", STACKED_SHAPES, ids=lambda s: "-".join(map(str, s)))
-def test_stacked_probes_match_the_one_point_loops(shape, monkeypatch):
+def test_stacked_probes_match_the_one_point_loops(shape, force_rows_per_call):
     spec, params, batch = stacked_case(*shape)
-    force_rows_per_call(monkeypatch, spec, batch, K)
+    force_rows_per_call(spec, batch, K)
     for n_samples in (2, K - 1, K, K + 1, 2 * K + 3):
         got = loss_average_direction(spec, params, batch, 0.1, n_samples, seed=n_samples)
         want = oracle_average_direction(spec, params, batch, 0.1, n_samples, seed=n_samples)
@@ -408,9 +403,9 @@ def test_stacked_probes_match_the_one_point_loops(shape, monkeypatch):
 
 @pytest.mark.parametrize("shape", STACKED_SHAPES[:2] + STACKED_SHAPES[-1:],
                          ids=lambda s: "-".join(map(str, s)))
-def test_stacked_report_matches_the_one_point_loops(shape, monkeypatch):
+def test_stacked_report_matches_the_one_point_loops(shape, monkeypatch, force_rows_per_call):
     spec, params, batch = stacked_case(*shape)
-    force_rows_per_call(monkeypatch, spec, batch, K)
+    force_rows_per_call(spec, batch, K)
     cfg = ProbeConfig(rho=0.05, restarts=K, inner_steps=4, n_samples=2 * K + 3)
     got = build_report(spec, params, batch, cfg, seed=3, test_loss=0.5)
     with monkeypatch.context() as patched:
@@ -456,7 +451,7 @@ def test_rows_per_call_of_the_bench_shapes():
     assert network.rows_per_call(MlpSpec(16, (128, 128), 8, "tanh", "mse"), wide) == 1
 
 
-def test_flat_ascent_leaves_its_lockstep_alone(monkeypatch):
+def test_flat_ascent_leaves_its_lockstep_alone(monkeypatch, force_rows_per_call):
     """Dead relu units and a balanced batch make w flat, and a start that
     moves no output bias stays flat: that ascent stops at its start while
     the others, stacked beside it, run every step."""
@@ -471,7 +466,7 @@ def test_flat_ascent_leaves_its_lockstep_alone(monkeypatch):
     starts.insert(1, flat_start)
     want = hexes([oracle_ascend(spec, params, batch, 0.05, 5, s) for s in starts])
     counts = count_rows(monkeypatch)
-    got = optimizers.lockstep(spec, batch, (probes._ascent(params, 0.05, 5, s) for s in starts),
-                              width=3)
+    force_rows_per_call(spec, batch, 3)
+    got = optimizers.lockstep(spec, batch, (probes._ascent(params, 0.05, 5, s) for s in starts))
     assert hexes(got) == want
     assert counts["forward"] + counts["loss_and_grad"] == 1 + 3 * (5 + 1)
