@@ -27,10 +27,10 @@ from .data import (
 from .params import LayoutEntry, ParameterVector, validate_layout
 from .harness import (
     DatasetConfig, ModelConfig, ExperimentConfig, RunRecord,
-    parse_config, load_config, config_hash, build_dataset, Task, prepare_task,
+    parse_config, load_config, build_dataset, Task, prepare_task,
     run_training, run_suite, compare_optimizers, probe_checkpoint, setup_process,
 )
-from .outputs import emit_outputs
+from .outputs import config_hash, emit_outputs
 from . import checkpoint
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ alone; each run's wall_seconds is the group's elapsed time divided by its
 run count.
 
 Config types and parsing live here too. The output files and every value
-they derive from a config are `samlab.outputs`' (`config_hash`,
-`emit_outputs` and `emit_slice` are also `harness.<name>`).
+they derive from a config are `samlab.outputs`' (`emit_outputs` and
+`emit_slice` are also `harness.<name>`).
 """
 
 import ctypes
@@ -39,8 +39,8 @@ import numpy as np
 from . import checkpoint as checkpoint_io
 from . import data as datamod
 from . import network, optimizers, probes
-from .errors import ConfigError, LayoutError
-from .outputs import config_hash, emit_outputs, emit_slice  # noqa: F401  (also harness.<name>)
+from .errors import ConfigError, LayoutError, SamLabError
+from .outputs import emit_outputs, emit_slice  # noqa: F401  (also harness.<name>)
 from .params import ParameterVector
 from .vecops import l2_norm
 
@@ -480,14 +480,15 @@ def _single(config: ExperimentConfig, opt) -> ExperimentConfig:
 def train_group(task: Task, config: ExperimentConfig, seed: int) -> list:
     """One RunRecord or FailedRun per optimizer of `config.optimizer_sweep`
     on `seed`, in sweep order, trained in lockstep. A sweep of one, or a
-    group in which anything raises, runs each optimizer alone by
+    group that raises a SamLabError, runs each optimizer alone by
     `run_training`: a failing run becomes its own FailedRun, with the error
-    it gives alone, and every other run keeps its bytes."""
+    it gives alone, and every other run keeps its bytes. Any other error is
+    a fault of the group path, so it propagates."""
     sweep = config.optimizer_sweep
     if len(sweep) > 1:
         try:
             return _train(task, config, sweep, seed)
-        except Exception:  # run alone, each run tells its own error
+        except SamLabError:  # run alone, each run tells its own error
             pass
     outcomes = []
     for opt in sweep:

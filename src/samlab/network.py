@@ -49,10 +49,12 @@ budget is applied here: `optimizers.lockstep`'s live bound and each
 chunked caller's `passes` are `rows_per_call(spec, batch)` rows, so one
 stacked activation stays within STACK_ELEMENTS (512 KiB) unless it is a
 single row. Where one row's would pass it, a loss-only call (`forward`,
-`loss_and_accuracy`) runs its batch in blocks of rows (`_loss_only`) and
-reduces its loss once over the whole batch, as one pass would. A gradient
-call never splits (its weight gradient sums the batch rows inside BLAS),
-so only a one-row gradient call can pass the budget. A block gets one
+`loss_and_accuracy`, `accuracy`) runs its batch in blocks of rows
+(`_loss_only`) and reduces its loss once over the whole batch, as one pass
+would; every loss-only call checks that loss, so `accuracy` raises
+`NumericError(head)` where the loss is not finite. A gradient call never
+splits (its weight gradient sums the batch rows inside BLAS), so only a
+one-row gradient call can pass the budget. A block gets one
 pass's bytes where BLAS rounds each row of a product alike whatever the
 product's row count. The bundled OpenBLAS does so on the bench's shapes,
 but not on every shape: 3,000 rows through 128 tanh units into 10 classes
@@ -86,8 +88,8 @@ keeps the straight-line forms: one numpy call where a method wrapper
 (`.all()`, `.sum`) or a copy plus a call would do the same, a vector sliced
 without `...`, and no row axis for one vector. At the probes' shapes (4
 stacked rows on 500 examples) a call's time goes on whole passes over its
-activations instead, so a loss-only call (`forward`, `loss_and_accuracy`)
-normalises only each example's picked log-probability, not all of them.
+activations instead, so a loss-only call normalises only each example's
+picked log-probability, not all of them.
 
 Outputs are byte-stable, and the kernel keeps two rules so that a faster form
 of a step cannot move a byte. A reduction keeps numpy's own summation order
@@ -614,17 +616,11 @@ def _require_mlp(spec: ModelSpec, where: str) -> None:
         raise ShapeError(where, "an MLP spec", "QuadraticSpec")
 
 
-def _accuracy(logits: np.ndarray, labels):
-    return np.mean(np.argmax(logits, axis=-1) == labels, axis=-1)
-
-
 def accuracy(spec: MlpSpec, params, batch):
     """Fraction of batch examples whose argmax output matches the label: a
-    float, or a (K,) array for a stack."""
+    float, or a (K,) array for a stack: `loss_and_accuracy`'s second value."""
     _require_mlp(spec, "accuracy")
-    batch = check_batch(spec, batch)
-    flat, bound = _check_params(spec, params)
-    return _per_row(flat, _accuracy(_pass(spec, flat, bound, batch)[2], batch.labels))
+    return loss_and_accuracy(spec, params, batch)[1]
 
 
 def loss_and_accuracy(spec: MlpSpec, params, batch) -> tuple:

@@ -16,12 +16,12 @@ from samlab import checkpoint, fileio, harness, network, optimizers, outputs, pr
 from samlab.errors import ConfigError, LayoutError, SamLabError
 from samlab.harness import (
     DatasetConfig, ExperimentConfig, ModelConfig, RunRecord, build_dataset,
-    compare_optimizers, config_hash, parse_config, prepare_task, probe_checkpoint,
+    compare_optimizers, parse_config, prepare_task, probe_checkpoint,
     run_suite, run_training,
 )
 from samlab.optimizers import OptimizerConfig
 from samlab.outputs import (
-    emit_outputs, emit_slice, run_row, summary, RUNS_CSV_COLUMNS,
+    config_hash, emit_outputs, emit_slice, run_row, summary, RUNS_CSV_COLUMNS,
 )
 from samlab.probes import ProbeConfig, SharpnessReport
 
@@ -502,6 +502,19 @@ def test_lockstep_failing_run_fails_alone(tmp_path):
     emit_outputs(tmp_path / "alone", alone)
     emit_outputs(tmp_path / "lockstep", lockstep)
     assert _output_bytes(tmp_path / "lockstep") == _output_bytes(tmp_path / "alone")
+
+
+def test_lockstep_group_programming_error_propagates(monkeypatch):
+    """Only a SamLabError sends a group's runs to train alone: any other
+    error is a fault of the group path and raises, rather than hide behind
+    runs retrained alone with the same bytes."""
+    def broken(model_spec, batch, generators):
+        raise TypeError("lockstep() got an unexpected keyword argument")
+
+    monkeypatch.setattr(optimizers, "lockstep", broken)
+    cfg = small_config(optimizer_sweep=tuple(_sweep()[:3]))
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        harness.train_group(prepare_task(cfg), cfg, 1)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -209,24 +209,35 @@ def test_gradient_peak_heap_in_stacked_activations(case):
     assert peak / (rows * n * max(widths) * 8) <= PEAK_ACTIVATIONS[case]
 
 
-def test_wide_loss_only_call_peak_heap_keeps_to_the_budget():
-    """One warm `loss_and_accuracy` on train_wide's 3,000-row test split
-    through [128, 128] runs in blocks of 512 batch rows, so its traced peak
-    stays within 4 budgets (STACK_ELEMENTS x 8 bytes); one whole pass held
-    12.2."""
+def _wide_loss_only_peak_budgets(evaluate) -> float:
+    """The traced peak heap of one warm `evaluate` on train_wide's 3,000-row
+    test split through [128, 128], in budgets (STACK_ELEMENTS x 8 bytes)."""
     spec = MlpSpec(16, (128, 128), 8, "tanh", "mse")
     rng = np.random.default_rng(5)
     params = network.init_params(spec, rng).data
     batch = network.check_batch(spec, Dataset(rng.standard_normal((3000, 16)),
                                               rng.integers(0, 8, 3000), 8))
-    network.loss_and_accuracy(spec, params, batch)
+    evaluate(spec, params, batch)
     tracemalloc.start()
     try:
-        network.loss_and_accuracy(spec, params, batch)
+        evaluate(spec, params, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (network.STACK_ELEMENTS * 8) <= 4
+    return peak / (network.STACK_ELEMENTS * 8)
+
+
+def test_wide_loss_only_call_peak_heap_keeps_to_the_budget():
+    """One warm `loss_and_accuracy` on that split runs in blocks of 512
+    batch rows, so its traced peak stays within 4 budgets; one whole pass
+    held 12.2."""
+    assert _wide_loss_only_peak_budgets(network.loss_and_accuracy) <= 4
+
+
+def test_wide_accuracy_peak_heap_keeps_to_the_budget():
+    """`accuracy` is `loss_and_accuracy`'s second value, so it runs in the
+    same blocks; its own whole pass held 12.2 budgets."""
+    assert _wide_loss_only_peak_budgets(network.accuracy) <= 4
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,7 +275,8 @@ def test_blocked_loss_only_calls_equal_one_whole_pass(activation, head, widths, 
         with mock.patch.object(network, "_pass", recorded):
             loss, accuracy = network.loss_and_accuracy(spec, params, batch)
         return [np.asarray(v).tobytes() for v in (np.concatenate(logits, axis=-2), loss, accuracy,
-                                                  network.forward(spec, params, batch))]
+                                                  network.forward(spec, params, batch),
+                                                  network.accuracy(spec, params, batch))]
 
     with mock.patch.object(network, "STACK_ELEMENTS", max(stack, 1) * size * max(spec.widths)):
         blocked = results()
@@ -911,7 +923,7 @@ def test_proof_keeps_the_verdict_and_bytes_of_scanning_every_layer(activation, h
         rows = np.ldexp(rng.standard_normal((2, spec.param_count)), w_exp)
         batch = Dataset(np.ldexp(rng.standard_normal((7, 3)), x_exp), rng.integers(0, 3, 7), 3)
     calls = [(evaluate, points) for evaluate in (network.forward, network.loss_and_grad,
-                                                 network.loss_and_accuracy)
+                                                 network.loss_and_accuracy, network.accuracy)
              for points in (rows[0], rows)]
     proven = [_bytes(_outcome(evaluate, spec, points, batch)) for evaluate, points in calls]
     with mock.patch.object(network, "_SCAN_FROM", 0.0):
