@@ -117,8 +117,8 @@ class DatasetConfig:
                 raise ConfigError("gaussian_blobs needs >= 2 'centers' of one dimension >= 1")
         if self.n < 2:
             raise ConfigError(f"n must be >= 2, got {self.n}")
-        if self.seed < 0:
-            raise ConfigError(f"dataset seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed <= _U64:
+            raise ConfigError(f"dataset seed must be in [0, 2**64), got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.noise_sd < 0 or self.center_sd < 0:
@@ -198,6 +198,10 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("duplicate seeds")
+        # `_subseed` keeps a seed's low 64 bits, so any other seed would alias one.
+        for seed in self.seeds:
+            if not 0 <= seed <= _U64:
+                raise ConfigError(f"run seed must be in [0, 2**64), got {seed}")
         labels = [opt.label for opt in self.optimizer_sweep]
         for label in labels:
             if labels.count(label) > 1:
@@ -304,7 +308,7 @@ def load_config(path: Union[str, Path]) -> dict:
             return json.load(fh, object_pairs_hook=_json_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:  # undecodable bytes or invalid JSON
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, invalid or too deep JSON
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 

@@ -45,16 +45,18 @@ Every entry point takes one parameter vector or a stack of K of them: a
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
 is how a sweep's runs step in lockstep, how training evaluates them each
 epoch and how the probes evaluate their independent points. The stacking
-budget is applied here: `optimizers.lockstep`'s live bound and each
-chunked caller's `passes` are `rows_per_call(spec, batch)` rows, so one
-stacked activation stays within STACK_ELEMENTS (512 KiB) unless it is a
-single row. Where one row's would pass it, a loss-only call (`forward`,
-`loss_and_accuracy`, `accuracy`) runs its batch in blocks of rows
+budget is one rule. Callers stack at most `rows_per_call(spec, batch)`
+rows (`optimizers.lockstep`'s live bound and each chunked caller's
+`passes`), so one stacked activation stays within STACK_ELEMENTS (512 KiB)
+unless it is a single row. `network` splits only a batch whose single
+row's activation would pass the budget, in blocks of batch rows sized by
+the model alone (`row_fit`), never by the stack height: a loss-only call
+(`forward`, `loss_and_accuracy`, `accuracy`) runs such a batch in blocks
 (`_loss_only`) and reduces its loss once over the whole batch, as one pass
 would; every loss-only call checks that loss, so `accuracy` raises
 `NumericError(head)` where the loss is not finite. A gradient call never
 splits (its weight gradient sums the batch rows inside BLAS), so only a
-one-row gradient call can pass the budget. A block gets one
+one-row gradient call can pass the budget. A blocked call gets one
 pass's bytes where BLAS rounds each row of a product alike whatever the
 product's row count. The bundled OpenBLAS does so on the bench's shapes,
 but not on every shape: 3,000 rows through 128 tanh units into 10 classes
@@ -188,14 +190,21 @@ ModelSpec = Union[MlpSpec, QuadraticSpec]
 STACK_ELEMENTS = 2 ** 16
 
 
+def row_fit(spec: MlpSpec) -> int:
+    """How many batch rows one parameter row's activations may take within
+    STACK_ELEMENTS: STACK_ELEMENTS // widest layer. It reads the budget at
+    each call, never a cached value, so a changed budget holds at once."""
+    return STACK_ELEMENTS // max(spec.widths)
+
+
 def rows_per_call(spec: ModelSpec, batch) -> int:
     """How many parameter rows one stacked call may take on `batch`: K =
-    STACK_ELEMENTS // (batch rows x widest layer), at least 1, so a single
-    row is never split. A quadratic has no activations, so its rows
-    themselves are counted."""
+    `row_fit(spec)` // batch rows, at least 1, so a single row is never
+    split. A quadratic has no activations, so its rows themselves are
+    counted."""
     if isinstance(spec, QuadraticSpec):
         return max(1, STACK_ELEMENTS // len(spec.diag))
-    return max(1, STACK_ELEMENTS // (batch.features.shape[0] * max(spec.widths)))
+    return max(1, row_fit(spec) // batch.features.shape[0])
 
 
 def passes(spec: ModelSpec, batch, n: int) -> list:
@@ -552,24 +561,23 @@ def _loss_only(spec: MlpSpec, flat: np.ndarray, w_bound: float, batch: CheckedBa
     """The mean loss of a loss-only call on a checked batch, and each
     example's argmax hit (..., n) if `hits` (else None).
 
-    Where the call's stacked activation (rows x batch rows x widest layer)
-    would pass STACK_ELEMENTS, the batch runs in consecutive blocks of as
-    many rows as fit (`_row_blocks`), each a set of views of the checked
-    batch with its label index shifted. The blocks' loss terms and hits are
-    collected in row order and the loss is reduced once over the whole
-    batch, so blocking adds no rounding of its own.
+    Where one parameter row's activation (batch rows x widest layer) would
+    pass STACK_ELEMENTS, the batch runs in consecutive blocks of as many
+    rows as fit (`row_fit`, `_row_blocks`), each a `take_rows` of the
+    checked batch. The block size reads the model alone, never the stack
+    height, so each stacked row is cut as its lone call is. The blocks'
+    loss terms and hits are collected in row order and the loss is reduced
+    once over the whole batch, so blocking adds no rounding of its own.
     """
     n = batch.features.shape[0]
-    fit = STACK_ELEMENTS // ((len(flat) if flat.ndim == 2 else 1) * max(spec.widths))
+    fit = row_fit(spec)
     if fit >= n:
         logits = _pass(spec, flat, w_bound, batch)[2]
         return (_mean_loss(spec, _loss_terms(spec, logits, batch)),
                 np.argmax(logits, axis=-1) == batch.labels if hits else None)
     terms, hit = [], []
     for rows in _row_blocks(n, max(_BLOCK_UNIT, fit - fit % _BLOCK_UNIT)):
-        block = batch._replace(features=batch.features[rows], labels=batch.labels[rows],
-                               index=batch.index[rows] - rows.start * spec.out_width,
-                               one_hot=batch.one_hot[rows])
+        block = take_rows(batch, rows)
         logits = _pass(spec, flat, w_bound, block)[2]
         terms.append(_loss_terms(spec, logits, block))
         if hits:

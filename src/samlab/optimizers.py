@@ -22,7 +22,9 @@ and counts them in its `StepReport`. `step` answers each point with
 `network.loss_and_grad`. `step_rows` steps K runs: one by `step`, several
 in `lockstep`, which the probes' ascents share: it answers the pending
 points with one `network.loss_and_grad` call on their stacked rows per
-round, with as many runs live as network's stacking budget allows. A run
+round, with at most `network.rows_per_call` runs live, so each stacked
+call keeps to network's budget (network splits only a batch whose single
+row would pass it, in blocks sized by the model alone). A run
 leaves the rounds when its step ends (sgd after one point, a flat batch's
 sam_ga ascent early), and each run keeps its own state, momentum buffer and
 direction stream, so a lockstep step is byte for byte the runs' single

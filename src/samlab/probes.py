@@ -18,12 +18,15 @@ The probes evaluate the loss at many independent points (a slice's grid, the
 average direction's samples, the worst-direction ascents), and they evaluate
 them as stacked rows: up to K points per `network.forward` or
 `network.loss_and_grad` call, each row byte for byte the call on its point
-alone. K comes from the kernel's 512 KiB stacking budget: 4 points for a
-500-row batch through 32 units, 1 (one point a call) for a 1000-row batch
-through 128. The slice and the average direction build each of the passes
-`network.passes` cuts in the order the one-point loops drew its points,
-and the worst direction's ascents advance in `lockstep`, which keeps at
-most K live, so the extra memory is about K points and their activations.
+alone. K is `network.rows_per_call`, from the kernel's 512 KiB stacking
+budget: 4 points for a 500-row batch through 32 units, 1 (one point a call)
+for a 1000-row batch through 128. Callers stack at most K points;
+`network` splits only a batch whose single point would pass the budget, in
+blocks sized by the model alone. The slice and the average direction build
+each of the passes `network.passes` cuts in the order the one-point loops
+drew its points, and the worst direction's ascents advance in `lockstep`,
+which keeps at most K live, so the extra memory is about K points and their
+activations.
 """
 
 import math

@@ -54,6 +54,16 @@ def test_seeds_flag_overrides_config(tmp_path):
     assert [r["seed"] for r in rows] == ["11", "12", "13"]
 
 
+@pytest.mark.parametrize("seeds", ["-1", "1,18446744073709551617"])
+def test_seeds_flag_outside_64_bits_exits_2_before_out_dir(tmp_path, capsys, seeds):
+    config = write_config(tmp_path)
+    out = tmp_path / "out"
+    code = cli.main(["train", "--config", str(config), "--out", str(out), f"--seeds={seeds}"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: config: run seed must be in [0, 2**64)")
+    assert not out.exists()
+
+
 def test_compare_emits_one_summary_row_per_optimizer(tmp_path):
     config = write_config(tmp_path)
     out = tmp_path / "out"

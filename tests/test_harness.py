@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from samlab import checkpoint, fileio, harness, network, optimizers, outputs, probes
+from samlab import checkpoint, cli, fileio, harness, network, optimizers, outputs, probes
 from samlab.errors import ConfigError, LayoutError, SamLabError
 from samlab.harness import (
     DatasetConfig, ExperimentConfig, ModelConfig, RunRecord, build_dataset,
@@ -206,7 +206,13 @@ def test_duplicate_seeds_rejected():
      r"config\.dataset\.centers\[1\] must be a list"),
     (dict(RAW, probe=dict(RAW["probe"], rho=0.0)), "config.probe: rho must be > 0"),
     (dict(RAW, model=[6]), "config.model must be an object"),
-], ids=["int_field", "sweep_entry", "huge_int", "tuple_item", "post_init", "object"])
+    # Runs derive their streams from a seed's low 64 bits, so 1 + 2**64 would train run 1.
+    (dict(RAW, seeds=[1, 1 + 2 ** 64]), r"config: run seed must be in \[0, 2\*\*64\)"),
+    (dict(RAW, seeds=[-1]), r"config: run seed must be in \[0, 2\*\*64\), got -1"),
+    (dict(RAW, dataset=dict(RAW["dataset"], seed=2 ** 64)),
+     r"config\.dataset: dataset seed must be in \[0, 2\*\*64\)"),
+], ids=["int_field", "sweep_entry", "huge_int", "tuple_item", "post_init", "object",
+        "run_seed_2_64_alias", "negative_run_seed", "dataset_seed_2_64"])
 def test_bad_value_error_names_its_path(raw, path):
     with pytest.raises(ConfigError, match=path):
         parse_config(raw)
@@ -229,6 +235,17 @@ def test_load_config_rejects_a_repeated_key_naming_it(tmp_path):
     path.write_text('{"seeds": [1], "probe": {"rho": 0.05, "rho": 0.1}}')
     with pytest.raises(ConfigError, match="key 'rho' is given more than once"):
         harness.load_config(path)
+
+
+def test_too_deeply_nested_config_exits_2_with_one_error_line(tmp_path, capsys):
+    """json.load raises RecursionError past its nesting limit; the CLI
+    reports it as a bad config, not with a traceback."""
+    path = tmp_path / "config.json"
+    path.write_text("[" * 200_000)
+    assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_config_hash_stable_and_ignores_out_dir_and_seeds():

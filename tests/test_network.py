@@ -240,6 +240,15 @@ def test_wide_accuracy_peak_heap_keeps_to_the_budget():
     assert _wide_loss_only_peak_budgets(network.accuracy) <= 4
 
 
+def _assert_rows_match_lone_calls(spec, params, batch):
+    """Each row of the stack `params` gets the `forward` and
+    `loss_and_accuracy` bytes of its lone call."""
+    stacked = (network.forward(spec, params, batch), *network.loss_and_accuracy(spec, params, batch))
+    for k, row in enumerate(params):
+        lone = (network.forward(spec, row, batch), *network.loss_and_accuracy(spec, row, batch))
+        assert [float(v[k]).hex() for v in stacked] == [v.hex() for v in lone]
+
+
 @settings(max_examples=60, deadline=None)
 @given(activation=st.sampled_from(network.ACTIVATIONS), head=st.sampled_from(network.HEADS),
        widths=st.lists(st.integers(1, 40), min_size=1, max_size=3), n_classes=st.integers(2, 5),
@@ -250,13 +259,15 @@ def test_wide_accuracy_peak_heap_keeps_to_the_budget():
 @example("relu", "softmax_ce", [2, 32], 2, 0, 21, 40, 3)  # 21 rows fit: blocks of 16
 def test_blocked_loss_only_calls_equal_one_whole_pass(activation, head, widths, n_classes,
                                                       stack, size, extra, seed):
-    """A loss-only call whose activations pass the budget runs its batch in
-    blocks of rows, and gets the bytes of one pass over the whole batch (the
-    budget raised), down to each logit: `size` rows fit, and `extra` more are
-    in the batch. Like the pins above, this holds for numpy's bundled
-    OpenBLAS, whose products at these sizes round each row alike whatever
-    their row count, once the blocks keep to its 16-row groups and leave no
-    row alone."""
+    """A loss-only call whose single row's activations pass the budget runs
+    its batch in blocks of rows, and gets the bytes of one pass over the
+    whole batch (the budget raised), down to each logit: `size` rows of one
+    parameter row fit, and `extra` more are in the batch. The blocks are
+    sized by the model alone, so a stack of 2-3 rows blocks as one row does,
+    and each stacked row gets its lone call's bytes. Like the pins above,
+    this holds for numpy's bundled OpenBLAS, whose products at these sizes
+    round each row alike whatever their row count, once the blocks keep to
+    its 16-row groups and leave no row alone."""
     spec = MlpSpec(widths[0], tuple(widths[1:]), n_classes, activation, head)
     rng = np.random.default_rng(seed)
     params = np.stack([network.init_params(spec, rng).data for _ in range(max(stack, 1))])
@@ -278,11 +289,31 @@ def test_blocked_loss_only_calls_equal_one_whole_pass(activation, head, widths, 
                                                   network.forward(spec, params, batch),
                                                   network.accuracy(spec, params, batch))]
 
-    with mock.patch.object(network, "STACK_ELEMENTS", max(stack, 1) * size * max(spec.widths)):
+    with mock.patch.object(network, "STACK_ELEMENTS", size * max(spec.widths)):
+        assert network.row_fit(spec) == size
         blocked = results()
+        if stack:
+            _assert_rows_match_lone_calls(spec, params, batch)
     with mock.patch.object(network, "STACK_ELEMENTS", 2 ** 62):
         whole = results()
     assert blocked == whole
+
+
+def test_stacked_rows_of_a_wide_input_get_their_lone_calls_bytes():
+    """A stack of 3 rows through a 784-64-10 tanh model on 1,000 pixel-like
+    rows gets, row by row, the `forward` and `loss_and_accuracy` bytes of the
+    lone call: one row's activations pass the budget, and the blocks are
+    sized by the model, not by the stack height. Blocks sized by the stack
+    height (16 rows at K = 3 against 80 alone) move row 0's loss by one bit
+    with the bundled OpenBLAS; on a BLAS that rounds rows alike whatever the
+    block size, this test would pass with such blocks too."""
+    spec = MlpSpec(784, (64,), 10, "tanh", "softmax_ce")
+    rng = np.random.default_rng(0)
+    batch = network.check_batch(spec, Dataset(rng.random((1000, 784)),
+                                              rng.integers(0, 10, 1000), 10))
+    params = np.stack([network.init_params(spec, rng).data for _ in range(3)])
+    assert network.row_fit(spec) < 1000  # one row already blocks
+    _assert_rows_match_lone_calls(spec, params, batch)
 
 
 # (hidden widths, rows) per pin case size. A "wide" hidden layer and its
