@@ -9,7 +9,9 @@ Layout on disk, all integers little-endian:
     payload   total float64 values, little-endian
 
 The JSON header keeps the file self-describing: a checkpoint can be probed
-without the config that produced it.
+without the config that produced it. `load` coerces no header value: the
+total, each offset and each dim must be JSON integers (not bools), each
+shape a list and each name a string, or the file is a CheckpointError.
 """
 
 import json
@@ -44,6 +46,20 @@ def save(path: Union[str, Path], vector: ParameterVector) -> None:
         fh.write(payload)
 
 
+def _integer(value) -> int:
+    """A JSON integer as it is: a bool, float or string is not coerced."""
+    if type(value) is not int:
+        raise TypeError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _entry(item) -> LayoutEntry:
+    name, shape = item["name"], item["shape"]
+    if not isinstance(name, str) or not isinstance(shape, list):
+        raise TypeError(f"expected a string name and a list shape, got {name!r}, {shape!r}")
+    return LayoutEntry(name, tuple(_integer(s) for s in shape), _integer(item["offset"]))
+
+
 def load(path: Union[str, Path]) -> ParameterVector:
     try:
         with open(path, "rb") as fh:
@@ -68,12 +84,8 @@ def load(path: Union[str, Path]) -> ParameterVector:
                           expected=header_len, found=len(header_bytes))
     try:
         header = json.loads(bytes(header_bytes).decode("utf-8"))
-        total = int(header["total"])
-        layout = tuple(
-            LayoutEntry(name=item["name"], shape=tuple(int(s) for s in item["shape"]),
-                        offset=int(item["offset"]))
-            for item in header["layout"]
-        )
+        total = _integer(header["total"])
+        layout = tuple(_entry(item) for item in header["layout"])
     except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     if any(s < 0 for entry in layout for s in entry.shape):

@@ -12,8 +12,8 @@ so bad data fails the call before any run; pool workers inherit it.
 `compare_optimizers` trains a sweep's runs of each seed, which share their
 init and minibatch order, as one group (`train_group`): one
 `optimizers.step_rows` call steps all its runs (several in lockstep), and
-each epoch evaluates them in the stacked passes `network.passes` cuts for
-each split. `run_training` is the group of one
+after the last epoch one evaluation scores them in the stacked passes
+`network.passes` cuts for each split. `run_training` is the group of one
 and `run_suite` a compare of one. A group's runs get the bytes they get
 alone; each run's wall_seconds is the group's elapsed time divided by its
 run count.
@@ -366,9 +366,6 @@ class RunRecord:
 
     seed: int
     optimizer_label: str  # names the checkpoint file
-    train_losses: list
-    test_losses: list
-    test_accuracies: list
     final_train_loss: float
     final_test_loss: float
     final_test_accuracy: float
@@ -396,7 +393,7 @@ class SuiteResult:
 
 
 def require_trainable(config: ExperimentConfig) -> None:
-    """Training needs an MLP: every epoch reports the test accuracy, which a
+    """Training needs an MLP: a run reports its final test accuracy, which a
     quadratic model has not. A quadratic checkpoint can still be probed and
     sliced."""
     if config.model.kind != "mlp":
@@ -422,11 +419,12 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
 
     The runs share the task, the init and the minibatch order (all derive
     from the config and the seed), so they step together on K parameter
-    rows, one `optimizers.step_rows` call a minibatch. A run's grad_evals is
-    the sum of its StepReports' counts. Each run keeps its own optimizer
-    state and direction stream, and its bytes are those of the same run
-    trained alone. Each run's wall_seconds is the group's elapsed time
-    divided by K.
+    rows, one `optimizers.step_rows` call a minibatch. One `_evaluate` after
+    the last epoch (at init when `epochs` is 0) gives the final losses and
+    accuracies. A run's grad_evals is the sum of its StepReports' counts.
+    Each run keeps its own optimizer state and direction stream, and its
+    bytes are those of the same run trained alone. Each run's wall_seconds
+    is the group's elapsed time divided by K.
     """
     started = time.perf_counter()
     spec = task.spec
@@ -438,14 +436,11 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
 
     rows = np.tile(params.data, (len(sweep), 1))
     grad_evals = [0] * len(sweep)
-    curves = []
     for epoch in range(config.epochs):
         for batch in datamod.minibatches(task.train, config.batch_size, shuffle_seed, epoch):
             rows, reports = optimizers.step_rows(spec, rows, batch, sweep, states)
             grad_evals = [n + report.grad_evals for n, report in zip(grad_evals, reports)]
-        curves.append(_evaluate(spec, rows, task.train, task.test))
-    final_train, final_test, final_accuracy = (
-        curves[-1] if curves else _evaluate(spec, rows, task.train, task.test))
+    final_train, final_test, final_accuracy = _evaluate(spec, rows, task.train, task.test)
 
     records = []
     for k, opt in enumerate(sweep):
@@ -454,9 +449,6 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
         records.append(RunRecord(
             seed=seed,
             optimizer_label=opt.label,
-            train_losses=[curve[0][k] for curve in curves],
-            test_losses=[curve[1][k] for curve in curves],
-            test_accuracies=[curve[2][k] for curve in curves],
             final_train_loss=final_train[k],
             final_test_loss=final_test[k],
             final_test_accuracy=final_accuracy[k],

@@ -43,10 +43,10 @@ to +-1 and relu a -inf to 0, so a check after the activation would not do.
 Every entry point takes one parameter vector or a stack of K of them: a
 `ParameterVector` or a (P,) array gives scalar results, a (K, P) array
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
-is how a sweep's runs step in lockstep, how training evaluates them each
-epoch and how the probes evaluate their independent points. The stacking
-budget is one rule. Callers stack at most `rows_per_call(spec, batch)`
-rows (`optimizers.lockstep`'s live bound and each chunked caller's
+is how a sweep's runs step in lockstep, how training evaluates them after
+its last epoch and how the probes evaluate their independent points. The
+stacking budget is one rule. Callers stack at most `rows_per_call(spec,
+batch)` rows (`optimizers.lockstep`'s live bound and each chunked caller's
 `passes`), so one stacked activation stays within STACK_ELEMENTS (512 KiB)
 unless it is a single row. `network` splits only a batch whose single
 row's activation would pass the budget, in blocks of batch rows sized by

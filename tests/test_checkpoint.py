@@ -121,10 +121,17 @@ def test_missing_file_is_structured_error(tmp_path):
     b"{not json",
     b"{}",                   # no "total"
     b'{"total":"x"}',
+    # {"total":2,"layout":[{"name":"w","offset":0,"shape":[2]}]} loads; each
+    # row below garbles one of its values, which must not be coerced
+    b'{"total":2,"layout":[{"name":"w","offset":0,"shape":"2"}]}',
+    b'{"total":2.9,"layout":[{"name":"w","offset":0,"shape":[2.5]}]}',
+    b'{"total":2,"layout":[{"name":"w","offset":false,"shape":[true,2]}]}',
+    b'{"total":2,"layout":[{"name":7,"offset":0,"shape":[2]}]}',
 ])
 def test_garbled_header_is_checkpoint_error(tmp_path, header):
     path = tmp_path / "garbled.ckpt"
-    path.write_bytes(checkpoint.MAGIC + struct.pack("<II", 1, len(header)) + header)
+    payload = struct.pack("<2d", 1.0, 2.0)
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<II", 1, len(header)) + header + payload)
     with pytest.raises(CheckpointError):
         checkpoint.load(path)
 

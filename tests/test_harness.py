@@ -313,28 +313,36 @@ def test_run_training_deterministic():
 def test_run_training_zero_epochs_probes_init():
     cfg = small_config(epochs=0)
     record = run_training(prepare_task(cfg), cfg, 1)
-    assert record.train_losses == []
-    assert record.test_losses == []
     assert record.grad_evals == 0
     assert np.isfinite(record.report.base_loss)
     assert np.isfinite(record.final_test_accuracy)
 
 
-def test_test_split_curves_match_forward_and_accuracy():
+def test_final_values_match_forward_and_accuracy():
     cfg = small_config(epochs=2)
     record = run_training(prepare_task(cfg), cfg, 1)
     task = prepare_task(cfg)
     flat = record.final_params.data
-    assert record.test_losses[-1].hex() == network.forward(task.spec, flat, task.test).hex()
-    assert record.test_accuracies[-1].hex() == network.accuracy(task.spec, flat, task.test).hex()
+    assert record.final_train_loss.hex() == network.forward(task.spec, flat, task.train).hex()
+    assert record.final_test_loss.hex() == network.forward(task.spec, flat, task.test).hex()
+    assert record.final_test_accuracy.hex() == \
+        network.loss_and_accuracy(task.spec, flat, task.test)[1].hex()
 
 
-def test_series_lengths_equal_epochs():
-    cfg = small_config(epochs=3)
-    record = run_training(prepare_task(cfg), cfg, 2)
-    assert len(record.train_losses) == 3
-    assert len(record.test_losses) == 3
-    assert len(record.test_accuracies) == 3
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_run_is_evaluated_once_after_its_last_epoch(monkeypatch, epochs):
+    cfg = small_config(epochs=epochs)
+    task = prepare_task(cfg)
+    calls = []
+    kernel = network.loss_and_accuracy
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(network, "loss_and_accuracy", counted)
+    run_training(task, cfg, 1)
+    assert len(calls) == len(network.passes(task.spec, task.test, 1))
 
 
 def test_grad_eval_accounting_all_optimizers():
@@ -493,8 +501,8 @@ def test_lockstep_compare_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
     assert _output_bytes(tmp_path / "lockstep") == _output_bytes(tmp_path / "alone")
     for a, b in zip(alone, lockstep):
         for x, y in zip(a.records, b.records):
-            assert (x.train_losses, x.test_losses, x.test_accuracies) == \
-                (y.train_losses, y.test_losses, y.test_accuracies)
+            assert (x.final_train_loss, x.final_test_loss, x.final_test_accuracy) == \
+                (y.final_train_loss, y.final_test_loss, y.final_test_accuracy)
             assert x.report == y.report
 
 
@@ -669,8 +677,7 @@ def fabricate_record(seed, value):
     from samlab.params import LayoutEntry, ParameterVector
     vec = ParameterVector(np.zeros(1), (LayoutEntry("coords", (1,), 0),))
     return RunRecord(
-        seed=seed, optimizer_label="sgd", train_losses=[value], test_losses=[value],
-        test_accuracies=[value], final_train_loss=value, final_test_loss=value,
+        seed=seed, optimizer_label="sgd", final_train_loss=value, final_test_loss=value,
         final_test_accuracy=value, report=report, grad_evals=1,
         wall_seconds=0.0, final_params=vec)
 
