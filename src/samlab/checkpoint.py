@@ -90,10 +90,10 @@ def load(path: Union[str, Path]) -> ParameterVector:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
     if any(s < 0 for entry in layout for s in entry.shape):
         raise CheckpointError("negative dimension in checkpoint layout")
-    if validate_layout(layout) != total:
+    described = validate_layout(layout)
+    if described != total:
         raise CheckpointError(
-            f"checkpoint header declares {total} values but the layout "
-            f"describes {validate_layout(layout)}")
+            f"checkpoint header declares {total} values but the layout describes {described}")
     payload = rest[header_len:]
     if len(payload) < total * 8:
         raise LengthError("truncated checkpoint payload",

@@ -12,11 +12,12 @@ so bad data fails the call before any run; pool workers inherit it.
 `compare_optimizers` trains a sweep's runs of each seed, which share their
 init and minibatch order, as one group (`train_group`): one
 `optimizers.step_rows` call steps all its runs (several in lockstep), and
-after the last epoch one evaluation scores them in the stacked passes
-`network.passes` cuts for each split. `run_training` is the group of one
-and `run_suite` a compare of one. A group's runs get the bytes they get
-alone; each run's wall_seconds is the group's elapsed time divided by its
-run count.
+after the last epoch the stacked passes `network.passes` cuts score them on
+the test split. The train split is evaluated once per run, by its probes:
+the report's base loss is the run's final train loss. `run_training` is the
+group of one and `run_suite` a compare of one. A group's runs get the bytes
+they get alone; each run's wall_seconds is the group's elapsed time divided
+by its run count.
 
 Config types and parsing live here too. The output files and every value
 they derive from a config are `samlab.outputs`' (`emit_outputs` and
@@ -362,11 +363,11 @@ def prepare_task(config: ExperimentConfig) -> Task:
 @dataclass
 class RunRecord:
     """What one run measured. The runs.csv columns its config states
-    (`outputs.run_row`) are read from its suite's config, not kept here."""
+    (`outputs.run_row`) are read from its suite's config, not kept here,
+    and its final train loss is `report.base_loss`."""
 
     seed: int
     optimizer_label: str  # names the checkpoint file
-    final_train_loss: float
     final_test_loss: float
     final_test_accuracy: float
     report: probes.SharpnessReport
@@ -401,27 +402,17 @@ def require_trainable(config: ExperimentConfig) -> None:
                           "(a quadratic model can be probed and sliced, not trained)")
 
 
-def _evaluate(spec, rows, train_batch, test_batch) -> tuple:
-    """(train losses, test losses, test accuracies) of every row, as lists:
-    stacked passes over each split, as `network.passes` cuts them."""
-    def passes(kernel, batch):
-        return [kernel(spec, rows[cut], batch) for cut in network.passes(spec, batch, len(rows))]
-
-    test = passes(network.loss_and_accuracy, test_batch)
-    return (np.concatenate(passes(network.forward, train_batch)).tolist(),
-            np.concatenate([losses for losses, _ in test]).tolist(),
-            np.concatenate([accuracies for _, accuracies in test]).tolist())
-
-
 def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
     """Train one run per optimizer of `sweep` on `seed` and probe each final
     point; raises if anything fails.
 
     The runs share the task, the init and the minibatch order (all derive
     from the config and the seed), so they step together on K parameter
-    rows, one `optimizers.step_rows` call a minibatch. One `_evaluate` after
-    the last epoch (at init when `epochs` is 0) gives the final losses and
-    accuracies. A run's grad_evals is the sum of its StepReports' counts.
+    rows, one `optimizers.step_rows` call a minibatch. After the last epoch
+    (at init when `epochs` is 0), stacked passes over the test split give
+    the final test losses and accuracies. The train split is evaluated only
+    by `probes.build_report`, whose base loss is the final train loss. A
+    run's grad_evals is the sum of its StepReports' counts.
     Each run keeps its own optimizer state and direction stream, and its
     bytes are those of the same run trained alone. Each run's wall_seconds
     is the group's elapsed time divided by K.
@@ -440,7 +431,9 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
         for batch in datamod.minibatches(task.train, config.batch_size, shuffle_seed, epoch):
             rows, reports = optimizers.step_rows(spec, rows, batch, sweep, states)
             grad_evals = [n + report.grad_evals for n, report in zip(grad_evals, reports)]
-    final_train, final_test, final_accuracy = _evaluate(spec, rows, task.train, task.test)
+    test = [network.loss_and_accuracy(spec, rows[cut], task.test)
+            for cut in network.passes(spec, task.test, len(rows))]
+    final_test, final_accuracy = (np.concatenate(values).tolist() for values in zip(*test))
 
     records = []
     for k, opt in enumerate(sweep):
@@ -449,7 +442,6 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
         records.append(RunRecord(
             seed=seed,
             optimizer_label=opt.label,
-            final_train_loss=final_train[k],
             final_test_loss=final_test[k],
             final_test_accuracy=final_accuracy[k],
             report=report,

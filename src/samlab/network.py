@@ -43,24 +43,24 @@ to +-1 and relu a -inf to 0, so a check after the activation would not do.
 Every entry point takes one parameter vector or a stack of K of them: a
 `ParameterVector` or a (P,) array gives scalar results, a (K, P) array
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
-is how a sweep's runs step in lockstep, how training evaluates them after
-its last epoch and how the probes evaluate their independent points. The
-stacking budget is one rule. Callers stack at most `rows_per_call(spec,
-batch)` rows (`optimizers.lockstep`'s live bound and each chunked caller's
-`passes`), so one stacked activation stays within STACK_ELEMENTS (512 KiB)
-unless it is a single row. `network` splits only a batch whose single
-row's activation would pass the budget, in blocks of batch rows sized by
-the model alone (`row_fit`), never by the stack height: a loss-only call
-(`forward`, `loss_and_accuracy`, `accuracy`) runs such a batch in blocks
-(`_loss_only`) and reduces its loss once over the whole batch, as one pass
-would; every loss-only call checks that loss, so `accuracy` raises
-`NumericError(head)` where the loss is not finite. A gradient call never
-splits (its weight gradient sums the batch rows inside BLAS), so only a
-one-row gradient call can pass the budget. A blocked call gets one
-pass's bytes where BLAS rounds each row of a product alike whatever the
-product's row count. The bundled OpenBLAS does so on the bench's shapes,
-but not on every shape: 3,000 rows through 128 tanh units into 10 classes
-lose the last bit of their cross-entropy in blocks.
+is how a sweep's runs step in lockstep, how training scores them on the
+test split after its last epoch and how the probes evaluate their
+independent points. The stacking budget is one rule. Callers stack at most
+`rows_per_call(spec, batch)` rows (`optimizers.lockstep`'s live bound and
+each chunked caller's `passes`), so one stacked activation stays within
+STACK_ELEMENTS (512 KiB) unless it is a single row. `network` splits only a
+batch whose single row's activation would pass the budget, in blocks of
+batch rows sized by the model alone (`row_fit`), never by the stack height:
+a loss-only call (`forward`, `loss_and_accuracy`, `accuracy`) runs such a
+batch in blocks (`_loss_only`) and reduces its loss once over the whole
+batch, as one pass would; every loss-only call checks that loss, so
+`accuracy` raises `NumericError(head)` where the loss is not finite. A
+gradient call never splits (its weight gradient sums the batch rows inside
+BLAS), so only a one-row gradient call can pass the budget. A blocked call
+gets one pass's bytes where BLAS rounds each row of a product alike
+whatever the product's row count. The bundled OpenBLAS does so on the
+bench's shapes, but not on every shape: 3,000 rows through 128 tanh units
+into 10 classes lose the last bit of their cross-entropy in blocks.
 Every array then has a leading row axis: weights (K, fan_in, fan_out),
 activations (K, n, width), and the shared features broadcast against them.
 Matmuls and sums run over the trailing axes, and numpy computes each row of

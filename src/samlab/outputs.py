@@ -77,7 +77,7 @@ def run_row(config, record) -> dict:
         "rho": 0.0 if opt.kind == optimizers.SGD else float(opt.rho),
         "ga_steps": {optimizers.SAM: 1, optimizers.SAM_GA: opt.ga_steps}.get(opt.kind, 0),
         "epochs": int(config.epochs),
-        "final_train_loss": float(record.final_train_loss),
+        "final_train_loss": float(report.base_loss),
         "final_test_loss": float(record.final_test_loss),
         "test_accuracy": float(record.final_test_accuracy),
         "l_asc": float(report.l_asc),

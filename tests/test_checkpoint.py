@@ -101,14 +101,22 @@ def test_non_finite_payload_rejected(tmp_path):
         checkpoint.load(path)
 
 
-def test_header_total_layout_mismatch(tmp_path):
+def test_header_total_layout_mismatch(tmp_path, monkeypatch):
     # hand-build a file whose header total disagrees with its layout
     header = b'{"layout":[{"name":"w","offset":0,"shape":[2]}],"total":3}'
     body = struct.pack("<3d", 1.0, 2.0, 3.0)
     path = tmp_path / "mismatch.ckpt"
     path.write_bytes(checkpoint.MAGIC + struct.pack("<II", 1, len(header)) + header + body)
-    with pytest.raises(CheckpointError):
+    calls = []
+
+    def counted(layout, _f=checkpoint.validate_layout):
+        calls.append(layout)
+        return _f(layout)
+    monkeypatch.setattr(checkpoint, "validate_layout", counted)
+    with pytest.raises(CheckpointError, match="^checkpoint header declares 3 values "
+                                              "but the layout describes 2$"):
         checkpoint.load(path)
+    assert len(calls) == 1
 
 
 def test_missing_file_is_structured_error(tmp_path):

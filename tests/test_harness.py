@@ -319,11 +319,15 @@ def test_run_training_zero_epochs_probes_init():
 
 
 def test_final_values_match_forward_and_accuracy():
+    """runs.csv's final_train_loss is the gradient kernel's loss at the
+    final weights, the probes' base loss; the test values are one-point
+    loss-only calls."""
     cfg = small_config(epochs=2)
     record = run_training(prepare_task(cfg), cfg, 1)
     task = prepare_task(cfg)
     flat = record.final_params.data
-    assert record.final_train_loss.hex() == network.forward(task.spec, flat, task.train).hex()
+    assert run_row(cfg, record)["final_train_loss"].hex() == \
+        network.loss_and_grad(task.spec, flat, task.train).value.hex()
     assert record.final_test_loss.hex() == network.forward(task.spec, flat, task.test).hex()
     assert record.final_test_accuracy.hex() == \
         network.loss_and_accuracy(task.spec, flat, task.test)[1].hex()
@@ -331,18 +335,40 @@ def test_final_values_match_forward_and_accuracy():
 
 @pytest.mark.parametrize("epochs", [0, 3])
 def test_run_is_evaluated_once_after_its_last_epoch(monkeypatch, epochs):
+    """After the last epoch the test split is scored in `network.passes`'
+    passes; outside `probes.build_report` no kernel call takes the whole
+    train split."""
     cfg = small_config(epochs=epochs)
     task = prepare_task(cfg)
-    calls = []
-    kernel = network.loss_and_accuracy
+    calls = []  # (kernel, split, whether inside build_report) of each call
+    in_report = []
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return kernel(*args, **kwargs)
+    def split(batch):
+        for name, whole in (("train", task.train), ("test", task.test)):
+            if np.array_equal(batch.features, whole.features):
+                return name
+        return "minibatch"
 
-    monkeypatch.setattr(network, "loss_and_accuracy", counted)
+    def counted(name, kernel):
+        def entry(spec, params, batch, *args, **kwargs):
+            calls.append((name, split(batch), bool(in_report)))
+            return kernel(spec, params, batch, *args, **kwargs)
+        return entry
+
+    def reporting(*args, _f=probes.build_report, **kwargs):
+        in_report.append(None)
+        try:
+            return _f(*args, **kwargs)
+        finally:
+            in_report.pop()
+
+    for name in ("forward", "loss_and_grad", "loss_and_accuracy", "accuracy"):
+        monkeypatch.setattr(network, name, counted(name, getattr(network, name)))
+    monkeypatch.setattr(probes, "build_report", reporting)
     run_training(task, cfg, 1)
-    assert len(calls) == len(network.passes(task.spec, task.test, 1))
+    assert [(name, where) for name, where, inside in calls if not inside and where != "minibatch"] \
+        == [("loss_and_accuracy", "test")] * len(network.passes(task.spec, task.test, 1))
+    assert ("loss_and_grad", "train", True) in calls
 
 
 def test_grad_eval_accounting_all_optimizers():
@@ -501,8 +527,8 @@ def test_lockstep_compare_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
     assert _output_bytes(tmp_path / "lockstep") == _output_bytes(tmp_path / "alone")
     for a, b in zip(alone, lockstep):
         for x, y in zip(a.records, b.records):
-            assert (x.final_train_loss, x.final_test_loss, x.final_test_accuracy) == \
-                (y.final_train_loss, y.final_test_loss, y.final_test_accuracy)
+            assert (x.final_test_loss, x.final_test_accuracy) == \
+                (y.final_test_loss, y.final_test_accuracy)
             assert x.report == y.report
 
 
@@ -653,17 +679,23 @@ def test_loss_only_calls_keep_to_the_budget_on_a_wide_split(tmp_path, monkeypatc
 def test_compare_under_a_tight_budget_equals_one_suite_per_optimizer(tmp_path, monkeypatch,
                                                                      budget, k):
     """The budget caps a lockstep step at 2 of the 5 runs (20-row minibatches
-    through 6 units), or each epoch's evaluation at 3 rows a pass (60-row
-    splits); the runs keep the bytes they get alone."""
+    through 6 units), or the final evaluation at 3 rows a pass (a 60-row
+    test split); the runs keep the bytes they get alone. At 2 runs a step a
+    loss-only call runs the 60-row train split in blocks, and runs.csv's
+    final_train_loss is still each report's base loss, byte for byte."""
     cfg = small_config(model=ModelConfig(kind="mlp", hidden=(6, 5)), epochs=3)
     sweep = _sweep()
     emit_outputs(tmp_path / "alone", [run_suite(harness._single(cfg, opt)) for opt in sweep])
     monkeypatch.setattr(network, "STACK_ELEMENTS", budget)
     sizes = _record_stack_sizes(monkeypatch)
-    emit_outputs(tmp_path / "tight", compare_optimizers(cfg, sweep))
+    tight = compare_optimizers(cfg, sweep)
+    emit_outputs(tmp_path / "tight", tight)
     assert _output_bytes(tmp_path / "tight") == _output_bytes(tmp_path / "alone")
     assert _over_budget(sizes, budget) == []
     assert k in {rows for _, rows, _ in sizes}
+    with open(tmp_path / "tight" / "runs.csv", newline="") as fh:
+        column = [row["final_train_loss"] for row in csv.DictReader(fh)]
+    assert column == [repr(run.report.base_loss) for suite in tight for run in suite.records]
 
 
 # --- aggregation --------------------------------------------------------------
@@ -677,7 +709,7 @@ def fabricate_record(seed, value):
     from samlab.params import LayoutEntry, ParameterVector
     vec = ParameterVector(np.zeros(1), (LayoutEntry("coords", (1,), 0),))
     return RunRecord(
-        seed=seed, optimizer_label="sgd", final_train_loss=value, final_test_loss=value,
+        seed=seed, optimizer_label="sgd", final_test_loss=value,
         final_test_accuracy=value, report=report, grad_evals=1,
         wall_seconds=0.0, final_params=vec)
 
