@@ -45,30 +45,25 @@ Every entry point takes one parameter vector or a stack of K of them: a
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
 is how a sweep's runs step in lockstep, how training scores them on the
 test split after its last epoch and how the probes evaluate their
-independent points. The stacking budget is one rule. Callers stack at most
-`rows_per_call(spec, batch)` rows (`optimizers.lockstep`'s live bound and
-each chunked caller's `passes`), so one stacked activation stays within
-STACK_ELEMENTS (512 KiB) unless it is a single row. `network` splits only a
-batch whose single row's activation would pass the budget, in blocks of
-batch rows sized by the model alone (`row_fit`), never by the stack height:
-a loss-only call (`forward`, `loss_and_accuracy`, `accuracy`) runs such a
-batch in blocks (`_loss_only`) and reduces its loss once over the whole
-batch, as one pass would; every loss-only call checks that loss, so
-`accuracy` raises `NumericError(head)` where the loss is not finite. A
-gradient call never splits (its weight gradient sums the batch rows inside
-BLAS), so only a one-row gradient call can pass the budget. A blocked call
-gets one pass's bytes where BLAS rounds each row of a product alike
-whatever the product's row count. The bundled OpenBLAS does so on the
-bench's shapes, but not on every shape: 3,000 rows through 128 tanh units
-into 10 classes lose the last bit of their cross-entropy in blocks.
-Every array then has a leading row axis: weights (K, fan_in, fan_out),
-activations (K, n, width), and the shared features broadcast against them.
-Matmuls and sums run over the trailing axes, and numpy computes each row of
-a stacked matmul with the BLAS call of the 2-D one, so row k of every result
-is byte for byte the call on row k alone, whatever K a caller picks. A
-vector still runs through the 2-D arrays, which cost less than a stack of
-one. A quadratic's rows take the same reductions over their last axis, so
-the probes' closed-form tests run their stacked path.
+independent points. Callers stack at most `rows_per_call(spec, batch)`
+rows (`optimizers.lockstep`'s live bound and each chunked caller's
+`passes`), so one stacked activation stays within STACK_ELEMENTS (512 KiB)
+unless it is a single row. In a stack every array has a leading row axis:
+weights (K, fan_in, fan_out), activations (K, n, width), and the shared
+features broadcast against them. Matmuls and sums run over the trailing
+axes, and numpy computes each row of a stacked matmul with the BLAS call of
+the 2-D one, so row k of every result is byte for byte the call on row k
+alone, whatever K a caller picks. A vector still runs through the 2-D
+arrays, which cost less than a stack of one. A quadratic's rows take the
+same reductions over their last axis, so the probes' closed-form tests run
+their stacked path.
+
+Every call is one pass over its whole batch, a single row's too. So the
+budget bounds only how many rows a caller stacks, and with each stacked row
+its lone call's bytes, no value of it can move an output byte. A loss-only
+call (`forward`, `loss_and_accuracy`, `accuracy`) gets `loss_and_grad`'s
+loss to the bit on every shape; it checks that loss, so `accuracy` raises
+`NumericError(head)` where the loss is not finite.
 
 Every array a call makes is its own and dies with the call, or is returned.
 No buffer is shared between calls, so several threads may call the kernel at
@@ -190,21 +185,22 @@ ModelSpec = Union[MlpSpec, QuadraticSpec]
 STACK_ELEMENTS = 2 ** 16
 
 
-def row_fit(spec: MlpSpec) -> int:
-    """How many batch rows one parameter row's activations may take within
-    STACK_ELEMENTS: STACK_ELEMENTS // widest layer. It reads the budget at
-    each call, never a cached value, so a changed budget holds at once."""
-    return STACK_ELEMENTS // max(spec.widths)
-
-
 def rows_per_call(spec: ModelSpec, batch) -> int:
     """How many parameter rows one stacked call may take on `batch`: K =
-    `row_fit(spec)` // batch rows, at least 1, so a single row is never
-    split. A quadratic has no activations, so its rows themselves are
-    counted."""
+    STACK_ELEMENTS // (widest layer x batch rows), at least 1, so a single
+    row is always one pass. It reads the budget at each call, never a cached
+    value, so a changed budget holds at once. A quadratic has no
+    activations, so its rows themselves are counted.
+
+    The widest layer counts the input width too, though a call holds no
+    (rows x batch rows x input width) activation: the stack's (K, P)
+    gradients and K parameter rows grow with it. Without it a 784-64-10
+    model would stack K = 32 rows at batch 32, where it now stacks 2, and
+    their gradients alone would take 32 x 50,890 x 8 bytes, about 13 MB.
+    """
     if isinstance(spec, QuadraticSpec):
         return max(1, STACK_ELEMENTS // len(spec.diag))
-    return max(1, row_fit(spec) // batch.features.shape[0])
+    return max(1, STACK_ELEMENTS // (max(spec.widths) * batch.features.shape[0]))
 
 
 def passes(spec: ModelSpec, batch, n: int) -> list:
@@ -539,51 +535,14 @@ def _head(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> tuple:
     return _mean_loss(spec, residual ** 2), (2.0 / (n * n_classes)) * residual
 
 
-# A block of batch rows holds a multiple of this many rows. OpenBLAS's dgemm
-# kernels compute a product's rows in groups of up to 16, and a row's
-# rounding can depend on its place in its group.
-_BLOCK_UNIT = 16
-
-
-def _row_blocks(n: int, size: int) -> list:
-    """Slices of n > size batch rows in consecutive blocks of `size` rows, a
-    multiple of _BLOCK_UNIT. A last block of one row takes _BLOCK_UNIT rows
-    from the block before (all of a one-unit block): numpy sends a one-row
-    product to gemv, which rounds otherwise than gemm's own last row."""
-    cuts = list(range(0, n, size)) + [n]
-    if n - cuts[-2] == 1:
-        cuts[-2] -= _BLOCK_UNIT
-    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
-
-
 def _loss_only(spec: MlpSpec, flat: np.ndarray, w_bound: float, batch: CheckedBatch,
                hits: bool) -> tuple:
     """The mean loss of a loss-only call on a checked batch, and each
-    example's argmax hit (..., n) if `hits` (else None).
-
-    Where one parameter row's activation (batch rows x widest layer) would
-    pass STACK_ELEMENTS, the batch runs in consecutive blocks of as many
-    rows as fit (`row_fit`, `_row_blocks`), each a `take_rows` of the
-    checked batch. The block size reads the model alone, never the stack
-    height, so each stacked row is cut as its lone call is. The blocks'
-    loss terms and hits are collected in row order and the loss is reduced
-    once over the whole batch, so blocking adds no rounding of its own.
-    """
-    n = batch.features.shape[0]
-    fit = row_fit(spec)
-    if fit >= n:
-        logits = _pass(spec, flat, w_bound, batch)[2]
-        return (_mean_loss(spec, _loss_terms(spec, logits, batch)),
-                np.argmax(logits, axis=-1) == batch.labels if hits else None)
-    terms, hit = [], []
-    for rows in _row_blocks(n, max(_BLOCK_UNIT, fit - fit % _BLOCK_UNIT)):
-        block = take_rows(batch, rows)
-        logits = _pass(spec, flat, w_bound, block)[2]
-        terms.append(_loss_terms(spec, logits, block))
-        if hits:
-            hit.append(np.argmax(logits, axis=-1) == block.labels)
-    terms = np.concatenate(terms, axis=-1 if spec.head == "softmax_ce" else -2)
-    return _mean_loss(spec, terms), np.concatenate(hit, axis=-1) if hits else None
+    example's argmax hit (..., n) if `hits` (else None), from one pass over
+    the whole batch, as `loss_and_grad` makes."""
+    logits = _pass(spec, flat, w_bound, batch)[2]
+    return (_mean_loss(spec, _loss_terms(spec, logits, batch)),
+            np.argmax(logits, axis=-1) == batch.labels if hits else None)
 
 
 def _quadratic(spec: QuadraticSpec, flat: np.ndarray) -> LossGradient:

@@ -23,13 +23,11 @@ and counts them in its `StepReport`. `step` answers each point with
 in `lockstep`, which the probes' ascents share: it answers the pending
 points with one `network.loss_and_grad` call on their stacked rows per
 round, with at most `network.rows_per_call` runs live, so each stacked
-call keeps to network's budget (network splits only a batch whose single
-row would pass it, in blocks sized by the model alone). A run
-leaves the rounds when its step ends (sgd after one point, a flat batch's
-sam_ga ascent early), and each run keeps its own state, momentum buffer and
-direction stream, so a lockstep step is byte for byte the runs' single
-steps. Both check the step's minibatch once (`network.check_batch`), not
-once per point.
+call keeps to network's budget. A run leaves the rounds when its step
+ends (sgd after one point, a flat batch's sam_ga ascent early), and each
+run keeps its own state, momentum buffer and direction stream, so a
+lockstep step is byte for byte the runs' single steps. Both check the
+step's minibatch once (`network.check_batch`), not once per point.
 """
 
 from dataclasses import dataclass

@@ -20,13 +20,12 @@ them as stacked rows: up to K points per `network.forward` or
 `network.loss_and_grad` call, each row byte for byte the call on its point
 alone. K is `network.rows_per_call`, from the kernel's 512 KiB stacking
 budget: 4 points for a 500-row batch through 32 units, 1 (one point a call)
-for a 1000-row batch through 128. Callers stack at most K points;
-`network` splits only a batch whose single point would pass the budget, in
-blocks sized by the model alone. The slice and the average direction build
-each of the passes `network.passes` cuts in the order the one-point loops
-drew its points, and the worst direction's ascents advance in `lockstep`,
-which keeps at most K live, so the extra memory is about K points and their
-activations.
+for a 1000-row batch through 128. Callers stack at most K points, and
+each call is one pass over its batch, so K moves no byte. The slice and the
+average direction build each of the passes `network.passes` cuts in the
+order the one-point loops drew its points, and the worst direction's
+ascents advance in `lockstep`, which keeps at most K live, so the extra
+memory is about K points and their activations.
 """
 
 import math
@@ -93,6 +92,8 @@ def loss_ascent_direction(model_spec, params: np.ndarray, batch, rho: float,
 
     `base` is `network.loss_and_grad` at w, if the caller already has it.
     """
+    if rho <= 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
     batch = network.check_batch(model_spec, batch)
     if base is None:
         base = network.loss_and_grad(model_spec, params, batch)
@@ -109,6 +110,8 @@ def loss_average_direction(model_spec, params: np.ndarray, batch, rho: float,
     Returns (mean, stderr, n_samples). stderr uses the sample standard
     deviation (ddof=1), so at least two samples are required.
     """
+    if rho <= 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     rng = np.random.default_rng(seed & 0xFFFFFFFFFFFFFFFF)
@@ -170,8 +173,12 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     ascent starts. `base` is
     `network.loss_and_grad` at w, if the caller already has it.
     """
+    if rho <= 0:
+        raise ValueError(f"rho must be > 0, got {rho}")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if inner_steps < 1:
+        raise ValueError(f"inner_steps must be >= 1, got {inner_steps}")
     params = np.asarray(params, dtype=np.float64)
     batch = network.check_batch(model_spec, batch)
     if base is None:
@@ -210,7 +217,8 @@ def loss_plane_slice(model_spec, params: np.ndarray, batch,
     loss is evaluated on a regular (n_points x n_points) grid of coefficients
     in [-extent, extent]^2. Returns (alphas, betas, losses) with
     losses[i, j] = L(w + alphas[i] * a + betas[j] * b). With odd n_points the
-    center cell is the unperturbed loss exactly.
+    center cell is the unperturbed loss exactly: `network.loss_and_grad`'s
+    value at w, to the bit.
     """
     if extent < 0:
         raise ValueError(f"extent must be >= 0, got {extent}")

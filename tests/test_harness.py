@@ -610,8 +610,7 @@ def test_data_is_prepared_once_per_call_in_the_calling_process(tmp_path, monkeyp
 def _record_stack_sizes(monkeypatch):
     """Wrap the kernel's evaluation entry points and its forward pass to
     record, per pass, (entry point, rows, rows x pass batch rows x widest
-    layer); a vector is one row. A loss-only call over the budget makes one
-    pass per block of batch rows."""
+    layer); a vector is one row."""
     sizes, calls = [], []
 
     def recorded(spec, flat, w_bound, batch, _f=network._pass):
@@ -632,17 +631,15 @@ def _record_stack_sizes(monkeypatch):
 
 def _over_budget(sizes, budget):
     """The recorded passes above `budget` that the budget allows none of:
-    only a one-row gradient call may pass it, since a gradient call never
-    splits its batch rows."""
-    return [(name, rows, n) for name, rows, n in sizes
-            if n > budget and (rows > 1 or name != "loss_and_grad")]
+    only a one-row pass may pass it, since every call is one pass over its
+    whole batch."""
+    return [(name, rows, n) for name, rows, n in sizes if n > budget and rows > 1]
 
 
 def test_every_stacked_kernel_call_keeps_to_the_budget(tmp_path, monkeypatch):
     """A compare of 5 runs on 500 train and 1,500 test rows, then a probe and
     a slice of one of its checkpoints: every kernel pass holds at most
-    network.STACK_ELEMENTS activation elements, or is a one-row gradient
-    call."""
+    network.STACK_ELEMENTS activation elements, or is one row."""
     cfg = small_config(dataset=DatasetConfig(generator="two_moons", n=2000, noise_sd=0.2,
                                              seed=5, train_fraction=0.25),
                        model=ModelConfig(kind="mlp", hidden=(32,)), epochs=1, batch_size=32,
@@ -657,9 +654,9 @@ def test_every_stacked_kernel_call_keeps_to_the_budget(tmp_path, monkeypatch):
 
 def test_loss_only_calls_keep_to_the_budget_on_a_wide_split(tmp_path, monkeypatch):
     """A [128, 128] model on 1,000 train and 3,000 test rows: one row of the
-    test split is 5.9 times network.STACK_ELEMENTS, so every loss-only call
-    runs in blocks of 512 batch rows, and only the one-row gradient calls on
-    the train split (the probes' and the slice's) pass the budget."""
+    test split is 5.9 times network.STACK_ELEMENTS, so the final evaluation
+    takes it one row a pass, and only one-row passes (that evaluation's, the
+    probes' and the slice's) pass the budget."""
     cfg = small_config(dataset=DatasetConfig(generator="two_moons", n=4000, noise_sd=0.2,
                                              seed=5, train_fraction=0.25),
                        model=ModelConfig(kind="mlp", hidden=(128, 128)), epochs=1,
@@ -670,7 +667,7 @@ def test_loss_only_calls_keep_to_the_budget_on_a_wide_split(tmp_path, monkeypatc
     emit_outputs(tmp_path, compare_optimizers(cfg, _sweep()[:2]))
     harness.slice_checkpoint(tmp_path / "checkpoints" / "sam_seed1.ckpt", cfg)
     assert _over_budget(sizes, network.STACK_ELEMENTS) == []
-    assert ("loss_and_accuracy", 1, 512 * 128) in sizes
+    assert ("loss_and_accuracy", 1, 3000 * 128) in sizes
     assert ("loss_and_grad", 1, 1000 * 128) in sizes
 
 
@@ -680,9 +677,8 @@ def test_compare_under_a_tight_budget_equals_one_suite_per_optimizer(tmp_path, m
                                                                      budget, k):
     """The budget caps a lockstep step at 2 of the 5 runs (20-row minibatches
     through 6 units), or the final evaluation at 3 rows a pass (a 60-row
-    test split); the runs keep the bytes they get alone. At 2 runs a step a
-    loss-only call runs the 60-row train split in blocks, and runs.csv's
-    final_train_loss is still each report's base loss, byte for byte."""
+    test split); the runs keep the bytes they get alone, and runs.csv's
+    final_train_loss is each report's base loss, byte for byte."""
     cfg = small_config(model=ModelConfig(kind="mlp", hidden=(6, 5)), epochs=3)
     sweep = _sweep()
     emit_outputs(tmp_path / "alone", [run_suite(harness._single(cfg, opt)) for opt in sweep])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from samlab import harness, network
+from samlab import harness, network, probes
 from samlab.data import Dataset, gen_two_moons
 from samlab.errors import LayoutError, NumericError, ShapeError
 from samlab.network import MlpSpec, QuadraticSpec
@@ -209,9 +209,15 @@ def test_gradient_peak_heap_in_stacked_activations(case):
     assert peak / (rows * n * max(widths) * 8) <= PEAK_ACTIVATIONS[case]
 
 
-def _wide_loss_only_peak_budgets(evaluate) -> float:
-    """The traced peak heap of one warm `evaluate` on train_wide's 3,000-row
-    test split through [128, 128], in budgets (STACK_ELEMENTS x 8 bytes)."""
+# The most the traced heap of one warm loss-only call on train_wide's
+# 3,000-row test split through [128, 128] may reach, in the call's own
+# activations (3,000 batch rows x 128 units x 8 bytes): one pass reads 2.08.
+WIDE_LOSS_ONLY_PEAK_ACTIVATIONS = 2.25
+
+
+def _wide_loss_only_peak_activations(evaluate) -> float:
+    """The traced peak heap of one warm `evaluate` of one parameter row on
+    that split, in its activations."""
     spec = MlpSpec(16, (128, 128), 8, "tanh", "mse")
     rng = np.random.default_rng(5)
     params = network.init_params(spec, rng).data
@@ -224,20 +230,21 @@ def _wide_loss_only_peak_budgets(evaluate) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (network.STACK_ELEMENTS * 8)
+    return peak / (3000 * 128 * 8)
 
 
-def test_wide_loss_only_call_peak_heap_keeps_to_the_budget():
-    """One warm `loss_and_accuracy` on that split runs in blocks of 512
-    batch rows, so its traced peak stays within 4 budgets; one whole pass
-    held 12.2."""
-    assert _wide_loss_only_peak_budgets(network.loss_and_accuracy) <= 4
+def test_wide_loss_only_call_peak_heap_keeps_to_its_activations():
+    """One warm `loss_and_accuracy` on that split is one pass over all 3,000
+    rows, 5.9 times network.STACK_ELEMENTS: its peak is its two hidden
+    layers' outputs and little more."""
+    peak = _wide_loss_only_peak_activations(network.loss_and_accuracy)
+    assert peak <= WIDE_LOSS_ONLY_PEAK_ACTIVATIONS
 
 
-def test_wide_accuracy_peak_heap_keeps_to_the_budget():
-    """`accuracy` is `loss_and_accuracy`'s second value, so it runs in the
-    same blocks; its own whole pass held 12.2 budgets."""
-    assert _wide_loss_only_peak_budgets(network.accuracy) <= 4
+def test_wide_accuracy_peak_heap_keeps_to_its_activations():
+    """`accuracy` is `loss_and_accuracy`'s second value, so it makes the same
+    one pass."""
+    assert _wide_loss_only_peak_activations(network.accuracy) <= WIDE_LOSS_ONLY_PEAK_ACTIVATIONS
 
 
 def _assert_rows_match_lone_calls(spec, params, batch):
@@ -254,20 +261,17 @@ def _assert_rows_match_lone_calls(spec, params, batch):
        widths=st.lists(st.integers(1, 40), min_size=1, max_size=3), n_classes=st.integers(2, 5),
        stack=st.integers(0, 3), size=st.integers(16, 70), extra=st.integers(1, 90),
        seed=st.integers(0, 2 ** 16))
-@example("relu", "softmax_ce", [2, 32], 2, 0, 16, 17, 1)  # a last row alone, one-unit blocks
-@example("tanh", "mse", [32, 9], 3, 2, 32, 33, 2)  # a last row alone, two-unit blocks
-@example("relu", "softmax_ce", [2, 32], 2, 0, 21, 40, 3)  # 21 rows fit: blocks of 16
-def test_blocked_loss_only_calls_equal_one_whole_pass(activation, head, widths, n_classes,
-                                                      stack, size, extra, seed):
-    """A loss-only call whose single row's activations pass the budget runs
-    its batch in blocks of rows, and gets the bytes of one pass over the
-    whole batch (the budget raised), down to each logit: `size` rows of one
-    parameter row fit, and `extra` more are in the batch. The blocks are
-    sized by the model alone, so a stack of 2-3 rows blocks as one row does,
-    and each stacked row gets its lone call's bytes. Like the pins above,
-    this holds for numpy's bundled OpenBLAS, whose products at these sizes
-    round each row alike whatever their row count, once the blocks keep to
-    its 16-row groups and leave no row alone."""
+@example("relu", "softmax_ce", [2, 32], 2, 0, 16, 17, 1)
+@example("tanh", "mse", [32, 9], 3, 2, 32, 33, 2)
+@example("relu", "softmax_ce", [2, 32], 2, 0, 21, 40, 3)
+def test_stacking_budget_moves_no_loss_only_byte(activation, head, widths, n_classes,
+                                                 stack, size, extra, seed):
+    """A loss-only call gets the same bytes, down to each logit, whether one
+    parameter row's activations pass the stacking budget or not: `size` rows
+    of one parameter row fit in the tight budget, and `extra` more are in
+    the batch. Every call is one pass over its whole batch, so a stack of
+    2-3 rows gets each row's lone call bytes under the tight budget too, and
+    the loss is `loss_and_grad`'s value to the bit."""
     spec = MlpSpec(widths[0], tuple(widths[1:]), n_classes, activation, head)
     rng = np.random.default_rng(seed)
     params = np.stack([network.init_params(spec, rng).data for _ in range(max(stack, 1))])
@@ -287,33 +291,51 @@ def test_blocked_loss_only_calls_equal_one_whole_pass(activation, head, widths, 
             loss, accuracy = network.loss_and_accuracy(spec, params, batch)
         return [np.asarray(v).tobytes() for v in (np.concatenate(logits, axis=-2), loss, accuracy,
                                                   network.forward(spec, params, batch),
-                                                  network.accuracy(spec, params, batch))]
+                                                  network.accuracy(spec, params, batch),
+                                                  network.loss_and_grad(spec, params, batch).value)]
 
     with mock.patch.object(network, "STACK_ELEMENTS", size * max(spec.widths)):
-        assert network.row_fit(spec) == size
-        blocked = results()
+        assert network.rows_per_call(spec, batch) == 1
+        tight = results()
         if stack:
             _assert_rows_match_lone_calls(spec, params, batch)
     with mock.patch.object(network, "STACK_ELEMENTS", 2 ** 62):
         whole = results()
-    assert blocked == whole
+    assert tight == whole
+    assert whole[1] == whole[3] == whole[5]
 
 
 def test_stacked_rows_of_a_wide_input_get_their_lone_calls_bytes():
     """A stack of 3 rows through a 784-64-10 tanh model on 1,000 pixel-like
     rows gets, row by row, the `forward` and `loss_and_accuracy` bytes of the
-    lone call: one row's activations pass the budget, and the blocks are
-    sized by the model, not by the stack height. Blocks sized by the stack
-    height (16 rows at K = 3 against 80 alone) move row 0's loss by one bit
-    with the bundled OpenBLAS; on a BLAS that rounds rows alike whatever the
-    block size, this test would pass with such blocks too."""
+    lone call, though one row's activations already pass the budget."""
     spec = MlpSpec(784, (64,), 10, "tanh", "softmax_ce")
     rng = np.random.default_rng(0)
     batch = network.check_batch(spec, Dataset(rng.random((1000, 784)),
                                               rng.integers(0, 10, 1000), 10))
     params = np.stack([network.init_params(spec, rng).data for _ in range(3)])
-    assert network.row_fit(spec) < 1000  # one row already blocks
+    assert network.rows_per_call(spec, batch) == 1
     _assert_rows_match_lone_calls(spec, params, batch)
+
+
+def test_loss_only_calls_equal_the_gradient_calls_loss_on_a_wide_batch():
+    """`forward`, `loss_and_accuracy` and a slice's centre cell each get
+    `loss_and_grad`'s value to the bit on 3,000 rows through 128 tanh units
+    into 10 classes, where one row's activations pass the stacking budget,
+    for every seed. On seeds 1, 14, 24 and 35, 512-row blocks of the batch
+    round the loss otherwise than one pass in the last bit."""
+    spec = MlpSpec(16, (128,), 10, "tanh", "softmax_ce")
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        params = network.init_params(spec, rng).data
+        batch = network.check_batch(spec, Dataset(rng.standard_normal((3000, 16)),
+                                                  rng.integers(0, 10, 3000), 10))
+        value = network.loss_and_grad(spec, params, batch).value.hex()
+        centre = probes.loss_plane_slice(spec, params, batch, np.eye(1, params.size, 0)[0],
+                                         np.eye(1, params.size, 1)[0], 0.1, 3)[2][1, 1]
+        assert [v.hex() for v in (network.forward(spec, params, batch),
+                                  network.loss_and_accuracy(spec, params, batch)[0],
+                                  float(centre))] == [value] * 3, seed
 
 
 # (hidden widths, rows) per pin case size. A "wide" hidden layer and its

@@ -105,6 +105,32 @@ def test_worst_direction_constant_loss():
     assert est == 0.75
 
 
+@pytest.mark.parametrize("probe, kwargs, message", [
+    (loss_ascent_direction, {"rho": 0.0}, "rho must be > 0"),
+    (loss_average_direction, {"rho": 0.0, "n_samples": 4, "seed": 0}, "rho must be > 0"),
+    (loss_average_direction, {"rho": -0.05, "n_samples": 4, "seed": 0}, "rho must be > 0"),
+    (loss_worst_direction_estimate, {"rho": -0.05, "restarts": 2, "inner_steps": 5, "seed": 0},
+     "rho must be > 0"),
+    (loss_worst_direction_estimate, {"rho": 0.05, "restarts": 2, "inner_steps": 0, "seed": 0},
+     "inner_steps must be >= 1"),
+    (loss_worst_direction_estimate, {"rho": 0.05, "restarts": 2, "inner_steps": -2, "seed": 0},
+     "inner_steps must be >= 1"),
+], ids=["ascent-rho0", "average-rho0", "average-rho-neg", "worst-rho-neg", "worst-steps0",
+        "worst-steps-neg"])
+def test_probes_reject_what_probe_config_rejects_before_any_compute(probe, kwargs, message,
+                                                                    monkeypatch):
+    """Each probe raises ProbeConfig's ValueError for a rho <= 0 or an
+    inner_steps < 1 before the kernel evaluates any point."""
+    def no_compute(*args):
+        raise AssertionError("the kernel ran")
+    for name in ("forward", "loss_and_grad"):
+        monkeypatch.setattr(network, name, no_compute)
+    spec = MlpSpec(2, (6,), 2)
+    params = network.init_params(spec, np.random.default_rng(4)).data
+    with pytest.raises(ValueError, match=message):
+        probe(spec, params, gen_two_moons(32, 0.2, 2), **kwargs)
+
+
 def count_rows(monkeypatch):
     """Count the points evaluated for their loss alone ("forward") and with
     their gradient ("loss_and_grad"): one for a vector, K for a stack of K."""
