@@ -5,9 +5,12 @@ them, then a loss head. Its gradient is a single loop over the layers in
 reverse order, so no graph is built.
 
 The pass consumes what the forward pass already computed: each layer's input
-and its weight view into the flat parameter array. A layer's input
-is the previous layer's activation output `a`, and both derivatives are
-written in terms of it: relu'(z) = (a > 0) and tanh'(z) = 1 - a**2.
+and its weight view into the flat parameter array. It writes each layer's
+gradient into the weight and bias slices of the spec's `layers`, so where a
+parameter sits in the flat vector is decided by `network.param_layout`
+alone. A layer's input is the previous layer's activation output `a`, and
+both derivatives are written in terms of it: relu'(z) = (a > 0) and
+tanh'(z) = 1 - a**2.
 
 The pass keeps each hidden activation only until its derivative has been
 applied, and lets the caller's list of them go as it goes. A relu layer's
@@ -28,16 +31,18 @@ bytes a zero-filled accumulator would.
 import numpy as np
 
 
-def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) -> np.ndarray:
+def backward(activation: str, layers, inputs, weights, d_logits: np.ndarray) -> np.ndarray:
     """Flat gradient of the loss w.r.t. the MLP parameters.
 
-    `inputs[i]` is the input of affine layer i and `weights[i]` its weight
-    matrix; `d_logits` is the loss gradient w.r.t. the last layer's
-    output; `size` is the flat parameter count. Each layer stores its weight
-    then its bias, layer after layer, so the slices are filled from the end.
+    `layers` is the spec's `layers`: each affine layer's (weight slice,
+    weight shape, bias slice) in the flat parameters, as
+    `network.param_layout` places them; the gradient ends where the last
+    layer's bias does. `inputs[i]` is the input of affine layer i and
+    `weights[i]` its weight matrix; `d_logits` is the loss gradient w.r.t.
+    the last layer's output.
 
     A stacked pass (`d_logits` of shape (K, n, out), weights (K, fan_in,
-    fan_out)) gives a (K, size) gradient, one row per parameter row; every
+    fan_out)) gives a (K, P) gradient, one row per parameter row; every
     matmul and sum runs on the trailing two axes, so each row gets the bytes
     of its own 2-D pass. `inputs[0]`, the caller's features, may stay 2-D.
 
@@ -47,20 +52,16 @@ def backward(activation: str, inputs, weights, d_logits: np.ndarray, size: int) 
     read.
     """
     lead = d_logits.shape[:-2]
-    grad = np.empty(lead + (size,))
-    end = size
+    grad = np.empty(lead + (layers[-1][2].stop,))
     d = d_logits
-    for i in range(len(weights) - 1, -1, -1):
+    for i in range(len(layers) - 1, -1, -1):
+        w_slice, w_shape, b_slice = layers[i]
         w = weights[i]
         x = inputs[i]
-        fan_in, fan_out = w.shape[-2:]
         # Each slice is written once, straight from its sum or product; the
         # weight slice's reshape splits its last axis, so it stays a view.
-        np.add.reduce(d, axis=-2, out=grad[..., end - fan_out:end])
-        end -= fan_out
-        w_grad = grad[..., end - fan_in * fan_out:end].reshape(lead + (fan_in, fan_out))
-        np.matmul(x.swapaxes(-1, -2), d, out=w_grad)
-        end -= fan_in * fan_out
+        np.add.reduce(d, axis=-2, out=grad[..., b_slice])
+        np.matmul(x.swapaxes(-1, -2), d, out=grad[..., w_slice].reshape(lead + w_shape))
         if i > 0:
             # Nothing reads the activation again once its derivative is
             # taken, so the list lets it go. The products equal (x > 0) * d,

@@ -71,7 +71,7 @@ def load(path: Union[str, Path]) -> ParameterVector:
         raise CheckpointError(f"not a checkpoint file: magic {magic!r} != {MAGIC!r}")
     fixed = raw[len(MAGIC):len(MAGIC) + 8]
     if len(fixed) != 8:
-        raise LengthError("truncated checkpoint header", expected=8, found=len(fixed))
+        raise LengthError("truncated checkpoint header")
     version, header_len = struct.unpack("<II", fixed)
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}, expected {VERSION}")
@@ -80,8 +80,7 @@ def load(path: Union[str, Path]) -> ParameterVector:
     rest = memoryview(raw)[len(MAGIC) + 8:]
     header_bytes = rest[:header_len]
     if len(header_bytes) != header_len:
-        raise LengthError("truncated checkpoint header",
-                          expected=header_len, found=len(header_bytes))
+        raise LengthError("truncated checkpoint header")
     try:
         header = json.loads(bytes(header_bytes).decode("utf-8"))
         total = _integer(header["total"])
@@ -96,8 +95,7 @@ def load(path: Union[str, Path]) -> ParameterVector:
             f"checkpoint header declares {total} values but the layout describes {described}")
     payload = rest[header_len:]
     if len(payload) < total * 8:
-        raise LengthError("truncated checkpoint payload",
-                          expected=total * 8, found=len(payload))
+        raise LengthError("truncated checkpoint payload")
     if len(payload) > total * 8:
         raise CheckpointError("trailing bytes after checkpoint payload")
     data = np.frombuffer(payload, dtype="<f8").astype(np.float64)

@@ -93,8 +93,7 @@ def _read_idx(path: str, magic: int, n_dims: int):
         raise IdxFormatError(f"cannot read IDX file {path}: {exc}") from exc
     header_len = 4 * (1 + n_dims)
     if len(raw) < header_len:
-        raise LengthError(f"{path}: truncated header, wanted {header_len} bytes, got {len(raw)}",
-                          expected=header_len, found=len(raw))
+        raise LengthError(f"{path}: truncated header, wanted {header_len} bytes, got {len(raw)}")
     found, *dims = struct.unpack(f">{1 + n_dims}I", raw[:header_len])
     if found != magic:
         raise IdxFormatError(f"{path}: bad magic 0x{found:08x}, expected 0x{magic:08x}")
@@ -102,7 +101,7 @@ def _read_idx(path: str, magic: int, n_dims: int):
     size = math.prod(dims)
     if len(payload) < size:
         raise LengthError(f"{path}: truncated file, wanted {size} payload bytes, "
-                          f"got {len(payload)}", expected=size, found=len(payload))
+                          f"got {len(payload)}")
     if len(payload) > size:
         raise IdxFormatError(f"{path}: trailing bytes after the declared {size}-byte payload")
     return dims, np.frombuffer(payload, dtype=np.uint8)
@@ -120,11 +119,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
         raise IdxFormatError(f"{images_path}: no pixels, sizes {n}x{rows}x{cols}")
     (n_labels,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if n_labels != n:
-        raise LengthError(
-            f"{n} images but {n_labels} labels",
-            expected=n,
-            found=n_labels,
-        )
+        raise LengthError(f"{n} images but {n_labels} labels")
     features = (pixels.astype(np.float64) / 255.0).reshape(n, rows * cols)
     labels = labels.astype(np.int64)
     return Dataset(features, labels, n_classes=int(labels.max()) + 1)

@@ -8,14 +8,11 @@ class SamLabError(Exception):
 class ShapeError(SamLabError):
     """Tensor shapes are incompatible for an operation.
 
-    Carries the name of the operation/layer where the mismatch occurred so
-    callers can pinpoint the offending part of a model.
+    The message starts with the name of the operation or layer where the
+    mismatch occurred, so callers can pinpoint the offending part of a model.
     """
 
     def __init__(self, where: str, expected, found):
-        self.where = where
-        self.expected = expected
-        self.found = found
         super().__init__(f"{where}: expected shape {expected}, found {found}")
 
 
@@ -24,21 +21,16 @@ class NumericError(SamLabError):
 
     Raised when parameters or features are supplied non-finite, and when a
     layer's affine output or a loss overflows; silent NaNs would corrupt every
-    gradient-derived perturbation direction downstream.
+    gradient-derived perturbation direction downstream. The message names
+    where: "<where>: non-finite value".
     """
 
-    def __init__(self, where: str, detail: str = "non-finite value"):
-        self.where = where
-        super().__init__(f"{where}: {detail}")
+    def __init__(self, where: str):
+        super().__init__(f"{where}: non-finite value")
 
 
 class LengthError(SamLabError):
     """Two flat arrays (or a file and its declared size) disagree in length."""
-
-    def __init__(self, message: str, expected=None, found=None):
-        self.expected = expected
-        self.found = found
-        super().__init__(message)
 
 
 class IdxFormatError(SamLabError):

@@ -4,13 +4,18 @@ Every file samlab writes goes through `replacing`: the bytes go to a temp
 file in the same directory, which `os.replace` then renames over the target
 in one step. A run that fails or is killed mid-write leaves the previous
 file as it was (there is no fsync, so this covers a failing process, not a
-power cut).
+power cut). The temp file's name is the process id and a per-process count,
+not the target's name, so it stays short when the target's name is at the
+file system's 255-byte limit.
 """
 
 import contextlib
+import itertools
 import os
 from pathlib import Path
 from typing import Union
+
+_temp_numbers = itertools.count()
 
 
 @contextlib.contextmanager
@@ -18,7 +23,7 @@ def replacing(path: Union[str, Path]):
     """Yield a binary file whose contents replace `path` when the block ends
     without an exception; on an exception the temp file is removed."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{os.getpid()}.{next(_temp_numbers)}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield fh

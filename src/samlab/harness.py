@@ -169,6 +169,12 @@ class SliceConfig:
         if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:
             raise ConfigError("slice name must be a non-empty file name part, not '.' or "
                               f"'..' and without '/' or NUL, got {self.name!r}")
+        # 255 bytes is the longest file name most file systems take; a longer
+        # one would fail only at the write, after the whole grid.
+        size = len(self.name.encode("utf-8", "surrogatepass"))
+        if size > 245:
+            raise ConfigError("slice name must be at most 245 UTF-8 bytes, so that "
+                              f"slice_<name>.csv fits in 255, got {size}")
         if self.extent < 0:
             raise ConfigError(f"slice extent must be >= 0, got {self.extent}")
         if self.n_points < 2:
@@ -435,24 +441,20 @@ def _train(task: Task, config: ExperimentConfig, sweep, seed: int) -> list:
             for cut in network.passes(spec, task.test, len(rows))]
     final_test, final_accuracy = (np.concatenate(values).tolist() for values in zip(*test))
 
-    records = []
-    for k, opt in enumerate(sweep):
-        report = probes.build_report(spec, rows[k], task.train, config.probe,
-                                     seed=_subseed(seed, ROLE_PROBE), test_loss=final_test[k])
-        records.append(RunRecord(
-            seed=seed,
-            optimizer_label=opt.label,
-            final_test_loss=final_test[k],
-            final_test_accuracy=final_accuracy[k],
-            report=report,
-            grad_evals=grad_evals[k],
-            wall_seconds=0.0,
-            final_params=params.replace(rows[k]),
-        ))
-    wall_seconds = (time.perf_counter() - started) / len(records)
-    for record in records:
-        record.wall_seconds = wall_seconds
-    return records
+    reports = [probes.build_report(spec, rows[k], task.train, config.probe,
+                                   seed=_subseed(seed, ROLE_PROBE), test_loss=final_test[k])
+               for k in range(len(sweep))]
+    wall_seconds = (time.perf_counter() - started) / len(sweep)
+    return [RunRecord(
+        seed=seed,
+        optimizer_label=opt.label,
+        final_test_loss=final_test[k],
+        final_test_accuracy=final_accuracy[k],
+        report=reports[k],
+        grad_evals=grad_evals[k],
+        wall_seconds=wall_seconds,
+        final_params=params.replace(rows[k]),
+    ) for k, opt in enumerate(sweep)]
 
 
 def run_training(task: Task, config: ExperimentConfig, seed: int) -> RunRecord:

@@ -150,7 +150,9 @@ class MlpSpec:
     @functools.cached_property
     def layers(self) -> tuple:
         """(weight slice, weight shape, bias slice) of each affine layer in
-        the flat parameters."""
+        the flat parameters, as `param_layout` places them: the forward
+        pass, `autodiff.backward` and `init_params` all read the layout
+        here."""
         layout = param_layout(self)
         return tuple((slice(w.offset, w.offset + w.size), w.shape, slice(b.offset, b.offset + b.size))
                      for w, b in zip(layout[::2], layout[1::2]))
@@ -243,12 +245,8 @@ def init_params(spec: ModelSpec, rng: np.random.Generator) -> ParameterVector:
         return ParameterVector(np.ones(len(spec.diag)), layout)
     flat = np.zeros(param_count(spec), dtype=np.float64)
     gain = 2.0 if spec.activation == "relu" else 1.0
-    for entry in layout:
-        if entry.name.endswith(".weight"):
-            fan_in = entry.shape[0]
-            std = np.sqrt(gain / fan_in)
-            values = rng.standard_normal(entry.shape) * std
-            flat[entry.offset:entry.offset + entry.size] = values.reshape(-1)
+    for w_slice, w_shape, _ in spec.layers:
+        flat[w_slice] = (rng.standard_normal(w_shape) * np.sqrt(gain / w_shape[0])).reshape(-1)
     return ParameterVector(flat, layout)
 
 
@@ -574,7 +572,7 @@ def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
         return _quadratic(spec, flat)
     inputs, weights, logits = _pass(spec, flat, bound, batch)
     loss, d_logits = _head(spec, logits, batch)
-    grad = ad.backward(spec.activation, inputs, weights, d_logits, flat.shape[-1])
+    grad = ad.backward(spec.activation, spec.layers, inputs, weights, d_logits)
     return LossGradient(_per_row(flat, loss), grad.reshape(flat.shape))
 
 

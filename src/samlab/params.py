@@ -27,10 +27,7 @@ def validate_layout(layout) -> int:
     for entry in layout:
         if entry.offset != expected_offset:
             raise LengthError(
-                f"layout entry {entry.name!r} at offset {entry.offset}, expected {expected_offset}",
-                expected=expected_offset,
-                found=entry.offset,
-            )
+                f"layout entry {entry.name!r} at offset {entry.offset}, expected {expected_offset}")
         expected_offset += entry.size
     return expected_offset
 
@@ -52,10 +49,7 @@ class ParameterVector:
         total = validate_layout(self.layout)
         if total != self.data.shape[0]:
             raise LengthError(
-                f"parameter data length {self.data.shape[0]} != layout total {total}",
-                expected=total,
-                found=self.data.shape[0],
-            )
+                f"parameter data length {self.data.shape[0]} != layout total {total}")
         if not np.all(np.isfinite(self.data)):
             raise NumericError("parameter vector")
 

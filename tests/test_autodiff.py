@@ -44,7 +44,7 @@ def mlp_pass(spec, flat, features):
 def assert_backward_matches_fd(spec, flat, features, d_logits):
     """backward() against central differences of sum(logits * d_logits)."""
     inputs, weights, _ = mlp_pass(spec, flat, features)
-    grad = autodiff.backward(spec.activation, inputs, weights, d_logits, flat.size)
+    grad = autodiff.backward(spec.activation, spec.layers, inputs, weights, d_logits)
 
     def scalar(point):
         return float(np.sum(mlp_pass(spec, point, features)[2] * d_logits))
@@ -89,9 +89,9 @@ def test_add_bias_broadcast_backward_sums_rows():
     spec = MlpSpec(in_width=3, hidden=(), out_width=2)
     flat, features, d_logits = random_point(spec, n=5)
     inputs, weights, _ = mlp_pass(spec, flat, features)
-    grad = autodiff.backward(spec.activation, inputs, weights, d_logits, flat.size)
+    grad = autodiff.backward(spec.activation, spec.layers, inputs, weights, d_logits)
     np.testing.assert_array_equal(grad[6:], d_logits.sum(axis=0))
-    ones = autodiff.backward(spec.activation, inputs, weights, np.ones((5, 2)), flat.size)
+    ones = autodiff.backward(spec.activation, spec.layers, inputs, weights, np.ones((5, 2)))
     np.testing.assert_array_equal(ones[6:], np.full(2, 5.0))
 
 

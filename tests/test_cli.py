@@ -343,8 +343,23 @@ def test_slice_writes_grid(tmp_path):
     assert len(lines) == 26
 
 
-@pytest.mark.parametrize("name", ["", ".", "..", "x/y", "/abs", "a\0b"],
-                         ids=["empty", "dot", "dotdot", "slash", "absolute", "nul"])
+def test_slice_name_at_the_file_name_limit_is_written(tmp_path, capsys):
+    # slice_<245 bytes>.csv is 255 bytes, the longest name the file system takes.
+    name = "n" * 245
+    config = write_config(tmp_path, slice={"name": name, "n_points": 2})
+    out = tmp_path / "out"
+    cli.main(["train", "--config", str(config), "--out", str(out), "--seeds", "1"])
+    code = cli.main(["slice", "--config", str(config), "--out", str(out),
+                     "--checkpoint", str(out / "checkpoints" / "sgd_seed1.ckpt")])
+    assert code == 0, capsys.readouterr().err
+    path = out / f"slice_{name}.csv"
+    assert len(path.name.encode("utf-8")) == 255
+    assert len(path.read_text().splitlines()) == 5
+    assert not list(out.glob(".*.tmp"))
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "x/y", "/abs", "a\0b", "n" * 246],
+                         ids=["empty", "dot", "dotdot", "slash", "absolute", "nul", "too_long"])
 def test_slice_name_that_is_no_file_name_exits_2_before_any_compute(
         tmp_path, capsys, monkeypatch, name):
     calls = []

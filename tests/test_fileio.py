@@ -3,8 +3,11 @@ import pytest
 from samlab import fileio
 
 
-def test_failure_mid_write_keeps_old_file_and_no_temp(tmp_path):
-    path = tmp_path / "runs.csv"
+# A 255-byte name is the longest most file systems allow: the temp file
+# must not be named after the target, or its name would be longer.
+@pytest.mark.parametrize("name", ["runs.csv", "r" * 251 + ".csv"], ids=["short", "255_bytes"])
+def test_failure_mid_write_keeps_old_file_and_no_temp(tmp_path, name):
+    path = tmp_path / name
     path.write_bytes(b"old\n")
     with pytest.raises(RuntimeError):
         with fileio.replacing(path) as fh:

@@ -196,6 +196,13 @@ def test_duplicate_seeds_rejected():
         parse_config(dict(RAW, seeds=[1, 1]))
 
 
+def test_slice_name_limit_counts_utf8_bytes():
+    assert harness.SliceConfig(name="é" * 122 + "n").name  # 245 bytes
+    with pytest.raises(ConfigError, match="^slice name must be at most 245 UTF-8 bytes, so "
+                                          "that slice_<name>.csv fits in 255, got 246$"):
+        harness.SliceConfig(name="é" * 123)
+
+
 @pytest.mark.parametrize("raw, path", [
     (dict(RAW, optimizer=dict(RAW["optimizer"], kind="sam_ga", ga_steps=2.5)),
      r"config\.optimizer\.ga_steps must be an integer"),
