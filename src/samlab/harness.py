@@ -28,6 +28,7 @@ import ctypes
 import dataclasses
 import functools
 import json
+import os
 import sys
 import time
 import typing
@@ -158,6 +159,14 @@ class ModelConfig:
                                head=self.head)
 
 
+def _file_name_bytes(text: str, what: str) -> bytes:
+    """`text` as the file system's bytes; a ConfigError if no name holds it."""
+    try:
+        return os.fsencode(text)
+    except UnicodeEncodeError:
+        raise ConfigError(f"{what} cannot be encoded as a file name, got {text!r}") from None
+
+
 @dataclass(frozen=True)
 class SliceConfig:
     name: str = "plane"
@@ -171,7 +180,7 @@ class SliceConfig:
                               f"'..' and without '/' or NUL, got {self.name!r}")
         # 255 bytes is the longest file name most file systems take; a longer
         # one would fail only at the write, after the whole grid.
-        size = len(self.name.encode("utf-8", "surrogatepass"))
+        size = len(_file_name_bytes(self.name, "slice name"))
         if size > 245:
             raise ConfigError("slice name must be at most 245 UTF-8 bytes, so that "
                               f"slice_<name>.csv fits in 255, got {size}")
@@ -201,6 +210,8 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.out_dir is not None:
+            _file_name_bytes(self.out_dir, "out_dir")
         if len(self.seeds) < 1:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):

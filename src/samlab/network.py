@@ -45,18 +45,16 @@ Every entry point takes one parameter vector or a stack of K of them: a
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
 is how a sweep's runs step in lockstep, how training scores them on the
 test split after its last epoch and how the probes evaluate their
-independent points. Callers stack at most `rows_per_call(spec, batch)`
-rows (`optimizers.lockstep`'s live bound and each chunked caller's
-`passes`), so one stacked activation stays within STACK_ELEMENTS (512 KiB)
-unless it is a single row. In a stack every array has a leading row axis:
-weights (K, fan_in, fan_out), activations (K, n, width), and the shared
-features broadcast against them. Matmuls and sums run over the trailing
-axes, and numpy computes each row of a stacked matmul with the BLAS call of
-the 2-D one, so row k of every result is byte for byte the call on row k
-alone, whatever K a caller picks. A vector still runs through the 2-D
-arrays, which cost less than a stack of one. A quadratic's rows take the
-same reductions over their last axis, so the probes' closed-form tests run
-their stacked path.
+independent points, at most `rows_per_call(spec, batch)` rows a call. In a
+stack every array has a leading row axis: weights (K, fan_in, fan_out),
+activations (K, n, width), and the shared features broadcast against them.
+Matmuls and sums run over the trailing axes, and numpy computes each row of
+a stacked matmul with the BLAS call of the 2-D one, so row k of every
+result is byte for byte the call on row k alone, whatever K, one too. A
+call takes its params as given, and a vector runs through the 2-D arrays,
+which cost less than a stack of one, so `optimizers.lockstep` passes a lone
+point as a vector. A quadratic's rows take the same reductions over their
+last axis, so the probes' closed-form tests run their stacked path.
 
 Every call is one pass over its whole batch, a single row's too. So the
 budget bounds only how many rows a caller stacks, and with each stacked row
@@ -422,13 +420,6 @@ def _mlp_pass(spec: MlpSpec, flat: np.ndarray, features: np.ndarray, w_bound: fl
     return inputs, weights, x
 
 
-def _pass(spec: MlpSpec, flat: np.ndarray, w_bound: float, batch: CheckedBatch):
-    """`_mlp_pass` of checked params on a checked batch; a stack of one row
-    goes through the 2-D arrays, which cost less than a stack of one."""
-    return _mlp_pass(spec, flat[0] if flat.shape[:-1] == (1,) else flat, batch.features,
-                     w_bound, batch.bound)
-
-
 def _fold(ufunc, a: np.ndarray) -> np.ndarray:
     """`ufunc.reduce(a, axis=-1, keepdims=True)`, byte for byte.
 
@@ -538,7 +529,7 @@ def _loss_only(spec: MlpSpec, flat: np.ndarray, w_bound: float, batch: CheckedBa
     """The mean loss of a loss-only call on a checked batch, and each
     example's argmax hit (..., n) if `hits` (else None), from one pass over
     the whole batch, as `loss_and_grad` makes."""
-    logits = _pass(spec, flat, w_bound, batch)[2]
+    logits = _mlp_pass(spec, flat, batch.features, w_bound, batch.bound)[2]
     return (_mean_loss(spec, _loss_terms(spec, logits, batch)),
             np.argmax(logits, axis=-1) == batch.labels if hits else None)
 
@@ -570,7 +561,7 @@ def loss_and_grad(spec: ModelSpec, params, batch) -> LossGradient:
     flat, bound = _check_params(spec, params)
     if isinstance(spec, QuadraticSpec):
         return _quadratic(spec, flat)
-    inputs, weights, logits = _pass(spec, flat, bound, batch)
+    inputs, weights, logits = _mlp_pass(spec, flat, batch.features, bound, batch.bound)
     loss, d_logits = _head(spec, logits, batch)
     grad = ad.backward(spec.activation, spec.layers, inputs, weights, d_logits)
     return LossGradient(_per_row(flat, loss), grad.reshape(flat.shape))

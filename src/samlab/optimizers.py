@@ -166,8 +166,7 @@ def _ascent_points(w: np.ndarray, rho: float, n_steps: int):
         raise ValueError(f"rho must be > 0, got {rho}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    w = np.asarray(w, dtype=np.float64)
-    current = w.copy()
+    current = w = np.asarray(w, dtype=np.float64)
     step_len = rho / n_steps
     for step in range(n_steps):
         value, grad = yield current
@@ -262,12 +261,6 @@ class LossOnly(NamedTuple):
     point: np.ndarray
 
 
-def _stack(points) -> np.ndarray:
-    # np.array copies a list of rows as np.stack does, at a fraction of its
-    # overhead; a single row is passed as a view.
-    return points[0][None, :] if len(points) == 1 else np.array(points)
-
-
 def lockstep(model_spec, batch, generators) -> list:
     """Run point generators together on one batch; returns what each returns,
     in the order given.
@@ -276,7 +269,7 @@ def lockstep(model_spec, batch, generators) -> list:
     (value, gradient), or a `LossOnly` point and receives the value. Each
     round answers every live generator's pending point with one call per
     kind, `network.loss_and_grad` and `network.forward`, on the stacked
-    points (a lone point is a stack of one). A generator leaves the rounds
+    points (on a lone point, the vector call). A generator leaves the rounds
     when it returns; at most `network.rows_per_call(model_spec, batch)` are
     live at once, and the next one is started, and so builds its points,
     only when a place is free. Rows are evaluated independently, so every
@@ -303,13 +296,19 @@ def lockstep(model_spec, batch, generators) -> list:
         for entry in live:
             (loss_entries if type(entry[2]) is LossOnly else grad_entries).append(entry)
         answered = []
-        if grad_entries:
+        if len(grad_entries) == 1:
+            answered.append((grad_entries[0],
+                             network.loss_and_grad(model_spec, grad_entries[0][2], batch)))
+        elif grad_entries:
             values, grads = network.loss_and_grad(
-                model_spec, _stack([entry[2] for entry in grad_entries]), batch)
+                model_spec, np.array([entry[2] for entry in grad_entries]), batch)
             answered += zip(grad_entries, zip(values.tolist(), grads))
-        if loss_entries:
+        if len(loss_entries) == 1:
+            answered.append((loss_entries[0],
+                             network.forward(model_spec, loss_entries[0][2].point, batch)))
+        elif loss_entries:
             values = network.forward(
-                model_spec, _stack([entry[2].point for entry in loss_entries]), batch)
+                model_spec, np.array([entry[2].point for entry in loss_entries]), batch)
             answered += zip(loss_entries, values.tolist())
         live = []
         for entry, answer in answered:
@@ -338,4 +337,4 @@ def step_rows(model_spec, rows: np.ndarray, batch, configs, states):
     results = lockstep(model_spec, batch,
                        [step_points(row, config, state)
                         for row, config, state in zip(rows, configs, states)])
-    return _stack([new for new, _ in results]), [report for _, report in results]
+    return np.array([new for new, _ in results]), [report for _, report in results]

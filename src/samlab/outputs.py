@@ -109,10 +109,10 @@ def summary(suite) -> dict:
 
 @contextlib.contextmanager
 def _failing_as(message: str):
-    """Raise an OSError from the block as SamLabError("<message>: <error>")."""
+    """Raise an OSError or a path's UnicodeEncodeError as a SamLabError."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         raise SamLabError(f"{message}: {exc}") from exc
 
 

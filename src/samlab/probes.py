@@ -128,20 +128,18 @@ def loss_average_direction(model_spec, params: np.ndarray, batch, rho: float,
     return mean, stderr, n_samples
 
 
-def _ascent(params, rho, inner_steps, start_epsilon):
-    """Projected gradient ascent inside the rho-ball from w + start_epsilon,
-    as a point generator (see `optimizers.lockstep`).
+def _ascent(params, rho, inner_steps, epsilon):
+    """Projected gradient ascent inside the rho-ball from w + epsilon, as a
+    point generator (see `optimizers.lockstep`).
 
-    Normalized ascent steps of length 2*rho/inner_steps, projecting back onto
-    the ball whenever an iterate leaves it. Returns the best loss seen at any
-    visited point, including the start. Each point is evaluated once: the
-    loss of a point the ascent steps from comes with its gradient, and only
-    the last point, which it does not step from, is a `LossOnly` point.
+    The start is evaluated as given, so the first-order start is exactly the
+    point `loss_ascent_direction` measures. Normalized ascent steps of length
+    2*rho/inner_steps follow, projecting back onto the ball whenever an
+    iterate leaves it. Returns the best loss seen at any visited point,
+    including the start. Each point is evaluated once: the loss of a point
+    the ascent steps from comes with its gradient, and only the last point,
+    which it does not step from, is a `LossOnly` point.
     """
-    epsilon = np.asarray(start_epsilon, dtype=np.float64).copy()
-    start_norm = l2_norm(epsilon)
-    if start_norm > rho:
-        epsilon *= rho / start_norm
     best = -math.inf
     step_len = 2.0 * rho / inner_steps
     for _ in range(inner_steps):
@@ -165,13 +163,13 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     One ascent starts from the first-order perturbation (usually already near
     the maximizer), the rest from independent uniform draws inside the ball.
     The estimate is monotone in `restarts` for a fixed seed because restart i
-    always uses the stream seeded by (seed, i). Never below L(w): the center
-    is a visited point of the first ascent whenever the gradient vanishes,
-    and otherwise the first-order start dominates it in practice; we still
-    clamp against the center explicitly to make the lower bound exact. The
+    always uses the stream seeded by (seed, i). It is at least
+    max(L(w), `loss_ascent_direction`), to the bit: it starts from L(w),
+    which is the ascent direction's loss where the gradient vanishes, and
+    otherwise the first ascent's first point is the first-order point. The
     ascents run in `lockstep`, each starting point drawn only when its
-    ascent starts. `base` is
-    `network.loss_and_grad` at w, if the caller already has it.
+    ascent starts. `base` is `network.loss_and_grad` at w, if the caller
+    already has it.
     """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")

@@ -460,3 +460,101 @@ def test_output_write_failure_exits_2_without_traceback(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write outputs to ")
     assert "No space left on device" in err and "Traceback" not in err
+
+
+IDX_DATASET = {"generator": "idx", "images": "train.idx", "labels": "train-labels.idx"}
+
+
+@pytest.mark.parametrize("overrides, argv, message", [
+    ({}, ["--seeds", "1,x"], "--seeds expects comma-separated integers, got '1,x'"),
+    ({"epochs": -1}, [], "config: epochs must be >= 0, got -1"),
+    ({"batch_size": 0}, [], "config: batch_size must be >= 1, got 0"),
+    ({"label_noise_fraction": -0.1}, [], "config: label_noise_fraction must be in [0, 1), got -0.1"),
+    ({"label_noise_fraction": 1}, [], "config: label_noise_fraction must be in [0, 1), got 1.0"),
+    ("[1]", [], "config must be an object, got list"),
+    ({"optimizer": None, "optimizers": None}, [],
+     "config needs 'optimizer' or an 'optimizers' sweep"),
+    ({"dataset": {"generator": "spiral"}}, [],
+     "config.dataset: unknown dataset generator 'spiral'"),
+    ({"dataset": {"generator": "idx", "images": "train.idx"}}, [],
+     "config.dataset: idx dataset needs both 'images' and 'labels' paths"),
+    ({"dataset": dict(IDX_DATASET, test_labels="test-labels.idx")}, [],
+     "config.dataset: idx test set needs both 'test_images' and 'test_labels'"),
+    ({"dataset": dict(IDX_DATASET, test_images="t.idx", test_labels="tl.idx",
+                      train_fraction=0.25)}, [],
+     "config.dataset: dataset key 'train_fraction' is not read by an idx dataset with "
+     "'test_images' and 'test_labels'"),
+    ({"model": {"kind": "cnn"}}, [], "config.model: unknown model kind 'cnn'"),
+    ({"slice": {"extent": -1}}, [], "config.slice: slice extent must be >= 0, got -1.0"),
+    ({"slice": {"n_points": 1}}, [], "config.slice: slice n_points must be >= 2, got 1"),
+    ({"probe": {"restarts": 0}}, [], "config.probe: restarts must be >= 1, got 0"),
+    ({"probe": {"inner_steps": 0}}, [], "config.probe: inner_steps must be >= 1, got 0"),
+    ({"probe": {"n_samples": 1}}, [], "config.probe: n_samples must be >= 2, got 1"),
+    ({"optimizer": {"kind": "sgd", "learning_rate": 0.1, "weight_decay": -1}}, [],
+     "config.optimizer: weight_decay must be >= 0, got -1.0"),
+], ids=["seeds_flag", "epochs", "batch_size", "label_noise_below", "label_noise_at_1",
+        "not_an_object", "no_optimizer", "generator", "idx_labels", "idx_test_pair",
+        "idx_train_fraction", "model_kind", "slice_extent", "slice_n_points", "restarts",
+        "inner_steps", "n_samples", "weight_decay"])
+def test_each_config_rejection_exits_2_with_one_error_line(tmp_path, capsys, overrides, argv,
+                                                           message):
+    """One case per config rejection that no other test reaches: exit 2 with
+    the whole message as one `error: ` line, no traceback and no `--out`
+    directory. A str case is the whole config file; a None value drops its
+    key."""
+    config = write_config(tmp_path)
+    if isinstance(overrides, str):
+        config.write_text(overrides)
+    else:
+        raw = dict(json.loads(config.read_text()), **overrides)
+        config.write_text(json.dumps({k: v for k, v in raw.items() if v is not None}))
+    out = tmp_path / "o"
+    assert cli.main(["train", "--config", str(config), "--out", str(out)] + argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "compare", "probe", "slice"])
+def test_out_dir_no_file_name_can_hold_exits_2_before_any_compute(
+        tmp_path, capsys, monkeypatch, command):
+    calls = []
+    for name in ("compare_optimizers", "probe_checkpoint", "slice_checkpoint"):
+        monkeypatch.setattr(harness, name, lambda *args, _name=name, **kw: calls.append(_name))
+    config = write_config(tmp_path, out_dir="\ud800")
+    monkeypatch.chdir(tmp_path)
+    argv = [command, "--config", str(config)]
+    if command in ("probe", "slice"):
+        argv += ["--checkpoint", str(tmp_path / "x.ckpt")]
+    assert cli.main(argv) == 2
+    assert calls == []
+    assert capsys.readouterr().err == \
+        "error: config: out_dir cannot be encoded as a file name, got '\\ud800'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_slice_name_no_file_name_can_hold_exits_2_before_any_compute(
+        tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "slice_checkpoint", lambda *args: calls.append(args))
+    config = write_config(tmp_path, slice={"name": "\ud800"})
+    out = tmp_path / "o"
+    code = cli.main(["slice", "--config", str(config), "--checkpoint", str(tmp_path / "x.ckpt"),
+                     "--out", str(out)])
+    assert code == 2
+    assert calls == []
+    assert capsys.readouterr().err == \
+        "error: config.slice: slice name cannot be encoded as a file name, got '\\ud800'\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_compare_whose_sam_runs_all_fail_exits_1_with_each_failure(tmp_path, capsys):
+    config = write_config(tmp_path, optimizers=[
+        {"kind": "sgd", "learning_rate": 0.1, "momentum": 0.9},
+        {"kind": "sam", "learning_rate": 1e300, "momentum": 0.9, "rho": 0.05}])
+    assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1] == \
+        "sam: seeds=0 failed=2 test_acc=n/a sharpness_x1e3=n/a"
+    assert captured.err.splitlines() == [f"  seed {seed} failed: NumericError: dense1: "
+                                         "non-finite value" for seed in (1, 2)]

@@ -179,6 +179,20 @@ def test_null_keys_of_another_generator_are_accepted():
     assert parse_config(dict(RAW, dataset=dataset)) == parse_config(RAW)
 
 
+def test_file_name_escapes_of_argv_bytes_count_one_byte_each(tmp_path):
+    """--out holds each undecodable argv byte as a \\udc80-\\udcff escape,
+    which the file system writes back as one byte."""
+    name = "\udcff" * 245
+    assert harness.SliceConfig(name=name).name == name
+    with pytest.raises(ConfigError, match="got 246$"):
+        harness.SliceConfig(name=name + "\udc80")
+    out = tmp_path / "o\udc80"
+    assert parse_config(RAW, out_override=out).out_dir == str(out)
+    path = emit_slice(out, name, [0.0], [0.0, 1.0], np.zeros((1, 2)))
+    assert os.listdir(os.fsencode(out)) == [b"slice_" + b"\xff" * 245 + b".csv"]
+    assert path.read_text().splitlines()[0] == "alpha,beta,loss"
+
+
 def test_seeds_and_out_overrides():
     cfg = parse_config(RAW, seeds_override=(7, 8, 9), out_override="/tmp/x")
     assert cfg.seeds == (7, 8, 9)
@@ -620,11 +634,11 @@ def _record_stack_sizes(monkeypatch):
     layer); a vector is one row."""
     sizes, calls = [], []
 
-    def recorded(spec, flat, w_bound, batch, _f=network._pass):
+    def recorded(spec, flat, features, w_bound, x_bound, _f=network._mlp_pass):
         rows = len(flat) if flat.ndim == 2 else 1
-        sizes.append((calls[-1], rows, rows * batch.features.shape[0] * max(spec.widths)))
-        return _f(spec, flat, w_bound, batch)
-    monkeypatch.setattr(network, "_pass", recorded)
+        sizes.append((calls[-1], rows, rows * features.shape[0] * max(spec.widths)))
+        return _f(spec, flat, features, w_bound, x_bound)
+    monkeypatch.setattr(network, "_mlp_pass", recorded)
     for name in ("forward", "loss_and_grad", "loss_and_accuracy"):
         def entry(spec, params, batch, _f=getattr(network, name), _name=name):
             calls.append(_name)
@@ -800,6 +814,12 @@ def test_emit_slice_grid_rows(tmp_path):
     lines = open(path).read().splitlines()
     assert lines[0] == "alpha,beta,loss"
     assert len(lines) == 10
+
+
+def test_emit_slice_to_a_name_no_file_name_can_hold_raises_samlab_error(tmp_path):
+    with pytest.raises(SamLabError, match="^cannot write .*surrogates not allowed$"):
+        emit_slice(tmp_path, "\ud800", [0.0], [0.0, 1.0], np.zeros((1, 2)))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unwritable_out_dir_fails_before_training(tmp_path):

@@ -283,11 +283,11 @@ def test_stacking_budget_moves_no_loss_only_byte(activation, head, widths, n_cla
     def results():
         logits = []
 
-        def recorded(*args, _f=network._pass):
+        def recorded(*args, _f=network._mlp_pass):
             out = _f(*args)
             logits.append(out[2])
             return out
-        with mock.patch.object(network, "_pass", recorded):
+        with mock.patch.object(network, "_mlp_pass", recorded):
             loss, accuracy = network.loss_and_accuracy(spec, params, batch)
         return [np.asarray(v).tobytes() for v in (np.concatenate(logits, axis=-2), loss, accuracy,
                                                   network.forward(spec, params, batch),
@@ -447,8 +447,8 @@ def test_stacked_rows_match_their_2d_pins(case):
 @pytest.mark.parametrize("case", sorted(PINNED_KERNEL_BYTES),
                          ids=lambda case: "-".join(map(str, case)))
 def test_one_row_stack_is_the_2d_call(case):
-    """A stack of one row (how `optimizers.lockstep` answers a lone point)
-    gives the pinned bytes of the vector call."""
+    """A stack of one row (as the last pass of `network.passes` can be) runs
+    the stacked path and gives the pinned bytes of the vector call."""
     spec, params, batch = pin_case(*case)
     result = network.loss_and_grad(spec, params[None, :], batch)
     losses = network.forward(spec, params[None, :], batch)

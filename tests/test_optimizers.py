@@ -366,7 +366,7 @@ def test_step_rows_keeps_each_direction_stream():
     assert stepped[0].tobytes() != stepped[1].tobytes()
 
 
-def test_lockstep_answers_a_lone_point_as_a_stack_of_one(monkeypatch):
+def test_lockstep_answers_a_lone_point_as_a_vector(monkeypatch):
     spec, batch, configs, rows = _lockstep_case()
     shapes = []
     loss_and_grad = network.loss_and_grad
@@ -379,7 +379,7 @@ def test_lockstep_answers_a_lone_point_as_a_stack_of_one(monkeypatch):
                          _states([configs[2], configs[4]], rows.shape[1]))
     # sgd leaves after the first round; sam_ga3's last two ascent points and
     # its perturbed point are answered alone.
-    assert shapes == [(2, rows.shape[1])] + [(1, rows.shape[1])] * 3
+    assert shapes == [(2, rows.shape[1])] + [(rows.shape[1],)] * 3
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

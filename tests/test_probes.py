@@ -105,6 +105,46 @@ def test_worst_direction_constant_loss():
     assert est == 0.75
 
 
+def bound_cases(family, n):
+    """n seeded (spec, params, batch, rho) cases of one family: quadratic
+    bowls, isotropic or not, at short-decimal points, or small MLPs."""
+    rng = np.random.default_rng(len(family))
+    for i in range(n):
+        if family == "mlp":
+            spec = MlpSpec(2, (int(rng.integers(2, 6)),), 2, network.ACTIVATIONS[i % 2],
+                           network.HEADS[i // 2 % 2])
+            yield (spec, network.init_params(spec, rng).data, gen_two_moons(16, 0.2, i),
+                   float(rng.choice([0.05, 0.1, 0.5, 1.0])))
+            continue
+        dim = int(rng.integers(1, 6))
+        diag = ((float(rng.choice([0.5, 1.0, 2.0, 3.0])),) * dim if family == "isotropic"
+                else tuple(rng.uniform(-2.0, 4.0, dim).tolist()))
+        yield (QuadraticSpec(diag), rng.uniform(-1.0, 1.0, dim).round(int(rng.integers(1, 4))),
+               BATCH, float(rng.choice([0.05, 0.1, 0.3, 0.5, 0.9, 1.0, 2.0])))
+
+
+@pytest.mark.parametrize("family, n", [("isotropic", 400), ("anisotropic", 400), ("mlp", 100)])
+def test_worst_direction_estimate_is_at_least_base_and_ascent_losses(family, n):
+    """The estimate holds the base loss and the first-order point's loss
+    exactly, not up to a rounding step."""
+    below = []
+    for seed, (spec, params, batch, rho) in enumerate(bound_cases(family, n)):
+        cfg = ProbeConfig(rho=rho, restarts=2, inner_steps=3, n_samples=2)
+        report = build_report(spec, params, batch, cfg, seed=seed)
+        if report.l_max_estimate < max(report.base_loss, report.l_asc):
+            below.append((seed, report.l_max_estimate, report.base_loss, report.l_asc))
+    assert below == []
+
+
+def test_worst_direction_estimate_keeps_an_exact_first_order_maximum():
+    """On an isotropic bowl the first-order point is the maximiser over the
+    ball; the estimate starts there, as given, not one rescale away."""
+    report = build_report(QuadraticSpec(diag=(3.0, 3.0)), np.array([0.25, 0.25]), BATCH,
+                          ProbeConfig(rho=0.9), seed=0)
+    assert report.l_asc == pytest.approx(1.5 * (math.sqrt(0.125) + 0.9) ** 2, rel=1e-15)
+    assert report.l_max_estimate >= report.l_asc
+
+
 @pytest.mark.parametrize("probe, kwargs, message", [
     (loss_ascent_direction, {"rho": 0.0}, "rho must be > 0"),
     (loss_average_direction, {"rho": 0.0, "n_samples": 4, "seed": 0}, "rho must be > 0"),
@@ -338,11 +378,7 @@ def oracle_average_direction(spec, params, batch, rho, n_samples, seed):
             n_samples)
 
 
-def oracle_ascend(spec, params, batch, rho, inner_steps, start_epsilon):
-    epsilon = np.asarray(start_epsilon, dtype=np.float64).copy()
-    start_norm = float(np.linalg.norm(epsilon))
-    if start_norm > rho:
-        epsilon *= rho / start_norm
+def oracle_ascend(spec, params, batch, rho, inner_steps, epsilon):
     best = -math.inf
     step_len = 2.0 * rho / inner_steps
     for _ in range(inner_steps):
