@@ -12,6 +12,7 @@ through `samlab.outputs`.
 """
 
 import argparse
+import os
 import sys
 
 from . import harness, outputs
@@ -37,6 +38,15 @@ def _require_out(config) -> str:
     if config.out_dir is None:
         raise SamLabError("no output directory (config 'out_dir' or --out)")
     return config.out_dir
+
+
+def _print_wrote(path) -> None:
+    """Print `wrote <path>` with the path's own bytes. A path from argv keeps
+    each byte it cannot decode as a surrogate escape, which a strict UTF-8
+    stdout cannot encode; `os.fsencode` gives the byte back."""
+    sys.stdout.flush()
+    sys.stdout.buffer.write(b"wrote " + os.fsencode(path) + b"\n")
+    sys.stdout.buffer.flush()
 
 
 def _print_suite(suite) -> None:
@@ -72,7 +82,7 @@ def cmd_compare(args) -> int:
     outputs.emit_outputs(out_dir, suites)
     for suite in suites:
         _print_suite(suite)
-    print(f"wrote {out_dir}/runs.csv")
+    _print_wrote(f"{out_dir}/runs.csv")
     return 0 if all(not s.failures for s in suites) else 1
 
 
@@ -93,8 +103,7 @@ def cmd_slice(args) -> int:
     out_dir = _require_out(config)
     outputs.prepare_out_dir(out_dir)
     slice_cfg, alphas, betas, losses = harness.slice_checkpoint(args.checkpoint, config)
-    path = outputs.emit_slice(out_dir, slice_cfg.name, alphas, betas, losses)
-    print(f"wrote {path}")
+    _print_wrote(outputs.emit_slice(out_dir, slice_cfg.name, alphas, betas, losses))
     return 0
 
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import samlab
 from samlab import cli, data, fileio, harness
 
 
@@ -558,3 +563,30 @@ def test_compare_whose_sam_runs_all_fail_exits_1_with_each_failure(tmp_path, cap
         "sam: seeds=0 failed=2 test_acc=n/a sharpness_x1e3=n/a"
     assert captured.err.splitlines() == [f"  seed {seed} failed: NumericError: dense1: "
                                          "non-finite value" for seed in (1, 2)]
+
+
+def _cli_on_strict_utf8_stdout(cwd, *argv: bytes) -> subprocess.CompletedProcess:
+    """`python -m samlab.cli argv` in a fresh interpreter whose stdout and
+    stderr encode strict UTF-8, as under a UTF-8 locale."""
+    src = str(Path(samlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "samlab.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=300)
+
+
+@pytest.mark.skipif(os.name != "posix", reason="argv bytes that no UTF-8 decoding keeps")
+def test_output_lines_print_an_undecodable_out_as_its_bytes(tmp_path):
+    """An --out holding a byte that UTF-8 cannot decode (argv keeps it as a
+    surrogate escape) is printed as that byte on a strict UTF-8 stdout: exit
+    0, not a UnicodeEncodeError traceback once every file is written."""
+    config = os.fsencode(write_config(tmp_path, seeds=[1],
+                                      slice={"name": "around", "extent": 0.5, "n_points": 3}))
+    train = _cli_on_strict_utf8_stdout(tmp_path, b"train", b"--config", config, b"--out", b"o\xff")
+    assert (train.returncode, train.stderr) == (0, b"")
+    assert train.stdout.endswith(b"\nwrote o\xff/runs.csv\n")
+    checkpoint = os.path.join(os.fsencode(tmp_path), b"o\xff", b"checkpoints", b"sgd_seed1.ckpt")
+    assert os.path.isfile(checkpoint)
+    cut = _cli_on_strict_utf8_stdout(tmp_path, b"slice", b"--config", config,
+                                     b"--checkpoint", checkpoint, b"--out", b"o\xff")
+    assert (cut.returncode, cut.stderr, cut.stdout) == (0, b"", b"wrote o\xff/slice_around.csv\n")

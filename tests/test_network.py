@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from samlab import harness, network, probes
+from samlab import autodiff as ad, harness, network, probes
 from samlab.data import Dataset, gen_two_moons
 from samlab.errors import LayoutError, NumericError, ShapeError
 from samlab.network import MlpSpec, QuadraticSpec
@@ -338,30 +339,35 @@ def test_loss_only_calls_equal_the_gradient_calls_loss_on_a_wide_batch():
                                   float(centre))] == [value] * 3, seed
 
 
-# (hidden widths, rows) per pin case size. A "wide" hidden layer and its
-# reverse-pass gradient (200 x 128, 200 x 96) take 150-200 KiB, above glibc's
-# default mmap threshold (128 KiB); every "small" array is far below it. A
-# "mid" array (120 x 64, 120 x 48) is below it alone and above it in a stack
-# of 3.
-PIN_SIZES = {"small": ((5, 4), 40), "mid": ((64, 48), 120), "wide": ((128, 96), 200)}
+# (input width, hidden widths, rows) per pin case size. A "wide" hidden layer
+# and its reverse-pass gradient (200 x 128, 200 x 96) take 150-200 KiB, above
+# glibc's default mmap threshold (128 KiB); every "small" array is far below
+# it. A "mid" array (120 x 64, 120 x 48) is below it alone and above it in a
+# stack of 3. "probe" is the bench's probe_small model and train split
+# (2-32-2 at 500 rows), where the kernel's narrow broadcasts and bias-gradient
+# sums take their long-loop forms; "thin" has a hidden layer one unit wide.
+PIN_SIZES = {"small": (3, (5, 4), 40), "mid": (3, (64, 48), 120), "wide": (3, (128, 96), 200),
+             "probe": (2, (32,), 500), "thin": (3, (1, 4), 500)}
 
 
 def pin_case(activation, head, n_classes, depth, size="small"):
-    """A fixed 3-input model and batch, with some -0.0 weights and features."""
-    hidden, rows = PIN_SIZES[size]
+    """A fixed model and batch, with some -0.0 weights and features."""
+    in_width, hidden, rows = PIN_SIZES[size]
     rng = np.random.default_rng([n_classes, depth])
-    spec = MlpSpec(3, hidden[:depth], n_classes, activation, head)
+    spec = MlpSpec(in_width, hidden[:depth], n_classes, activation, head)
     params = network.init_params(spec, rng).data
     params[::7] = -0.0
-    features = rng.standard_normal((rows, 3))
+    features = rng.standard_normal((rows, in_width))
     features[::5, 0] = -0.0
     return spec, params, Dataset(features, rng.integers(0, n_classes, rows), n_classes)
 
 
-# (activation, head, classes, depth): (float.hex of the loss, sha256[:16] of the
-# gradient bytes, float.hex of the accuracy). Any rewrite of the kernel that
-# moves a single output byte fails here. Taken with numpy 2.4 and its bundled
-# OpenBLAS on x86-64; another BLAS build may round a matmul differently.
+# (activation, head, classes, depth[, size]): (float.hex of the loss,
+# sha256[:16] of the gradient bytes, float.hex of the accuracy). Any rewrite of
+# the kernel that moves a single output byte fails here. Taken with numpy 2.4
+# and its bundled OpenBLAS on x86-64; another BLAS build may round a matmul
+# differently. The "probe" and "thin" entries were taken before the kernel's
+# narrow broadcasts and bias-gradient sums got their long-loop forms.
 PINNED_KERNEL_BYTES = {
     ("relu", "softmax_ce", 2, 0): ("0x1.bd218f71634cep-1", "e9f39f75c5fb46c8", "0x1.0000000000000p-1"),
     ("relu", "softmax_ce", 2, 2): ("0x1.8e7dcc1a0f016p-1", "e7438e11d52ba305", "0x1.0000000000000p-1"),
@@ -395,6 +401,12 @@ PINNED_KERNEL_BYTES = {
     ("relu", "mse", 3, 2, "mid"): ("0x1.45c8aae4cbc48p+0", "65714949ab88a198", "0x1.3333333333333p-2"),
     ("tanh", "softmax_ce", 3, 2, "mid"): ("0x1.234d384d0d311p+0", "10afb534da33e04b", "0x1.9111111111111p-2"),
     ("tanh", "mse", 3, 2, "mid"): ("0x1.e15b76cea764ep-2", "f21f3892af480746", "0x1.9111111111111p-2"),
+    ("relu", "softmax_ce", 2, 1, "probe"): ("0x1.8f3b41d23e05dp-1", "48e97ba79c1db7dc", "0x1.116872b020c4ap-1"),
+    ("relu", "mse", 2, 1, "probe"): ("0x1.36be7a72c0a91p+0", "aafe65f3f39b362c", "0x1.116872b020c4ap-1"),
+    ("relu", "mse", 1, 1, "probe"): ("0x1.93ab3fca4cf59p+0", "ddaf84b6fef9bd22", "0x1.0000000000000p+0"),
+    ("tanh", "softmax_ce", 1, 1, "probe"): ("-0x0.0p+0", "934ee56ad6539fb9", "0x1.0000000000000p+0"),
+    ("relu", "softmax_ce", 3, 2, "thin"): ("0x1.1ea548746d1dbp+0", "15cf095edec2d44e", "0x1.7ef9db22d0e56p-2"),
+    ("tanh", "mse", 2, 1, "thin"): ("0x1.80024309eecb1p+0", "0899b7fe06783d7f", "0x1.0624dd2f1a9fcp-1"),
 }
 
 
@@ -653,6 +665,98 @@ def test_column_fold_of_a_stack_folds_its_last_axis(width):
         folded = network._fold(ufunc, a)
         assert folded.shape == (3, 50, 1)
         assert folded.tobytes() == reference(a, axis=-1, keepdims=True).tobytes()
+
+
+# Batch rows and stacked parameter rows (0: one vector) at which the kernel's
+# long-loop forms are checked against numpy's plain forms: on both sides of
+# autodiff.LONG_ROWS, up to the 1,500-row test split of the bench's task.
+LONG_FORM_ROWS = (1, 2, 31, 127, 128, 255, 256, 500, 1500)
+LONG_FORM_STACKS = (0, 1, 2, 6)
+
+
+def _mixed(rng, shape) -> np.ndarray:
+    """Normal entries scaled by 10^-8 to 10^8, about a tenth of them 0.0 and
+    a tenth -0.0."""
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    a[rng.random(shape) < 0.1] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_long_loop_forms_are_numpys_plain_forms(width):
+    """On every batch and stack, with the long-loop forms where the shape
+    rule puts them and forced on every row count, a layer `width` units wide
+    gets the bytes of plain `x @ w + b`, `_less` those of plain `a - v`, and
+    the bias gradient those of `np.add.reduce(d, axis=-2)`."""
+    rng = np.random.default_rng(width)
+    spec = MlpSpec(3, (), width, "relu", "mse")
+    w_slice, w_shape, b_slice = spec.layers[0]
+    for n, stack in itertools.product(LONG_FORM_ROWS, LONG_FORM_STACKS):
+        lead = (stack,) if stack else ()
+        flat = _mixed(rng, lead + (spec.param_count,))
+        features = _mixed(rng, (n, 3))
+        w = flat[..., w_slice].reshape(lead + w_shape)
+        d = _mixed(rng, lead + (n, width))
+        v = _mixed(rng, lead + (n, 1))
+        plain = ((features @ w + flat[..., None, b_slice]).tobytes(), (d - v).tobytes(),
+                 (np.add.reduce(d, axis=-2) + 0.0).tobytes())
+        for long_rows in (ad.LONG_ROWS, 1):
+            with mock.patch.object(ad, "LONG_ROWS", long_rows):
+                logits = network._mlp_pass(spec, flat, features, math.inf, math.inf)[2]
+                less = d.copy()
+                network._less(less, v, less)
+                assert network._less(d, v).tobytes() == less.tobytes()
+                grad = ad.backward("relu", spec.layers, [features], [w], d)
+            assert (logits.tobytes(), less.tobytes(), grad[..., b_slice].tobytes()) == plain, \
+                (n, stack, long_rows)
+
+
+def _kernel_bytes(spec, params, batch) -> list:
+    result = network.loss_and_grad(spec, params, batch)
+    return [np.asarray(v).tobytes() for v in (result.value, result.gradient,
+                                              network.forward(spec, params, batch),
+                                              *network.loss_and_accuracy(spec, params, batch))]
+
+
+@pytest.mark.parametrize("activation, head", itertools.product(network.ACTIVATIONS, network.HEADS))
+@pytest.mark.parametrize("widths", [(3, 1, 2), (3, 2, 2), (3, 7, 1, 2), (2, 32, 2), (3, 5, 1),
+                                    (3, 1, 3)], ids=lambda w: "-".join(map(str, w)))
+def test_long_loop_forms_move_no_kernel_byte(activation, head, widths):
+    """Every output of the kernel, through a hidden layer one unit wide too,
+    has the same bytes with the long-loop forms taken by the shape rule, on
+    every row count, or on none."""
+    spec = MlpSpec(widths[0], widths[1:-1], widths[-1], activation, head)
+    rng = np.random.default_rng(len(widths))
+    for n, stack in itertools.product((31, 300), (0, 3)):
+        params = _mixed(rng, (stack or 1, spec.param_count)) * 1e-6
+        params = params if stack else params[0]
+        batch = network.check_batch(spec, Dataset(_mixed(rng, (n, widths[0])),
+                                                  rng.integers(0, widths[-1], n), widths[-1]))
+        got = []
+        for long_rows in (ad.LONG_ROWS, 1, 2 ** 62):
+            with mock.patch.object(ad, "LONG_ROWS", long_rows):
+                got.append(_kernel_bytes(spec, params, batch))
+        assert got[0] == got[1] == got[2], (n, stack)
+
+
+@pytest.mark.parametrize("activation, head", [("relu", "softmax_ce"), ("tanh", "mse")])
+@pytest.mark.parametrize("widths", [(2, 32, 2), (3, 1, 4, 2), (3, 6, 1)],
+                         ids=lambda w: "-".join(map(str, w)))
+def test_stacked_rows_get_their_lone_calls_bytes_on_long_batches(activation, head, widths):
+    """At 500 and 1,500 batch rows, where a lone call takes the long-loop
+    forms as a stack does, each of 2-6 stacked rows gets its lone call's
+    loss, gradient, forward and accuracy bytes."""
+    spec = MlpSpec(widths[0], widths[1:-1], widths[-1], activation, head)
+    rng = np.random.default_rng(sum(widths))
+    for n, stack in ((500, 2), (500, 6), (1500, 3)):
+        batch = network.check_batch(spec, Dataset(rng.standard_normal((n, widths[0])),
+                                                  rng.integers(0, widths[-1], n), widths[-1]))
+        params = np.stack([network.init_params(spec, rng).data for _ in range(stack)])
+        stacked = _kernel_bytes(spec, params, batch)
+        for k, row in enumerate(params):
+            lone = _kernel_bytes(spec, row, batch)
+            assert [np.frombuffer(v).reshape(stack, -1)[k].tobytes() for v in stacked] == lone
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,109 @@ def test_worst_direction_estimate_is_at_least_base_and_ascent_losses(family, n):
     assert below == []
 
 
+def exact_worst_loss(spec: QuadraticSpec, w, rho: float) -> float:
+    """max over ||e|| <= rho of `spec`'s loss at w + e, for a bowl whose every
+    diag entry d_i is >= 0: a trust-region problem solved up to one scalar.
+
+    The loss is convex, so the maximum lies on the sphere ||e|| = rho, at e_i
+    = d_i w_i / (lam - d_i) for the lam > max(d) where ||e(lam)|| = rho.
+    There ||e(lam)|| falls monotonically, so bisection finds lam to the last
+    bit; the loss is taken at its last lam with ||e|| >= rho, an upper bound
+    to rounding. In the hard case w has no part along the top d_i, and the
+    other coordinates at lam = max(d) fall short of rho: the rest of the
+    radius then goes along a top axis, where every direction gives the same
+    loss (More & Sorensen 1983, "Computing a trust region step").
+    """
+    d, w = np.asarray(spec.diag), np.asarray(w, dtype=np.float64)
+
+    def loss(e):
+        return spec.offset + 0.5 * float(np.sum(d * (w + e) ** 2))
+
+    top = d.max()
+    if top == 0.0:
+        return spec.offset
+    axis = d == top
+    if not w[axis].any():
+        e = np.zeros_like(w)
+        e[~axis] = d[~axis] * w[~axis] / (top - d[~axis])
+        short = rho * rho - float(e @ e)
+        if short >= 0.0:
+            e[np.flatnonzero(axis)[0]] = math.sqrt(short)
+            return loss(e)
+    # ||e(lam)|| <= top ||w|| / (lam - top), so ||e(hi)|| <= rho.
+    lo, hi = top, top + top * float(np.linalg.norm(w)) / rho
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        e = d * w / (mid - d)
+        if float(e @ e) >= rho * rho:
+            lo = mid
+        else:
+            hi = mid
+    return loss(d * w / (lo - d)) if lo > top else loss(d * w / (hi - d))
+
+
+def trust_region_cases(n: int, isotropic: bool):
+    """n seeded (spec, w, rho) bowls with every diag entry >= 0: dimension
+    2-39, condition numbers up to 1,000 (some flat axes among them), rho
+    0.01-1, and w with no part along the top curvature in every fourth."""
+    rng = np.random.default_rng(31 if isotropic else 32)
+    for i in range(n):
+        dim = int(rng.integers(2, 40))
+        if isotropic:
+            diag = np.full(dim, float(rng.choice([0.5, 1.0, 3.0])))
+        else:
+            diag = 10.0 ** rng.uniform(-3.0, 0.0, dim) * float(rng.choice([1.0, 4.0]))
+            if i % 4 == 1:
+                diag[rng.random(dim) < 0.3] = 0.0
+        w = rng.standard_normal(dim) * float(rng.choice([0.05, 0.3, 1.0]))
+        if i % 4 == 3 and not isotropic:
+            w[diag == diag.max()] = 0.0
+        yield (QuadraticSpec(tuple(diag.tolist()), float(rng.choice([0.0, 0.25]))), w,
+               float(10.0 ** rng.uniform(-2.0, 0.0)))
+
+
+def test_exact_worst_loss_is_the_maximum_over_a_fine_circle():
+    """On 2-D bowls, the hard case among them, the trust-region oracle is
+    the largest loss on a 200,000-point grid of the circle ||e|| = rho, up
+    to the grid's spacing, and never below it."""
+    rng = np.random.default_rng(5)
+    theta = np.linspace(0.0, 2.0 * np.pi, 200_000, endpoint=False)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    cases = [(QuadraticSpec((1.0, 2.0)), np.array([0.3, 0.0]), 1.0),  # hard: 1.09
+             (QuadraticSpec((0.0, 0.0), 0.5), np.array([0.3, -0.2]), 0.4)]
+    for _ in range(60):
+        diag = rng.uniform(0.0, 3.0, 2)
+        w = rng.standard_normal(2) * rng.choice([0.1, 1.0])
+        if rng.random() < 0.3:
+            w[np.argmax(diag)] = 0.0
+        cases.append((QuadraticSpec(tuple(diag.tolist())), w, float(rng.uniform(0.05, 1.5))))
+    for spec, w, rho in cases:
+        exact = exact_worst_loss(spec, w, rho)
+        grid = spec.offset + 0.5 * np.max(np.sum(np.asarray(spec.diag) * (w + rho * circle) ** 2,
+                                                 axis=1))
+        assert grid - 1e-12 <= exact <= grid + 1e-8, (spec, w, rho)
+    assert exact_worst_loss(*cases[0]) == pytest.approx(1.09, rel=1e-15)
+
+
+@pytest.mark.parametrize("isotropic", [False, True], ids=["anisotropic", "isotropic"])
+def test_worst_direction_estimate_is_at_most_the_exact_maximum(isotropic):
+    """The estimate at the probe defaults never exceeds the exact maximum
+    over the ball (a relative 1e-12 covers the rounding of a sum of at most
+    39 terms and of a point put back on the sphere, both near 1e-15). On an
+    isotropic bowl the first-order start is the maximiser, so the two agree
+    to that rounding; on an anisotropic one the estimate may fall short."""
+    cfg = ProbeConfig()
+    short = []
+    for seed, (spec, w, rho) in enumerate(trust_region_cases(120, isotropic)):
+        exact = exact_worst_loss(spec, w, rho)
+        estimate = loss_worst_direction_estimate(spec, w, BATCH, rho, cfg.restarts,
+                                                 cfg.inner_steps, seed)
+        assert estimate <= exact + 1e-12 * abs(exact), (seed, estimate, exact)
+        if isotropic:
+            assert estimate >= exact - 1e-12 * abs(exact), (seed, estimate, exact)
+        short.append((estimate - spec.offset) / (exact - spec.offset))
+    assert min(short) > (0.999 if isotropic else 0.5)
+
+
 def test_worst_direction_estimate_keeps_an_exact_first_order_maximum():
     """On an isotropic bowl the first-order point is the maximiser over the
     ball; the estimate starts there, as given, not one rescale away."""
