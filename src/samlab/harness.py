@@ -512,16 +512,22 @@ def _failed(seed: int, opt: optimizers.OptimizerConfig, exc: BaseException) -> F
 _MALLOPT_SETTINGS = ((-3, 32 * 2 ** 20),   # M_MMAP_THRESHOLD
                      (-1, 2 ** 30))        # M_TRIM_THRESHOLD
 
+# The ufunc buffer, in elements, that setup_process gives numpy in place of
+# its default 8,192. Sizes from 512 to 4,096 timed alike at the probes'
+# shapes, all faster than 8,192 (the `network` docstring gives the timings).
+_UFUNC_BUFFER_ELEMENTS = 2048
+
 # OpenBLAS's thread setter, by build: scipy-openblas (numpy's wheels) with
 # 64-bit or 32-bit integers, then a plain OpenBLAS of either kind.
 _BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
                         "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
-@functools.cache
 def setup_process() -> None:
-    """Set the two process-wide settings samlab's bytes and speed rest on,
-    once per process; each is skipped quietly where its function is missing.
+    """Set the three settings samlab's bytes and speed rest on. The first two
+    are process-wide, set once per process and skipped quietly where their
+    function is missing; the third is numpy's per-thread setting, set on
+    every call in the calling thread.
 
     * BLAS on one thread. A multi-threaded OpenBLAS splits a product that
       reduces over the batch rows (the weight gradient) another way and
@@ -530,11 +536,26 @@ def setup_process() -> None:
       the BLAS numpy loaded.
     * glibc malloc's mmap and trim thresholds (`_MALLOPT_SETTINGS`), so the
       kernel's fresh arrays reuse freed heap memory with no page faults.
+    * numpy's ufunc buffer of `_UFUNC_BUFFER_ELEMENTS`, so the kernel's
+      broadcast and cast operands are copied in cache-sized chunks. An
+      elementwise result does not depend on how the loop is chunked, and
+      samlab's float64 reductions are not buffered, so no byte moves. numpy
+      keeps the size per thread, in the `np.errstate` context: another
+      thread, or the code after a `with np.errstate()` block around the
+      call, runs at numpy's default, with the same bytes but slower, until
+      it calls this again.
 
     `run_suite`, `compare_optimizers`, `probe_checkpoint`, `slice_checkpoint`
     and every pool worker call it first. Library code that calls the kernel
-    directly should call it too.
+    directly should call it too, in each thread that does.
     """
+    np.setbufsize(_UFUNC_BUFFER_ELEMENTS)
+    _setup_libraries()
+
+
+@functools.cache
+def _setup_libraries() -> None:
+    """`setup_process`'s malloc and BLAS settings, once per process."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # TypeError: no C library handle (Windows)

@@ -139,6 +139,11 @@ def _ascent(params, rho, inner_steps, epsilon):
     including the start. Each point is evaluated once: the loss of a point
     the ascent steps from comes with its gradient, and only the last point,
     which it does not step from, is a `LossOnly` point.
+
+    Its reach is bounded: the steps add up to 2*rho of path whatever
+    `inner_steps` is, and a projection only shortens a move, so a maximiser
+    more than about 2*rho of arc from the start (of up to pi*rho across the
+    sphere ||e|| = rho) is out of reach.
     """
     best = -math.inf
     step_len = 2.0 * rho / inner_steps
@@ -170,6 +175,10 @@ def loss_worst_direction_estimate(model_spec, params: np.ndarray, batch, rho: fl
     ascents run in `lockstep`, each starting point drawn only when its
     ascent starts. `base` is `network.loss_and_grad` at w, if the caller
     already has it.
+
+    Each ascent walks at most 2*rho of path, whatever `inner_steps` is
+    (`_ascent`), so a maximiser more than about 2*rho of arc from every
+    start is out of reach, and more steps only refine the path's end.
     """
     if rho <= 0:
         raise ValueError(f"rho must be > 0, got {rho}")

@@ -6,6 +6,7 @@ import platform
 import signal
 import subprocess
 import sys
+import threading
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -1037,3 +1038,56 @@ def test_setup_process_lets_the_kernel_reuse_freed_memory_without_faults():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert float(done.stdout.split()[-1]) <= 1.0
+
+
+BUFSIZE_AROUND = """
+import json, sys
+import numpy as np
+from samlab import harness
+before = np.getbufsize()
+if sys.argv[1] == "worker":
+    harness._start_worker(harness.prepare_task(harness.parse_config(json.loads(sys.argv[2]))))
+else:
+    harness.setup_process()
+print(before, np.getbufsize())
+"""
+
+
+@pytest.mark.parametrize("entry", ["setup_process", "worker"])
+def test_setup_process_shrinks_numpys_ufunc_buffer(entry):
+    """A fresh interpreter runs at numpy's default ufunc buffer (8,192
+    elements) until `setup_process`, or the `_start_worker` every `--jobs`
+    worker runs, sets it to 2,048."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", BUFSIZE_AROUND, entry, json.dumps(RAW)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["8192", str(harness._UFUNC_BUFFER_ELEMENTS)]
+    assert harness._UFUNC_BUFFER_ELEMENTS == 2048
+
+
+def test_setup_process_sets_the_buffer_in_each_calling_thread():
+    """numpy keeps the buffer size per thread and per `np.errstate` context,
+    so each call sets it where it is made: a new thread starts at numpy's
+    default, and so does the code after an errstate block, until they call
+    `setup_process` again."""
+    harness.setup_process()
+    seen = []
+
+    def in_thread():
+        seen.append(np.getbufsize())
+        harness.setup_process()
+        seen.append(np.getbufsize())
+
+    thread = threading.Thread(target=in_thread)
+    thread.start()
+    thread.join(timeout=60)
+    assert seen == [8192, harness._UFUNC_BUFFER_ELEMENTS]
+    np.setbufsize(8192)
+    with np.errstate():
+        harness.setup_process()
+        assert np.getbufsize() == harness._UFUNC_BUFFER_ELEMENTS
+    assert np.getbufsize() == 8192
+    harness.setup_process()
+    assert np.getbufsize() == harness._UFUNC_BUFFER_ELEMENTS

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from samlab import autodiff as ad, harness, network, probes
+from samlab import autodiff as ad, harness, network, optimizers, probes
 from samlab.data import Dataset, gen_two_moons
 from samlab.errors import LayoutError, NumericError, ShapeError
 from samlab.network import MlpSpec, QuadraticSpec
@@ -719,25 +719,78 @@ def _kernel_bytes(spec, params, batch) -> list:
                                               *network.loss_and_accuracy(spec, params, batch))]
 
 
+# numpy's default ufunc buffer, in elements, and the one setup_process sets.
+NUMPY_BUFSIZE = 8192
+BUFSIZES = (NUMPY_BUFSIZE, harness._UFUNC_BUFFER_ELEMENTS)
+
+
+def _at_bufsize(size: int, compute):
+    """compute() with numpy's ufunc buffer at `size`; errstate restores the
+    size the caller had."""
+    with np.errstate():
+        np.setbufsize(size)
+        return compute()
+
+
 @pytest.mark.parametrize("activation, head", itertools.product(network.ACTIVATIONS, network.HEADS))
 @pytest.mark.parametrize("widths", [(3, 1, 2), (3, 2, 2), (3, 7, 1, 2), (2, 32, 2), (3, 5, 1),
                                     (3, 1, 3)], ids=lambda w: "-".join(map(str, w)))
 def test_long_loop_forms_move_no_kernel_byte(activation, head, widths):
     """Every output of the kernel, through a hidden layer one unit wide too,
     has the same bytes with the long-loop forms taken by the shape rule, on
-    every row count, or on none."""
+    every row count, or on none, under either ufunc buffer. An mse head on
+    1,500 rows sums more terms than the smaller buffer holds, so a numpy
+    that chunked a float64 reduction by the buffer would fail here."""
     spec = MlpSpec(widths[0], widths[1:-1], widths[-1], activation, head)
     rng = np.random.default_rng(len(widths))
-    for n, stack in itertools.product((31, 300), (0, 3)):
+    for n, stack in itertools.product(LONG_FORM_ROWS, LONG_FORM_STACKS):
         params = _mixed(rng, (stack or 1, spec.param_count)) * 1e-6
         params = params if stack else params[0]
         batch = network.check_batch(spec, Dataset(_mixed(rng, (n, widths[0])),
                                                   rng.integers(0, widths[-1], n), widths[-1]))
         got = []
-        for long_rows in (ad.LONG_ROWS, 1, 2 ** 62):
+        for size, long_rows in itertools.product(BUFSIZES, (ad.LONG_ROWS, 1, 2 ** 62)):
             with mock.patch.object(ad, "LONG_ROWS", long_rows):
-                got.append(_kernel_bytes(spec, params, batch))
-        assert got[0] == got[1] == got[2], (n, stack)
+                got.append(_at_bufsize(size, lambda: _kernel_bytes(spec, params, batch)))
+        assert all(g == got[0] for g in got), (n, stack)
+
+
+def test_report_and_lockstep_step_keep_their_bytes_under_either_buffer():
+    """A probe report and one lockstep step of four runs, on the bench's
+    2-32-2 model at 500 rows, give the same bytes under either buffer."""
+    spec = MlpSpec(2, (32,), 2)
+    rng = np.random.default_rng(6)
+    batch = network.check_batch(spec, gen_two_moons(500, 0.25, 1))
+    params = network.init_params(spec, rng).data
+    rows = np.stack([network.init_params(spec, rng).data for _ in range(4)])
+    probe = probes.ProbeConfig(rho=0.05, restarts=2, inner_steps=3, n_samples=8)
+    common = dict(learning_rate=0.1, momentum=0.9, rho=0.05)
+    configs = [optimizers.OptimizerConfig(kind="sgd", **common),
+               optimizers.OptimizerConfig(kind="sam", **common),
+               optimizers.OptimizerConfig(kind="rand_sam", **common),
+               optimizers.OptimizerConfig(kind="sam_ga", ga_steps=5, **common)]
+
+    def run():
+        report = probes.build_report(spec, params, batch, probe, seed=5)
+        states = [optimizers.init_state(cfg, spec.param_count, direction_seed=11 + k)
+                  for k, cfg in enumerate(configs)]
+        stepped, reports = optimizers.step_rows(spec, rows, batch, configs, states)
+        return ([v.hex() if isinstance(v, float) else v for v in report.to_dict().values()],
+                stepped.tobytes(), repr(reports), [s.momentum_buffer.tobytes() for s in states])
+
+    assert _at_bufsize(NUMPY_BUFSIZE, run) == _at_bufsize(harness._UFUNC_BUFFER_ELEMENTS, run)
+
+
+def test_buffer_chunking_would_move_a_long_float64_sum():
+    """The guard above has teeth: on the mse head's longest sum, 1,500 rows
+    by 2 classes, a sum chunked by the smaller buffer gives other bytes than
+    numpy's unbuffered pairwise sum, which either buffer leaves as it is."""
+    terms = _mixed(np.random.default_rng(0), (6, 1500 * 2))
+    whole = [_at_bufsize(size, lambda: np.add.reduce(terms, axis=-1).tobytes())
+             for size in BUFSIZES]
+    chunk = harness._UFUNC_BUFFER_ELEMENTS
+    chunked = np.add.reduce(terms[:, :chunk], axis=-1) + np.add.reduce(terms[:, chunk:], axis=-1)
+    assert whole[0] == whole[1] != chunked.tobytes()
 
 
 @pytest.mark.parametrize("activation, head", [("relu", "softmax_ce"), ("tanh", "mse")])

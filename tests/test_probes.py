@@ -6,7 +6,7 @@ import pytest
 from samlab import network, optimizers, probes
 from samlab.data import Dataset, gen_two_moons
 from samlab.network import MlpSpec, QuadraticSpec
-from samlab.optimizers import epsilon_first_order, ZERO_GRAD_EPS
+from samlab.optimizers import epsilon_first_order, epsilon_gradient_ascent, ZERO_GRAD_EPS
 from samlab.vecops import sample_unit_direction
 from samlab.probes import (
     ProbeConfig, build_report, generalization_gap, loss_ascent_direction,
@@ -237,6 +237,31 @@ def test_worst_direction_estimate_is_at_most_the_exact_maximum(isotropic):
             assert estimate >= exact - 1e-12 * abs(exact), (seed, estimate, exact)
         short.append((estimate - spec.offset) / (exact - spec.offset))
     assert min(short) > (0.999 if isotropic else 0.5)
+
+
+@pytest.mark.parametrize("isotropic", [False, True], ids=["anisotropic", "isotropic"])
+def test_sam_ga_perturbation_is_at_most_the_exact_maximum(isotropic):
+    """sam_ga's N-step ascent, N in 1, 2, 5 and 10, never lifts the loss
+    above the exact maximum over the ball (to the relative 1e-12 above), and
+    on an isotropic bowl, whose gradient always points along w, every N
+    walks straight to the maximiser. One step is sam's first-order
+    perturbation: the same loss rise to that rounding."""
+    for spec, w, rho in trust_region_cases(120, isotropic):
+        def loss_and_grad(p):
+            return network.loss_and_grad(spec, p, BATCH)
+
+        exact = exact_worst_loss(spec, w, rho)
+        base = loss_and_grad(w)
+        for n in (1, 2, 5, 10):
+            got = network.forward(spec, w + epsilon_gradient_ascent(loss_and_grad, w, rho,
+                                                                    n).epsilon, BATCH)
+            assert got <= exact + 1e-12 * abs(exact), (spec, rho, n, got, exact)
+            if isotropic:
+                assert got >= exact - 1e-12 * abs(exact), (spec, rho, n, got, exact)
+            if n == 1:
+                sam = network.forward(spec, w + epsilon_first_order(base.gradient, rho).epsilon,
+                                      BATCH)
+                assert got - base.value == pytest.approx(sam - base.value, rel=1e-12)
 
 
 def test_worst_direction_estimate_keeps_an_exact_first_order_maximum():
