@@ -45,7 +45,9 @@ Every entry point takes one parameter vector or a stack of K of them: a
 per-row arrays, (K,) losses and accuracies and (K, P) gradients. The stack
 is how a sweep's runs step in lockstep, how training scores them on the
 test split after its last epoch and how the probes evaluate their
-independent points, at most `rows_per_call(spec, batch)` rows a call. In a
+independent points, at most `rows_per_call(spec, batch)` rows a call: K = 8
+on the probes' 500-row batch through 32 units, 2 on a 1,500-row test split,
+128 on a 32-row minibatch and 1 on 1,000 rows through 128 units. In a
 stack every array has a leading row axis: weights (K, fan_in, fan_out),
 activations (K, n, width), and the shared features broadcast against them.
 Matmuls and sums run over the trailing axes, and numpy computes each row of
@@ -69,11 +71,12 @@ once. Within `loss_and_grad` the reverse pass (`autodiff.backward`) frees
 each hidden activation as soon as its derivative has been applied, and a
 relu layer's input gradient reuses its activation's buffer. So one call's
 peak heap, in stacked activations (rows x batch rows x widest layer x 8
-bytes), is about 1.4 on a 2-32-2 relu model at 4 x 500 rows and 2.5 (relu)
-or 3.3 (tanh) on a 16-128-128-8 model at one 1,000-row batch, and
-`tests/test_network.py` holds it to 1.5, 2.75 and 3.5. A freed array's
-memory goes back to the heap and the next call reuses it with no page
-faults, as long as glibc's malloc keeps large arrays off `mmap`:
+bytes), is about 1.3 on a 2-32-2 relu model at 4 or 8 x 500 rows and 2.5
+(relu) or 3.3 (tanh) on a 16-128-128-8 model at one 1,000-row batch, and
+`tests/test_network.py` holds it to 1.5, 2.75 and 3.5; a `forward` at 8 x
+500 rows on the 2-32-2 model peaks at about 1.13, held to 1.25. A freed
+array's memory goes back to the heap and the next call reuses it with no
+page faults, as long as glibc's malloc keeps large arrays off `mmap`:
 `harness.setup_process` sets its thresholds so.
 
 At the small shapes of a `compare` sweep (a 2-32-2 model, batch 32) one
@@ -81,7 +84,7 @@ call does a few thousand multiply-adds through about 70 numpy calls, so its
 cost is almost all fixed dispatch, about 1 us per numpy call. So the kernel
 keeps the straight-line forms: one numpy call where a method wrapper
 (`.all()`, `.sum`) or a copy plus a call would do the same, a vector sliced
-without `...`, and no row axis for one vector. At the probes' shapes (4
+without `...`, and no row axis for one vector. At the probes' shapes (8
 stacked rows on 500 examples) a call's time goes on whole passes over its
 activations instead, so a loss-only call normalises only each example's
 picked log-probability, not all of them, and a pass should run as one long
@@ -210,8 +213,13 @@ class QuadraticSpec:
 ModelSpec = Union[MlpSpec, QuadraticSpec]
 
 # Elements of one stacked activation (rows x batch rows x widest layer) that
-# every caller stacking parameter rows keeps to: 2**16 float64 values, 512 KiB.
-STACK_ELEMENTS = 2 ** 16
+# every caller stacking parameter rows keeps to: 2**17 float64 values, 1 MiB,
+# 8 points a call on the probes' 500-row batch through 32 units. 1 MiB keeps
+# one stacked activation within half of a 2 MiB L2 cache; on such a host
+# (2-core x86-64) a probe_small round took 160 ms of CPU at 512 KiB, 148 ms
+# at 768 KiB, 145 ms at 1 MiB and 155 ms at 2 MiB (K = 16), where the
+# activation fills L2.
+STACK_ELEMENTS = 2 ** 17
 
 
 def rows_per_call(spec: ModelSpec, batch) -> int:
@@ -224,8 +232,8 @@ def rows_per_call(spec: ModelSpec, batch) -> int:
     The widest layer counts the input width too, though a call holds no
     (rows x batch rows x input width) activation: the stack's (K, P)
     gradients and K parameter rows grow with it. Without it a 784-64-10
-    model would stack K = 32 rows at batch 32, where it now stacks 2, and
-    their gradients alone would take 32 x 50,890 x 8 bytes, about 13 MB.
+    model would stack K = 64 rows at batch 32, where it now stacks 5, and
+    their gradients alone would take 64 x 50,890 x 8 bytes, about 26 MB.
     """
     if isinstance(spec, QuadraticSpec):
         return max(1, STACK_ELEMENTS // len(spec.diag))

@@ -18,8 +18,8 @@ The probes evaluate the loss at many independent points (a slice's grid, the
 average direction's samples, the worst-direction ascents), and they evaluate
 them as stacked rows: up to K points per `network.forward` or
 `network.loss_and_grad` call, each row byte for byte the call on its point
-alone. K is `network.rows_per_call`, from the kernel's 512 KiB stacking
-budget: 4 points for a 500-row batch through 32 units, 1 (one point a call)
+alone. K is `network.rows_per_call`, from the kernel's 1 MiB stacking
+budget: 8 points for a 500-row batch through 32 units, 1 (one point a call)
 for a 1000-row batch through 128. Callers stack at most K points, and
 each call is one pass over its batch, so K moves no byte. The slice and the
 average direction build each of the passes `network.passes` cuts in the

@@ -182,32 +182,54 @@ def test_evaluation_leaves_no_garbage_cycles():
 # activation once its derivative is applied, and a relu layer's input
 # gradient is written over its activation, so the relu cases read about 1.4
 # and 2.5 and the tanh case 3.3; a pass that kept every activation to its end
-# reads 2.2 to 4.3. The first case is the probes' shape on the bench's 2-32-2
-# model, the others the train_wide model.
+# reads 2.2 to 4.3. The first two cases are the probes' shapes on the bench's
+# 2-32-2 model (8 points a call on its 500-row batch, 4 at half the budget),
+# the others the train_wide model.
 PEAK_ACTIVATIONS = {
     ("relu", "softmax_ce", (2, 32, 2), 4, 500): 1.5,
+    ("relu", "softmax_ce", (2, 32, 2), 8, 500): 1.5,
     ("relu", "softmax_ce", (16, 128, 128, 8), 1, 1000): 2.75,
     ("tanh", "mse", (16, 128, 128, 8), 1, 1000): 3.5,
 }
 
+# The same for one warm `forward`, the call that makes most of a probe_small
+# round: its hidden activation and its logits' passes read about 1.13.
+FORWARD_PEAK_ACTIVATIONS = {
+    ("relu", "softmax_ce", (2, 32, 2), 8, 500): 1.25,
+}
 
-@pytest.mark.parametrize("case", sorted(PEAK_ACTIVATIONS),
-                         ids=lambda c: f"{c[0]}-{c[1]}-{'-'.join(map(str, c[2]))}-K{c[3]}-n{c[4]}")
-def test_gradient_peak_heap_in_stacked_activations(case):
+
+def _case_id(case) -> str:
+    return f"{case[0]}-{case[1]}-{'-'.join(map(str, case[2]))}-K{case[3]}-n{case[4]}"
+
+
+def _warm_peak_activations(evaluate, case) -> float:
+    """The traced peak heap of one warm `evaluate` of `case`'s stacked
+    parameter rows on its batch, in stacked activations."""
     activation, head, widths, rows, n = case
     spec = MlpSpec(widths[0], widths[1:-1], widths[-1], activation, head)
     rng = np.random.default_rng(5)
     params = np.stack([network.init_params(spec, rng).data for _ in range(rows)])
     batch = network.check_batch(spec, Dataset(rng.standard_normal((n, widths[0])),
                                               rng.integers(0, widths[-1], n), widths[-1]))
-    network.loss_and_grad(spec, params, batch)
+    evaluate(spec, params, batch)
     tracemalloc.start()
     try:
-        network.loss_and_grad(spec, params, batch)
+        evaluate(spec, params, batch)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (rows * n * max(widths) * 8) <= PEAK_ACTIVATIONS[case]
+    return peak / (rows * n * max(widths) * 8)
+
+
+@pytest.mark.parametrize("case", sorted(PEAK_ACTIVATIONS), ids=_case_id)
+def test_gradient_peak_heap_in_stacked_activations(case):
+    assert _warm_peak_activations(network.loss_and_grad, case) <= PEAK_ACTIVATIONS[case]
+
+
+@pytest.mark.parametrize("case", sorted(FORWARD_PEAK_ACTIVATIONS), ids=_case_id)
+def test_forward_peak_heap_in_stacked_activations(case):
+    assert _warm_peak_activations(network.forward, case) <= FORWARD_PEAK_ACTIVATIONS[case]
 
 
 # The most the traced heap of one warm loss-only call on train_wide's
@@ -236,7 +258,7 @@ def _wide_loss_only_peak_activations(evaluate) -> float:
 
 def test_wide_loss_only_call_peak_heap_keeps_to_its_activations():
     """One warm `loss_and_accuracy` on that split is one pass over all 3,000
-    rows, 5.9 times network.STACK_ELEMENTS: its peak is its two hidden
+    rows, 2.9 times network.STACK_ELEMENTS: its peak is its two hidden
     layers' outputs and little more."""
     peak = _wide_loss_only_peak_activations(network.loss_and_accuracy)
     assert peak <= WIDE_LOSS_ONLY_PEAK_ACTIVATIONS

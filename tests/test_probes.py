@@ -609,8 +609,9 @@ def test_stacked_report_matches_the_one_point_loops(shape, monkeypatch, force_ro
 def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
     spec = MlpSpec(2, (128,), 2, "tanh", "mse")
     params = network.init_params(spec, np.random.default_rng(1)).data
-    batch = gen_two_moons(520, 0.2, 1)
-    assert network.rows_per_call(spec, batch) == 1  # 520 x 128 > network.STACK_ELEMENTS
+    # One point's activations, n x 128, pass the budget, whatever it is.
+    batch = gen_two_moons(network.STACK_ELEMENTS // 128 + 8, 0.2, 1)
+    assert network.rows_per_call(spec, batch) == 1
     counts = count_rows(monkeypatch)
     sizes = []
     for name in ("forward", "loss_and_grad"):
@@ -634,11 +635,32 @@ def test_wide_probes_evaluate_one_point_per_call(monkeypatch):
 
 def test_rows_per_call_of_the_bench_shapes():
     small = MlpSpec(2, (32,), 2)
-    assert network.rows_per_call(small, gen_two_moons(500, 0.2, 0)) == 4  # probe batch
-    assert network.rows_per_call(small, gen_two_moons(1500, 0.2, 0)) == 1  # test split
-    assert network.rows_per_call(small, gen_two_moons(32, 0.2, 0)) == 64  # minibatch
+    assert network.rows_per_call(small, gen_two_moons(500, 0.2, 0)) == 8  # probe batch
+    assert network.rows_per_call(small, gen_two_moons(1500, 0.2, 0)) == 2  # test split
+    assert network.rows_per_call(small, gen_two_moons(32, 0.2, 0)) == 128  # minibatch
     wide = Dataset(np.zeros((1000, 16)), np.zeros(1000, dtype=int), 8)
     assert network.rows_per_call(MlpSpec(16, (128, 128), 8, "tanh", "mse"), wide) == 1
+
+
+def test_stack_height_moves_no_byte_at_the_bench_shape(force_rows_per_call):
+    """probe_small's work on its own shapes: a 2-32-2 relu model on 500
+    two-moons rows, a report of 256 samples and a 41 x 41 slice, give the
+    same bytes one point a call and 4, 8 or 16 points a call."""
+    spec = MlpSpec(2, (32,), 2)
+    params = network.init_params(spec, np.random.default_rng(4)).data
+    batch = network.check_batch(spec, gen_two_moons(500, 0.25, 4))
+    directions = np.random.default_rng(9).standard_normal((2, params.size))
+    cfg = ProbeConfig(n_samples=256)
+
+    def outputs(k):
+        force_rows_per_call(spec, batch, k)
+        report = build_report(spec, params, batch, cfg, seed=7)
+        grid = loss_plane_slice(spec, params, batch, *directions, extent=1.0, n_points=41)
+        return hexes(report.to_dict().values()), [x.tobytes() for x in grid]
+
+    want = outputs(1)
+    for k in (4, 8, 16):
+        assert outputs(k) == want, k
 
 
 def test_flat_ascent_leaves_its_lockstep_alone(monkeypatch, force_rows_per_call):
