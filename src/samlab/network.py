@@ -87,23 +87,28 @@ keeps the straight-line forms: one numpy call where a method wrapper
 without `...`, and no row axis for one vector. At the probes' shapes (8
 stacked rows on 500 examples) a call's time goes on whole passes over its
 activations instead, so a loss-only call normalises only each example's
-picked log-probability, not all of them, and a pass should run as one long
-loop. numpy runs a broadcast against a narrow last axis, and a sum over the
-example rows, as one short inner loop per example row instead. So a call of
-at least `autodiff.LONG_ROWS` (256) example rows, counted over all its
-stacked rows, takes three long-loop forms:
+picked log-probability, not all of them (for two classes from one logit
+difference per example, with no (..., n, 2) array: `_loss_terms`), and a
+pass should run as one long loop. numpy runs a broadcast against a narrow
+last axis, and a sum over the example rows, as one short inner loop per
+example row instead. So a call of at least `autodiff.LONG_ROWS` (256)
+example rows, counted over all its stacked rows, takes three long-loop
+forms:
 
 * a layer under 8 units wide adds its bias tiled down the rows
   (`_mlp_pass`), at the cost of a copy of under 8 values per row;
-* a two-class softmax subtracts each example's max, then its log-sum-exp,
-  one column at a time (`_less`), each call a loop over every row;
+* the gradient head of a two-class softmax subtracts each example's max,
+  then its log-sum-exp, one column at a time (`_less`), each call a loop
+  over every row;
 * each bias gradient of width 2 or more is an einsum (`autodiff.backward`).
 
 On a 2-core x86-64 host with numpy 2.4, at 4 x 500 rows a 2-wide bias add
 took 12 us plain and 3 us tiled, a 2-column subtraction 9 and 5 us, and a
 32-wide bias gradient 52 and 19-25 us. On fewer rows the plain forms cost
 as little or less (at 32 rows a 2-wide bias add took 1.0 us either way, a
-32-wide bias gradient 1.6 and 2.0 us), so they stay.
+32-wide bias gradient 1.6 and 2.0 us), so they stay. The two-class
+loss-only head took 22 us from one difference per example against 39 us
+through the (..., n, 2) path at 8 x 500 rows, and 5 against 9 us at 32.
 
 numpy copies a broadcast operand (every layer's bias add) and a cast one
 (relu's bool mask in `autodiff.backward`) through its ufunc buffer in
@@ -552,7 +557,36 @@ def _loss_terms(spec: MlpSpec, logits: np.ndarray, batch: CheckedBatch) -> np.nd
     Only the n picked log-probabilities are formed: the label's shifted
     logit less the log of the sum, the same subtraction on the same operands
     as `_head`'s full log-probabilities, so the same bytes.
+
+    Two classes need no (..., n, 2) array. With y = l_label - l_other, one
+    difference per example, the picked term is
+
+        min(y, 0.0) - log(exp(min(y, -y)) + 1.0),
+
+    with the bytes of `_softmax_parts` and the subtraction, because
+    - y is (l1 - l0) times +-1, both exact, and l0 - l1 = -(l1 - l0)
+      exactly, so y and -y are the differences that path subtracts;
+    - the larger column's shifted logit is x - x = +0.0, and exp(+0.0) is
+      1.0 exactly, so min(y, -y) is the other column's shifted logit, and
+      min(y, 0.0) the label's (the literal +0.0 where the label is larger);
+    - that path's fold adds (0.0 + e0) + e1, which is e_other + 1.0: IEEE
+      addition commutes, and 0.0 + e is e for every e >= +0;
+    - the signs of zero can differ only at y = +-0, where the log is log 2,
+      not 0, so both give -log 2;
+    - a y that overflows (where the logits' bound proves nothing) gives 0.0
+      or -inf on both paths, and so the same loss or the same NumericError.
     """
+    if spec.out_width == 2 and spec.head == "softmax_ce":
+        y = np.subtract(logits[..., 1], logits[..., 0])
+        y *= batch.one_hot[:, 1] - batch.one_hot[:, 0]
+        log_sum = np.negative(y)
+        np.minimum(y, log_sum, out=log_sum)
+        np.exp(log_sum, out=log_sum)
+        log_sum += 1.0
+        np.log(log_sum, out=log_sum)
+        picked = np.minimum(y, 0.0, out=y)
+        picked -= log_sum
+        return picked
     if spec.head == "softmax_ce":
         shifted, log_sum = _softmax_parts(logits)
         picked = _labelled(shifted, batch)

@@ -1013,6 +1013,78 @@ def test_precomputed_label_reads_match_fancy_indexing(data, stack, n, n_classes)
     assert new.tobytes() == old.tobytes()
 
 
+def _general_picked(logits, batch):
+    """Each example's log-probability at its label by the general softmax
+    path: the shifted logits and log-sums, the label's entry, the
+    subtraction."""
+    shifted, log_sum = network._softmax_parts(logits)
+    picked = network._labelled(shifted, batch)
+    picked -= log_sum.reshape(picked.shape)
+    return picked
+
+
+# Near float64's largest value: a difference of two of these overflows.
+_HUGE = 2.0 ** 1023
+
+
+@settings(max_examples=150, deadline=None)
+@given(stack=st.integers(0, 8), n=st.integers(1, 600), scale=st.integers(-60, 999),
+       ties=st.floats(0.0, 1.0), zeros=st.floats(0.0, 1.0), huge=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(0, 1, 0, 1.0, 0.0, 0.0, 0)
+@example(3, 7, 0, 0.0, 1.0, 0.0, 1)
+@example(0, 600, 999, 0.0, 0.0, 1.0, 2)
+@example(8, 500, -60, 0.3, 0.3, 0.3, 3)
+def test_two_class_picked_terms_are_the_general_paths_bytes(stack, n, scale, ties, zeros,
+                                                           huge, seed):
+    """The two-class loss terms, from one logit difference per example, are
+    the general softmax path's picked terms byte for byte: on vectors and
+    stacks, logits scaled by 2^-60 to 2^999, with shares of forced ties,
+    +-0 pairs (either order) and pairs whose difference overflows."""
+    rng = np.random.default_rng(seed)
+    lead = (stack,) if stack else ()
+    logits = np.ldexp(rng.standard_normal(lead + (n, 2)), scale)
+    l0, l1 = logits[..., 0], logits[..., 1]
+    tie = rng.random(l0.shape) < ties
+    l1[tie] = l0[tie]
+    zero = rng.random(l0.shape) < zeros
+    signed = np.where(rng.random(zero.sum()) < 0.5, 0.0, -0.0)
+    l0[zero], l1[zero] = signed, -signed
+    far = rng.random(l0.shape) < huge
+    signed = np.where(rng.random(far.sum()) < 0.5, _HUGE, -_HUGE)
+    l0[far], l1[far] = signed, -signed
+    labels = rng.integers(0, 2, n)
+    spec = MlpSpec(1, (), 2)
+    batch = network.check_batch(spec, Dataset(np.zeros((n, 1)), labels, 2))
+    with np.errstate(over="ignore"):
+        expected = _general_picked(logits, batch)
+        got = network._loss_terms(spec, logits, batch)
+    assert got.shape == expected.shape == lead + (n,)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_two_class_loss_only_calls_take_the_one_difference_head(monkeypatch):
+    """A two-class softmax `forward`, `loss_and_accuracy` and `accuracy`,
+    on a vector and on a stack, never build the general softmax parts;
+    `loss_and_grad` still does, and so does a loss-only call on 3 classes."""
+    def general(logits):
+        raise AssertionError("general softmax path taken")
+
+    monkeypatch.setattr(network, "_softmax_parts", general)
+    for spec, params, batch in (pin_case("relu", "softmax_ce", 2, 2),
+                                pin_case("tanh", "softmax_ce", 2, 1, "probe")):
+        for points in (params, np.stack([params, 0.5 * params])):
+            for evaluate in (network.forward, network.loss_and_accuracy, network.accuracy):
+                evaluate(spec, points, batch)
+            with pytest.raises(AssertionError, match="general softmax"):
+                network.loss_and_grad(spec, points, batch)
+    spec = MlpSpec(2, (4,), 3)
+    batch = Dataset(np.ones((5, 2)), np.arange(5) % 3, 3)
+    params = network.init_params(spec, np.random.default_rng(0)).data
+    with pytest.raises(AssertionError, match="general softmax"):
+        network.forward(spec, params, batch)
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=9),
                     elements=st.one_of(st.floats(), st.sampled_from(
@@ -1144,16 +1216,19 @@ def test_bound_covers_every_entry_or_rejects_the_array(data, shape, bad):
 
 @settings(max_examples=80, deadline=None)
 @given(activation=st.sampled_from(["relu", "tanh"]), head=st.sampled_from(["softmax_ce", "mse"]),
-       w_exp=st.integers(-60, 700), x_exp=st.integers(-60, 700), seed=st.integers(0, 3))
+       w_exp=st.integers(-60, 700), x_exp=st.integers(-60, 700), seed=st.integers(0, 3),
+       n_classes=st.sampled_from([2, 3]))
 def test_proof_keeps_the_verdict_and_bytes_of_scanning_every_layer(activation, head, w_exp,
-                                                                   x_exp, seed):
+                                                                   x_exp, seed, n_classes):
     """Params and features scaled by 2^w_exp and 2^x_exp give the outcome,
-    bytes or the NumericError, of the same call with every layer scanned."""
-    spec = MlpSpec(3, (6, 5), 3, activation, head)
+    bytes or the NumericError, of the same call with every layer scanned,
+    under 2 classes (the one-difference loss-only head) and 3."""
+    spec = MlpSpec(3, (6, 5), n_classes, activation, head)
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):
         rows = np.ldexp(rng.standard_normal((2, spec.param_count)), w_exp)
-        batch = Dataset(np.ldexp(rng.standard_normal((7, 3)), x_exp), rng.integers(0, 3, 7), 3)
+        batch = Dataset(np.ldexp(rng.standard_normal((7, 3)), x_exp),
+                        rng.integers(0, n_classes, 7), n_classes)
     calls = [(evaluate, points) for evaluate in (network.forward, network.loss_and_grad,
                                                  network.loss_and_accuracy, network.accuracy)
              for points in (rows[0], rows)]
